@@ -52,7 +52,6 @@ type report = {
   churn : int;
   resets : int;
   crash_ops : int;
-  legacy_jobs : int;
   pipeline_bursts : int;
   pipelined_replies : int;
   order_violations : int;
@@ -183,7 +182,6 @@ type counters = {
   mutable c_churn : int;
   mutable c_resets : int;
   mutable c_crash : int;
-  mutable c_legacy : int;
   mutable c_pipeline : int;
   mutable c_pipelined_replies : int;
   mutable c_order_violations : int;
@@ -200,22 +198,16 @@ let random_code g len =
 
 (* A well-formed job, checked byte-for-byte against the local oracle:
    handle_request is the daemon's own dispatch, so the served reply
-   must be identical unless the daemon legitimately shed it. Alternates
-   between the keep-alive client and the pre-v4 one-shot wire shape so
-   every chaos run proves old clients still get identical bytes. *)
+   must be identical unless the daemon legitimately shed it. *)
 let valid_job cfg g c =
   let algo = if Prng.bool g then Serve.Samc else Serve.Sadc in
   let code = random_code g (64 + Prng.int g 512) in
   let req = Serve.Compress { algo; isa = Serve.Mips; block_size = 32; code } in
   c.c_valid <- c.c_valid + 1;
-  let submit =
-    if Prng.bool g then begin
-      c.c_legacy <- c.c_legacy + 1;
-      Serve.submit_legacy
-    end
-    else Serve.submit
-  in
-  match submit ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port req with
+  (* this draw once picked between two client wire shapes; it stays so
+     that every seed still replays the same attack mix *)
+  ignore (Prng.bool g);
+  match Serve.submit ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port req with
   | Error _ -> c.c_transport <- c.c_transport + 1
   | Ok (Serve.Overloaded _) ->
     c.c_shed <- c.c_shed + 1;
@@ -322,10 +314,10 @@ let deadline_probe cfg g c =
     Obs.Counter.incr m_shed_seen
   | Ok _ -> ()
 
-(* Hold [flood] silent connections open (each pins a worker on its
-   first-byte read or sits queued), then probe: the probe must get a
-   typed Overloaded reply once every queue slot is full — the daemon
-   sheds instead of stalling the accept loop. *)
+(* Hold [flood] silent connections open (each takes one of the
+   daemon's held-connection slots until its idle budget runs out), then
+   probe: the probe must get a typed Overloaded reply once every slot
+   is taken — the daemon sheds instead of stalling its accepts. *)
 let overload_flood cfg _g c =
   if cfg.flood > 0 then begin
     let held =
@@ -461,7 +453,7 @@ let midstream_truncation cfg g c =
     close_quietly fd
 
 (* Answer one frame, then go silent past the daemon's idle timeout:
-   the daemon must close the parked connection (EOF on our next read)
+   the daemon must close the idle connection (EOF on our next read)
    rather than hold the fd forever. Gated on --stall because the sleep
    costs real wall clock and only proves anything when the daemon runs
    with an idle timeout shorter than the stall. *)
@@ -511,7 +503,6 @@ let run cfg =
         c_churn = 0;
         c_resets = 0;
         c_crash = 0;
-        c_legacy = 0;
         c_pipeline = 0;
         c_pipelined_replies = 0;
         c_order_violations = 0;
@@ -585,7 +576,6 @@ let run cfg =
         churn = c.c_churn;
         resets = c.c_resets;
         crash_ops = c.c_crash;
-        legacy_jobs = c.c_legacy;
         pipeline_bursts = c.c_pipeline;
         pipelined_replies = c.c_pipelined_replies;
         order_violations = c.c_order_violations;
@@ -625,8 +615,8 @@ let report_lines r =
   [
     Printf.sprintf "chaos seed %d: %s" r.seed
       (if r.alive_after then "daemon alive" else "DAEMON DEAD");
-    Printf.sprintf "  valid jobs        %6d  (%d byte-identical, %d MISMATCHED, %d legacy one-shot)"
-      r.valid_jobs r.byte_identical r.mismatched r.legacy_jobs;
+    Printf.sprintf "  valid jobs        %6d  (%d byte-identical, %d MISMATCHED)" r.valid_jobs
+      r.byte_identical r.mismatched;
     Printf.sprintf "  typed sheds       %6d" r.shed_typed;
     Printf.sprintf "  deadline replies  %6d  (of %d probes)" r.deadline_replies r.deadline_probes;
     Printf.sprintf "  slowloris         %6d" r.slowloris;

@@ -5,9 +5,9 @@
     ways a network peer goes bad — slowloris writers that drip one
     byte per 50–150 ms, frames truncated mid-payload, connect-and-hang-up
     churn, [SO_LINGER 0] resets mid-frame, frames declaring
-    payloads past [max_payload], an overload flood that fills every
-    worker queue, 1 ms-deadline probes, and (opt-in) the crash-worker
-    opcode — with well-formed jobs interleaved throughout.
+    payloads past [max_payload], an overload flood that takes every
+    held-connection slot, 1 ms-deadline probes, and (opt-in) the
+    crash-worker opcode — with well-formed jobs interleaved throughout.
 
     The CCQ1v4 keep-alive path gets its own battery: oracle-checked
     job sequences down one persistent {!Ccomp_serve.Serve.Conn},
@@ -16,9 +16,7 @@
     (the first job must still be answered — and under
     [--max-requests-per-conn 1] this doubles as a recycle race), and
     (opt-in via [stall_s]) an inter-frame stall that the daemon must
-    idle-close rather than hold forever. Well-formed jobs alternate
-    between the keep-alive client and the pre-v4 one-shot shape, so
-    every run also proves legacy clients still get identical bytes.
+    idle-close rather than hold forever.
 
     The contract it checks is the ISSUE-6 acceptance criterion: the
     daemon {e never} deadlocks or dies; every job that completes is
@@ -37,8 +35,9 @@ type config = {
   seed : int;  (** drives the whole attack mix; logged everywhere *)
   rounds : int;  (** repetitions of the attack mix *)
   flood : int;
-      (** silent connections held open per round to force queue-full
-          shedding; [0] skips the flood (and its assertion) *)
+      (** silent connections held open per round to force
+          connection-limit shedding; [0] skips the flood (and its
+          assertion) *)
   stall_s : float;
       (** inter-frame stall length, once per round; only proves
           anything when it exceeds the daemon's [--idle-timeout].
@@ -68,7 +67,6 @@ type report = {
   churn : int;
   resets : int;
   crash_ops : int;
-  legacy_jobs : int;  (** valid jobs sent over the pre-v4 one-shot shape *)
   pipeline_bursts : int;  (** bursts that got at least one reply unshed *)
   pipelined_replies : int;
   order_violations : int;  (** echoed id <> expected — any nonzero fails *)

@@ -3,7 +3,7 @@
    The stage histograms say *which* stage owns p99; they cannot say
    what any particular slow request experienced. This module keeps a
    bounded ring of full per-request records — stage split, per-stage GC
-   deltas, queue depth at admission — for exactly the requests worth
+   deltas, ready connections served ahead of it — for exactly the requests worth
    explaining: anything slower than the configured threshold, plus
    every shed and deadline-expired outcome regardless of latency.
 
@@ -25,7 +25,7 @@ type record = {
   sr_read_us : float;
   sr_work_us : float;
   sr_write_us : float;
-  sr_queue_depth : int;  (** shard queue length seen at admission *)
+  sr_queue_depth : int;  (** ready connections served ahead of this one on its worker *)
   sr_gc_read : Runtime.delta;  (** this domain's GC activity per stage *)
   sr_gc_work : Runtime.delta;
   sr_gc_write : Runtime.delta;

@@ -3,11 +3,11 @@
 
     The latency histograms say which stage owns p99 in aggregate; this
     ring says what specific tail requests experienced — stage split,
-    per-stage GC deltas on the serving domain, and the shard queue depth
-    seen at admission. A request is sampled when its total latency
-    reaches the configured threshold, and {e always} when it was shed,
-    refused as overloaded, or expired its deadline, however fast the
-    refusal was.
+    per-stage GC deltas on the serving domain, and how many ready
+    connections its worker served ahead of it. A request is sampled when
+    its total latency reaches the configured threshold, and {e always}
+    when it was shed, refused as overloaded, or expired its deadline,
+    however fast the refusal was.
 
     The ring is bounded (overflow keeps the most recent records) so
     sampling can stay on for the life of the daemon. The daemon serves
@@ -25,7 +25,7 @@ type record = {
   sr_read_us : float;
   sr_work_us : float;
   sr_write_us : float;
-  sr_queue_depth : int;  (** shard queue length seen at admission *)
+  sr_queue_depth : int;  (** ready connections served ahead of this one on its worker *)
   sr_gc_read : Ccomp_obs.Runtime.delta;  (** serving domain's GC activity per stage *)
   sr_gc_work : Ccomp_obs.Runtime.delta;
   sr_gc_write : Ccomp_obs.Runtime.delta;

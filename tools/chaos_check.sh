@@ -15,10 +15,9 @@
 #      slowloris + truncation + churn + resets + oversize + an overload
 #      flood + keep-alive abuse (pipelined bursts, torn frames
 #      mid-stream, an inter-frame stall past the idle timeout); every
-#      completed job — keep-alive and legacy one-shot alike — is
-#      byte-identical to the offline oracle; the flood produces typed
-#      Overloaded replies; deadline probes produce typed
-#      Deadline_expired replies; pipelined replies arrive in order; the
+#      completed job is byte-identical to the offline oracle; the
+#      flood produces typed Overloaded replies; deadline probes
+#      produce typed Deadline_expired replies; pipelined replies arrive in order; the
 #      stalled connection is idle-closed.
 #   3. the overload telemetry is on /metrics afterwards: sheds,
 #      expired deadlines and the crash-op worker restart all counted,
@@ -57,6 +56,8 @@ trap 'exit 129' HUP
 fail() { echo "chaos_check: $*" >&2; exit 1; }
 
 # -- 1: boot with tight budgets and the crash op enabled ----------------
+# exists before the port poll reads it: the & redirection opens it late
+: > "$dir/serve.log"
 # --max-requests-per-conn 3 forces recycles under the keep-alive
 # attacks; --idle-timeout 1 < the chaos --stall 2 forces idle closes
 "$ccomp" serve --port 0 --workers 2 --queue-cap 2 \
@@ -77,8 +78,8 @@ done
 [ -n "$port" ] || fail "daemon never reported its port: $(cat "$dir/serve.log")"
 
 # -- 2: the deterministic chaos mix must pass ---------------------------
-# flood 12 > workers*queue-cap + workers = 6, so typed sheds are forced;
-# --crash-workers exercises supervision (the daemon has the op enabled)
+# flood 12 > workers × queue-cap = 4 held connections, so typed sheds
+# are forced; --crash-workers exercises supervision (the daemon has the op enabled)
 "$ccomp" chaos --port "$port" --seed 42 --rounds 2 --flood 12 --stall 2 \
   --crash-workers --timeout 10 > "$dir/chaos.log" 2>&1 \
   || fail "chaos campaign FAILed: $(cat "$dir/chaos.log")"

@@ -62,6 +62,8 @@ cmp -s "$dir/sched_a.txt" "$dir/sched_c.txt" \
 [ "$(wc -l < "$dir/sched_a.txt")" -eq 20 ] || fail "--print-schedule 20 did not print 20 offsets"
 
 # -- boot a daemon on an ephemeral port ---------------------------------
+# exists before the port poll reads it: the & redirection opens it late
+: > "$dir/serve.log"
 "$ccomp" serve --port 0 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 port=

@@ -52,6 +52,8 @@ fail() { echo "runtime_check: $*" >&2; exit 1; }
 "$ccomp" generate --profile go --scale 0.3 --seed 23 -o "$dir/code.bin" >/dev/null
 
 # -- 1: boot with a zero sampling threshold (every request qualifies) ---
+# exists before the port poll reads it: the & redirection opens it late
+: > "$dir/serve.log"
 "$ccomp" serve --port 0 --slow-threshold-ms 0 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 

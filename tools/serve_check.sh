@@ -8,18 +8,17 @@
 # usage: serve_check.sh CCOMP_EXE
 #
 # Checks:
-#   1. `ccomp serve --port 0 --acceptors 2` boots and reports its
+#   1. `ccomp serve --port 0 --workers 2` boots and reports its
 #      bound port.
 #   2. a served compress job (`ccomp submit`) is byte-identical to the
 #      offline `ccomp compress` output, and a served decompress job
-#      round-trips the image back to the original bytes; the same
-#      compress over the legacy one-shot wire shape
-#      (`--legacy-oneshot`) is byte-identical too.
+#      round-trips the image back to the original bytes.
 #   3. /metrics is OpenMetrics: # TYPE families, _total counters,
 #      cumulative histogram buckets ending at le="+Inf", a final # EOF,
 #      and the registry-wide schema (samc_/sadc_/memsys_/par_/serve_
 #      families are all present, even the ones still at zero) — plus
-#      the serve_info info metric (version + bound port as labels),
+#      the serve_info info metric (version, worker count and bound
+#      port as labels),
 #      the serve_uptime_seconds gauge, and the per-stage latency
 #      histograms (serve_stage_{queue,read,work,write}_us).
 #   4. /healthz answers ok; /events carries structured JSON lines for
@@ -68,8 +67,10 @@ fail() { echo "serve_check: $*" >&2; exit 1; }
 
 "$ccomp" generate --profile go --scale 0.15 --seed 17 -o "$dir/code.bin" >/dev/null
 
-# -- 1: boot on an ephemeral port with a sharded accept path ------------
-"$ccomp" serve --port 0 --acceptors 2 > "$dir/serve.log" 2>&1 &
+# -- 1: boot on an ephemeral port with two worker loops ------------------
+# exists before the port poll reads it: the & redirection opens it late
+: > "$dir/serve.log"
+"$ccomp" serve --port 0 --workers 2 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 
 port=
@@ -93,13 +94,6 @@ cmp -s "$dir/offline.secf" "$dir/served.secf" \
 "$ccomp" submit --port "$port" --op decompress "$dir/served.secf" -o "$dir/back.bin" >/dev/null
 cmp -s "$dir/code.bin" "$dir/back.bin" || fail "served decompress did not round-trip"
 
-# the pre-v4 one-shot wire shape (write, shutdown, read to EOF) must
-# keep working against a keep-alive daemon, byte for byte
-"$ccomp" submit --port "$port" --legacy-oneshot --op compress --algo samc \
-  "$dir/code.bin" -o "$dir/served_legacy.secf" >/dev/null
-cmp -s "$dir/offline.secf" "$dir/served_legacy.secf" \
-  || fail "legacy one-shot compress is not byte-identical to offline compress"
-
 # -- 3: /metrics is OpenMetrics with the full registry schema -----------
 "$ccomp" scrape --port "$port" /metrics > "$dir/metrics.txt"
 grep -q '^# TYPE [a-z_]* counter$' "$dir/metrics.txt" || fail "/metrics: no counter families"
@@ -111,16 +105,16 @@ for family in samc_ sadc_ memsys_ par_ serve_; do
   grep -q "^# TYPE $family" "$dir/metrics.txt" \
     || fail "/metrics: registry family $family missing from the schema"
 done
-grep -q '^serve_jobs_compress_total 2$' "$dir/metrics.txt" \
-  || fail "/metrics: the served compress jobs (keep-alive + legacy) were not counted"
+grep -q '^serve_jobs_compress_total 1$' "$dir/metrics.txt" \
+  || fail "/metrics: the served compress job was not counted"
 # info metric: build/config facts as labels on a constant-1 sample
 grep -q '^# TYPE serve info$' "$dir/metrics.txt" || fail "/metrics: no serve info family"
 grep -q '^serve_info{.*version=".*".*} 1$' "$dir/metrics.txt" \
   || fail "/metrics: serve_info lacks a version label or constant-1 value"
 grep -q '^serve_info{.*port="'"$port"'".*} 1$' "$dir/metrics.txt" \
   || fail "/metrics: serve_info does not carry the bound port"
-grep -q '^serve_info{.*acceptors="2".*} 1$' "$dir/metrics.txt" \
-  || fail "/metrics: serve_info does not carry the acceptor count"
+grep -q '^serve_info{.*workers="2".*} 1$' "$dir/metrics.txt" \
+  || fail "/metrics: serve_info does not carry the worker count"
 # uptime gauge: non-negative and refreshed at scrape time
 grep -q '^# TYPE serve_uptime_seconds gauge$' "$dir/metrics.txt" \
   || fail "/metrics: no serve_uptime_seconds gauge"

@@ -300,23 +300,35 @@ let compress_cmd =
 let decompress_cmd =
   let run jobs verbose metrics trace events input output =
     let jobs = resolve_jobs jobs in
-    with_obs ~events ~metrics ~trace @@ fun () ->
-    let data = phase ~verbose ~bytes:String.length "read" (fun () -> read_file input) in
-    match
-      phase ~verbose ~bytes:(fun _ -> String.length data) "parse" (fun () ->
-          Ccomp_image.Image.read data)
-    with
-    | Error e -> `Error (false, "cannot read image: " ^ e)
-    | Ok image ->
-      (* decompress throughput is conventionally over output bytes *)
-      let code =
-        phase ~verbose ~bytes:String.length "decompress" (fun () ->
-            Ccomp_image.Image.decompress ~jobs image)
-      in
-      let path = match output with Some p -> p | None -> input ^ ".out" in
-      phase ~verbose ~bytes:(fun () -> String.length code) "write" (fun () -> write_file path code);
-      Printf.printf "wrote %s: %d bytes\n" path (String.length code);
-      `Ok ()
+    let outcome =
+      with_obs ~events ~metrics ~trace @@ fun () ->
+      let data = phase ~verbose ~bytes:String.length "read" (fun () -> read_file input) in
+      match
+        phase ~verbose ~bytes:(fun _ -> String.length data) "parse" (fun () ->
+            Ccomp_image.Image.read data)
+      with
+      | Error e -> `Error (false, "cannot read image: " ^ e)
+      | Ok image -> (
+        (* decompress throughput is conventionally over output bytes *)
+        match
+          phase ~verbose ~bytes:(function Ok code -> String.length code | Error _ -> 0)
+            "decompress" (fun () ->
+              Ccomp_util.Decode_error.protect ~section:"image" (fun () ->
+                  Ccomp_image.Image.decompress ~jobs image))
+        with
+        | Error e -> `Undecodable e
+        | Ok code ->
+          let path = match output with Some p -> p | None -> input ^ ".out" in
+          phase ~verbose ~bytes:(fun () -> String.length code) "write" (fun () ->
+              write_file path code);
+          Printf.printf "wrote %s: %d bytes\n" path (String.length code);
+          `Ok ())
+    in
+    match outcome with
+    | `Undecodable e ->
+      prerr_endline ("ccomp: cannot decompress image: " ^ Ccomp_util.Decode_error.to_string e);
+      exit 1
+    | (`Ok () | `Error _) as r -> r
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
   let term =
@@ -439,16 +451,15 @@ let fuzz_cmd =
       let r = String.length c mod 4 in
       if r = 0 then c else c ^ String.make (4 - r) '\x90'
     in
-    let image_codec name img reference =
-      let img = Ccomp_image.Image.with_block_crcs Ccomp_image.Image.Crc8_tags img in
+    let image_codec = Ccomp_fault.Campaign.image_codec in
+    let max_output = String.length mips in
+    let baseline name encoded decode =
       {
         Ccomp_fault.Campaign.name;
-        encoded = Ccomp_image.Image.write img;
-        reference;
-        decode =
-          (fun s ->
-            Result.bind (Ccomp_image.Image.read_checked s) Ccomp_image.Image.decompress_checked);
-        integrity_checked = true;
+        encoded;
+        reference = mips;
+        decode = (fun s -> Ccomp_util.Decode_error.protect ~section:name (fun () -> decode s));
+        integrity_checked = false;
       }
     in
     let codecs =
@@ -456,48 +467,28 @@ let fuzz_cmd =
         image_codec "samc-mips"
           (Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.Mips
              (Ccomp_core.Samc.compress (Ccomp_core.Samc.mips_config ()) mips))
-          mips;
+          ~reference:mips;
         image_codec "samc-x86"
           (Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.X86
              (Ccomp_core.Samc.compress (Ccomp_core.Samc.byte_config ()) x86))
-          x86;
+          ~reference:x86;
         image_codec "sadc-mips"
           (Ccomp_image.Image.of_sadc_mips
              (Ccomp_core.Sadc.Mips.compress_image (Ccomp_core.Sadc.default_config ()) mips))
-          mips;
+          ~reference:mips;
         image_codec "sadc-x86"
           (Ccomp_image.Image.of_sadc_x86
              (Ccomp_core.Sadc.X86.compress_image (Ccomp_core.Sadc.default_config ()) x86))
-          x86;
-        {
-          Ccomp_fault.Campaign.name = "byte-huffman";
-          encoded = Ccomp_baselines.Byte_huffman.(serialize (compress mips));
-          reference = mips;
-          decode =
-            (fun s ->
-              Result.bind
-                (Ccomp_baselines.Byte_huffman.deserialize_checked s ~pos:0)
-                (fun (c, _) ->
-                  Ccomp_baselines.Byte_huffman.decompress_checked
-                    ~max_output:(String.length mips) c));
-          integrity_checked = false;
-        };
-        {
-          Ccomp_fault.Campaign.name = "lzw";
-          encoded = Ccomp_baselines.Lzw.compress mips;
-          reference = mips;
-          decode =
-            Ccomp_baselines.Lzw.decompress_checked ~max_output:(String.length mips);
-          integrity_checked = false;
-        };
-        {
-          Ccomp_fault.Campaign.name = "lzss";
-          encoded = Ccomp_baselines.Lzss.compress mips;
-          reference = mips;
-          decode =
-            Ccomp_baselines.Lzss.decompress_checked ~max_output:(String.length mips);
-          integrity_checked = false;
-        };
+          ~reference:x86;
+        baseline "byte-huffman"
+          Ccomp_baselines.Byte_huffman.(serialize (compress mips))
+          (fun s ->
+            let z, _ = Ccomp_baselines.Byte_huffman.deserialize s ~pos:0 in
+            Ccomp_baselines.Byte_huffman.decompress ~max_output z);
+        baseline "lzw" (Ccomp_baselines.Lzw.compress mips)
+          (Ccomp_baselines.Lzw.decompress ~max_output);
+        baseline "lzss" (Ccomp_baselines.Lzss.compress mips)
+          (Ccomp_baselines.Lzss.decompress ~max_output);
       ]
     in
     print_endline Ccomp_fault.Campaign.report_header;
@@ -1504,8 +1495,8 @@ let verify_cmd =
     | Error name ->
       `Error
         ( false,
-          Printf.sprintf "unknown pair %S (expected kernel, parallel, checked, serve, roundtrip \
-                          or all)" name )
+          Printf.sprintf "unknown pair %S (expected kernel, parallel, serve, roundtrip or all)"
+            name )
     | Ok pairs -> (
       let profiles = if fast then [ "gcc" ] else parse_csv profiles_csv in
       let scale = if fast then 0.05 else scale in
@@ -1585,8 +1576,8 @@ let verify_cmd =
       value & opt string "all"
       & info [ "pairs" ] ~docv:"CSV"
           ~doc:
-            "Equivalence pairs to test: comma-separated subset of kernel, parallel, checked, \
-             serve, roundtrip — or all.")
+            "Equivalence pairs to test: comma-separated subset of kernel, parallel, serve, \
+             roundtrip — or all.")
   in
   let profiles_arg =
     Arg.(
@@ -1644,9 +1635,8 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:
          "Differential verification: test every redundant-implementation pair (fast vs \
-          reference kernels, parallel vs serial, checked vs unchecked, served vs offline, \
-          round-trips) over generated programs and the golden corpus; shrink and report any \
-          divergence.")
+          reference kernels, parallel vs serial, served vs offline, round-trips) over generated \
+          programs and the golden corpus; shrink and report any divergence.")
     term
 
 let () =

@@ -79,8 +79,13 @@ let decompress_block t b =
   if Obs.metrics_enabled () then Obs.Counter.add m_reader_refills (Bit_reader.refills r);
   Bytes.to_string out
 
-let decompress ?(jobs = 1) t =
+let decompress ?(jobs = 1) ?max_output t =
   Obs.with_span ~cat:"huffman" "huffman.decompress" @@ fun () ->
+  (match max_output with
+  | Some limit when t.original_size > limit ->
+    Ccomp_util.Decode_error.fail
+      (Length_overflow { section = "byte-huffman"; declared = t.original_size; limit })
+  | Some _ | None -> ());
   let instrument = Obs.metrics_enabled () in
   (* Blocks decode straight into disjoint slices of one shared output
      buffer (block [b] covers [b * block_size ..)), so the parallel path
@@ -106,15 +111,6 @@ let decompress ?(jobs = 1) t =
         Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0)
       end);
   Bytes.unsafe_to_string out
-
-let decompress_checked ?max_output t =
-  Ccomp_util.Decode_error.protect ~section:"byte-huffman" (fun () ->
-      (match max_output with
-      | Some limit when t.original_size > limit ->
-        Ccomp_util.Decode_error.fail
-          (Length_overflow { section = "byte-huffman"; declared = t.original_size; limit })
-      | Some _ | None -> ());
-      decompress t)
 
 (* Wire form (the ROM image of the Kozuch–Wolfe scheme): block size and
    original size, the shared length table, then length-prefixed block
@@ -170,10 +166,6 @@ let deserialize s ~pos =
         blk)
   in
   ({ code; blocks; block_size; original_size }, !p)
-
-let deserialize_checked s ~pos =
-  Ccomp_util.Decode_error.protect ~section:"byte-huffman.deserialize" (fun () ->
-      deserialize s ~pos)
 
 let code_bytes t = Array.fold_left (fun acc b -> acc + String.length b) 0 t.blocks
 

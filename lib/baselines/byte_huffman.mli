@@ -21,15 +21,12 @@ val compress : ?block_size:int -> ?jobs:int -> string -> compressed
 
 val decompress_block : compressed -> int -> string
 
-val decompress : ?jobs:int -> compressed -> string
+val decompress : ?jobs:int -> ?max_output:int -> compressed -> string
 (** [decompress t] rebuilds the original bytes. [jobs] (default 1) fans
     per-block decoding over that many domains; blocks land in disjoint
-    slices of one shared buffer, so output is byte-identical. *)
-
-val decompress_checked :
-  ?max_output:int -> compressed -> (string, Ccomp_util.Decode_error.t) result
-(** Total variant of {!decompress}: corrupted payloads yield [Error],
-    never an exception; [max_output] bounds the declared original size. *)
+    slices of one shared buffer, so output is byte-identical.
+    [max_output] bounds the declared original size before allocation.
+    @raise Ccomp_util.Decode_error.Error ([Length_overflow]) past the cap. *)
 
 val serialize : compressed -> string
 (** Self-contained wire form: block size, original size, the shared
@@ -38,10 +35,6 @@ val serialize : compressed -> string
 val deserialize : string -> pos:int -> compressed * int
 (** Inverse of {!serialize}.
     @raise Invalid_argument on malformed input. *)
-
-val deserialize_checked :
-  string -> pos:int -> (compressed * int, Ccomp_util.Decode_error.t) result
-(** Total variant of {!deserialize}. *)
 
 val code_bytes : compressed -> int
 

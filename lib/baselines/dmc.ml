@@ -131,10 +131,6 @@ let decompress ?(max_states = 1 lsl 18) ?max_output data =
   done;
   Bytes.to_string out
 
-let decompress_checked ?max_states ?max_output data =
-  Ccomp_util.Decode_error.protect ~section:"dmc" (fun () ->
-      decompress ?max_states ?max_output data)
-
 let ratio ?max_states data =
   if String.length data = 0 then 1.0
   else float_of_int (String.length (compress ?max_states data)) /. float_of_int (String.length data)

@@ -19,11 +19,6 @@ val decompress : ?max_states:int -> ?max_output:int -> string -> string
     the declared output size before allocation.
     @raise Ccomp_util.Decode_error.Error ([Length_overflow]) past the cap. *)
 
-val decompress_checked :
-  ?max_states:int -> ?max_output:int -> string -> (string, Ccomp_util.Decode_error.t) result
-(** Total variant of {!decompress}: corrupted input yields [Error], never
-    an exception or an allocation beyond [max_output]. *)
-
 val ratio : ?max_states:int -> string -> float
 
 val model_states : ?max_states:int -> string -> int

@@ -134,9 +134,6 @@ let decompress ?max_output data =
   done;
   Buffer.contents out
 
-let decompress_checked ?max_output data =
-  Ccomp_util.Decode_error.protect ~section:"lzw" (fun () -> decompress ?max_output data)
-
 let ratio input =
   if String.length input = 0 then 1.0
   else float_of_int (String.length (compress input)) /. float_of_int (String.length input)

@@ -13,10 +13,5 @@ val decompress : ?max_output:int -> string -> string
     @raise Failure on corrupted input.
     @raise Ccomp_util.Decode_error.Error ([Length_overflow]) past the cap. *)
 
-val decompress_checked :
-  ?max_output:int -> string -> (string, Ccomp_util.Decode_error.t) result
-(** Total variant of {!decompress}: arbitrary bytes yield [Error], never an
-    exception, an unbounded loop, or allocation past [max_output]. *)
-
 val ratio : string -> float
 (** [ratio data] = compressed size / original size (1.0 for empty input). *)

@@ -164,9 +164,6 @@ let decompress ?(order = 2) ?max_output data =
   | Some _ | None -> ());
   decompress_sized ~order ~size (String.sub data 4 (String.length data - 4))
 
-let decompress_checked ?(order = 2) ?max_output data =
-  Ccomp_util.Decode_error.protect ~section:"ppm" (fun () -> decompress ~order ?max_output data)
-
 let ratio ?(order = 2) data =
   if String.length data = 0 then 1.0
   else float_of_int (String.length (compress ~order data)) /. float_of_int (String.length data)

@@ -17,11 +17,6 @@ val decompress : ?order:int -> ?max_output:int -> string -> string
     declared output size before allocation.
     @raise Ccomp_util.Decode_error.Error ([Length_overflow]) past the cap. *)
 
-val decompress_checked :
-  ?order:int -> ?max_output:int -> string -> (string, Ccomp_util.Decode_error.t) result
-(** Total variant of {!decompress}: corrupted input yields [Error], never
-    an exception or an allocation beyond [max_output]. *)
-
 val ratio : ?order:int -> string -> float
 
 type memory_report = {

@@ -1165,8 +1165,8 @@ module Make (I : Sadc_isa.S) = struct
        directly into its own slice of one shared output buffer — no
        per-block result strings to concatenate. The decoder enforces
        decoded bytes = declared bytes, so slices cannot overlap in a
-       returned result even on corrupt input (writes are bounds-checked
-       and [decompress_checked] folds any failure into a typed
+       returned result even on corrupt input (writes are bounds-checked,
+       and [Decode_error.protect] folds any failure into a typed
        error). *)
     let offs = Array.make (nblocks + 1) 0 in
     for b = 0 to nblocks - 1 do
@@ -1186,15 +1186,6 @@ module Make (I : Sadc_isa.S) = struct
           Obs.Counter.add m_d_bytes_out n
         end);
     Bytes.unsafe_to_string out
-
-  let decompress_checked ?max_output c =
-    Ccomp_util.Decode_error.protect ~section:"sadc" (fun () ->
-        (match max_output with
-        | Some limit when c.original_size > limit ->
-          Ccomp_util.Decode_error.fail
-            (Length_overflow { section = "sadc"; declared = c.original_size; limit })
-        | Some _ | None -> ());
-        decompress c)
 
   let block_payload c b = fst c.blocks.(b)
 
@@ -1399,11 +1390,12 @@ module Make (I : Sadc_isa.S) = struct
           let original = u16 () in
           (take len, original))
     in
+    (* [decompress] allocates the sum of the block sizes, so the header's
+       size — the one the image's cap sees — must be that sum. *)
+    if Array.fold_left (fun acc (_, original) -> acc + original) 0 blocks <> original_size then
+      Ccomp_util.Decode_error.fail (Malformed "Sadc.deserialize: block sizes disagree with header");
     let config = { block_size; max_entries; max_rounds } in
     ({ config; dict; token_code; chunk_codes; blocks; original_size; rounds }, !p)
-
-  let deserialize_checked s ~pos =
-    Ccomp_util.Decode_error.protect ~section:"sadc.deserialize" (fun () -> deserialize s ~pos)
 
   (* --- test hooks ---------------------------------------------------- *)
 

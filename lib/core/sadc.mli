@@ -88,19 +88,10 @@ module Make (I : Sadc_isa.S) : sig
       payloads. *)
 
   val deserialize : string -> pos:int -> compressed * int
-  (** Inverse of {!serialize}.
-      @raise Invalid_argument on malformed input. *)
-
-  val decompress_checked :
-    ?max_output:int -> compressed -> (string, Ccomp_util.Decode_error.t) result
-  (** Total variant of {!decompress}: corrupted payloads yield [Error],
-      never an exception or an unbounded decode loop (each block decode
-      carries a step budget). [max_output] bounds the declared
-      [original_size] with [Length_overflow]. *)
-
-  val deserialize_checked :
-    string -> pos:int -> (compressed * int, Ccomp_util.Decode_error.t) result
-  (** Total variant of {!deserialize}. *)
+  (** Inverse of {!serialize}. The per-block sizes must sum to the
+      declared original size.
+      @raise Invalid_argument on truncated input.
+      @raise Ccomp_util.Decode_error.Error ([Malformed]) on a size mismatch. *)
 
   val block_payload : compressed -> int -> string
   (** One block's compressed payload bytes (what the per-block CRC of a

@@ -426,15 +426,6 @@ let decompress ?(jobs = 1) t =
     t.blocks;
   Bytes.unsafe_to_string out
 
-let decompress_checked ?max_output t =
-  Ccomp_util.Decode_error.protect ~section:"samc" (fun () ->
-      (match max_output with
-      | Some limit when t.original_size > limit ->
-        Ccomp_util.Decode_error.fail
-          (Length_overflow { section = "samc"; declared = t.original_size; limit })
-      | Some _ | None -> ());
-      decompress t)
-
 let code_bytes t = Array.fold_left (fun acc b -> acc + String.length b) 0 t.blocks
 
 let model_bytes t = Markov_model.storage_bytes t.model
@@ -536,9 +527,6 @@ let deserialize s ~pos =
         take len)
   in
   ({ config; model; blocks; original_size }, !p)
-
-let deserialize_checked s ~pos =
-  Ccomp_util.Decode_error.protect ~section:"samc.deserialize" (fun () -> deserialize s ~pos)
 
 (* Byte ranges inside [serialize t], for section-targeted fault injection
    and per-block integrity. Mirrors the layout [serialize] writes. *)

@@ -94,17 +94,6 @@ val deserialize : string -> pos:int -> compressed * int
 (** Inverse of {!serialize}; returns the value and the next position.
     @raise Invalid_argument on malformed input. *)
 
-val decompress_checked :
-  ?max_output:int -> compressed -> (string, Ccomp_util.Decode_error.t) result
-(** Total variant of {!decompress}: arbitrary (corrupted) payload bytes
-    yield [Error], never an exception or unbounded work. [max_output]
-    rejects a declared [original_size] beyond the caller's allocation
-    budget with [Length_overflow]. *)
-
-val deserialize_checked :
-  string -> pos:int -> (compressed * int, Ccomp_util.Decode_error.t) result
-(** Total variant of {!deserialize}. *)
-
 val model_span : compressed -> int * int
 (** [(offset, length)] of the serialized Markov model inside
     {!serialize}'s output — the fault injector's "model table" target. *)

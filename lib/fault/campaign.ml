@@ -1,5 +1,6 @@
 module Prng = Ccomp_util.Prng
 module Decode_error = Ccomp_util.Decode_error
+module Image = Ccomp_image.Image
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 
@@ -30,6 +31,19 @@ type codec = {
   decode : string -> (string, Decode_error.t) result;
   integrity_checked : bool;
 }
+
+let image_codec name image ~reference =
+  let image = Image.with_block_crcs Image.Crc8_tags image in
+  {
+    name;
+    encoded = Image.write image;
+    reference;
+    decode =
+      (fun s ->
+        Result.bind (Image.read_checked s) (fun image ->
+            Decode_error.protect ~section:"image" (fun () -> Image.decompress image)));
+    integrity_checked = true;
+  }
 
 type report = {
   codec_name : string;

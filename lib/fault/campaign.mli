@@ -1,7 +1,8 @@
 (** Fault-injection campaigns over compressed codecs.
 
     Each trial damages a pristine encoding with the {!Injector}, runs the
-    codec's total [_checked] decoder, and books one of three outcomes:
+    codec's decoder wrapped in {!Ccomp_util.Decode_error.protect}, and
+    books one of three outcomes:
 
     - [Detected]: the decoder returned a typed error — the system can
       retry, trap, or serve a stale line ({!Ccomp_memsys.System});
@@ -11,8 +12,9 @@
       corruption, acceptable only when the codec carries no integrity
       metadata ([integrity_checked = false]).
 
-    Escaped exceptions are deliberately not caught: a raising decoder is
-    the bug this harness exists to find, and must abort the campaign. *)
+    Exceptions that escape [protect] are deliberately not caught: a
+    decoder raising one is the bug this harness exists to find, and must
+    abort the campaign. *)
 
 type outcome = Detected | Miscompared | Recovered
 
@@ -27,6 +29,12 @@ type codec = {
       (** true when [decode] verifies CRCs — then [Miscompared] is a
           harness failure, not a statistic *)
 }
+
+val image_codec : string -> Ccomp_image.Image.t -> reference:string -> codec
+(** A SECF target: [image] with per-block CRC-8 tags attached, decoded by
+    [Image.read_checked] then [Image.decompress] under [protect] — the
+    path the daemon and [ccomp decompress] take.
+    [integrity_checked = true]. *)
 
 type report = {
   codec_name : string;

@@ -2,6 +2,8 @@ module Prng = Ccomp_util.Prng
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module Serve = Ccomp_serve.Serve
+module Samc = Ccomp_core.Samc
+module Image = Ccomp_image.Image
 
 (* Chaos-side telemetry: what the harness observed the daemon doing,
    so a chaos run's --metrics dump reads next to the daemon's own
@@ -59,6 +61,8 @@ type report = {
   midstream_intact : int;
   stalls : int;
   stall_closes : int;
+  bombs : int;
+  bombs_refused : int;
   alive_after : bool;
 }
 
@@ -189,6 +193,8 @@ type counters = {
   mutable c_midstream_ok : int;
   mutable c_stalls : int;
   mutable c_stall_closed : int;
+  mutable c_bombs : int;
+  mutable c_bombs_refused : int;
 }
 
 let random_code g len =
@@ -475,6 +481,33 @@ let interframe_stall cfg _g c =
       close_quietly fd
   end
 
+(* A CRC-valid SECF whose SAMC header declares 2^31 original bytes in
+   empty 65532-byte blocks, as many as that size requires: 120,900 bytes
+   that [Image.read] accepts and only the decoder's size cap keeps from
+   becoming a 2 GB allocation. *)
+let decompression_bomb () =
+  let cfg = Samc.mips_config ~block_size:65532 () in
+  let z = Samc.compress cfg (String.make 64 '\x00') in
+  let original_size = 1 lsl 31 in
+  let blocks = Array.make (Samc.block_count cfg ~code_bytes:original_size) "" in
+  Image.write (Image.of_samc ~isa:Image.Mips { z with Samc.blocks; original_size })
+
+let bomb = lazy (decompression_bomb ())
+
+(* A well-formed decompress job carrying the bomb, on a fresh
+   connection: the daemon must answer a typed Failed naming the
+   overflow at once, not decode for a minute. *)
+let bomb_probe cfg c =
+  c.c_bombs <- c.c_bombs + 1;
+  match
+    Serve.submit ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port
+      (Serve.Decompress (Lazy.force bomb))
+  with
+  | Ok (Serve.Failed msg) when String.starts_with ~prefix:"length overflow" msg ->
+    c.c_bombs_refused <- c.c_bombs_refused + 1
+  | Ok _ -> ()
+  | Error _ -> c.c_transport <- c.c_transport + 1
+
 let alive cfg =
   match Serve.http_get ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port "/healthz" with
   | Ok (200, _) -> true
@@ -510,6 +543,8 @@ let run cfg =
         c_midstream_ok = 0;
         c_stalls = 0;
         c_stall_closed = 0;
+        c_bombs = 0;
+        c_bombs_refused = 0;
       }
     in
     (* The weighted mix: hostile traffic drawn deterministically from
@@ -547,7 +582,9 @@ let run cfg =
       crash_op cfg g c;
       (* after each round of abuse the daemon must still answer
          cleanly: a fresh valid job through the full stack *)
-      valid_job cfg g c
+      valid_job cfg g c;
+      (* takes no PRNG, so every seed's attack mix replays unchanged *)
+      bomb_probe cfg c
     done;
     let alive_after = alive cfg in
     Events.info
@@ -583,6 +620,8 @@ let run cfg =
         midstream_intact = c.c_midstream_ok;
         stalls = c.c_stalls;
         stall_closes = c.c_stall_closed;
+        bombs = c.c_bombs;
+        bombs_refused = c.c_bombs_refused;
         alive_after;
       }
   end
@@ -609,6 +648,9 @@ let passed cfg r =
       r.seed
   else if r.stalls > 0 && r.stall_closes = 0 then
     fail "no inter-frame stall was idle-closed by the daemon (seed %d)" r.seed
+  else if r.bombs_refused < r.bombs then
+    fail "%d of %d decompression bombs got no typed length-overflow refusal (seed %d)"
+      (r.bombs - r.bombs_refused) r.bombs r.seed
   else Ok ()
 
 let report_lines r =
@@ -630,5 +672,6 @@ let report_lines r =
     Printf.sprintf "  midstream cuts    %6d  (%d first-frame replies intact)"
       r.midstream_truncations r.midstream_intact;
     Printf.sprintf "  interframe stalls %6d  (%d idle-closed)" r.stalls r.stall_closes;
+    Printf.sprintf "  decompress bombs  %6d  (%d refused typed)" r.bombs r.bombs_refused;
     Printf.sprintf "  transport errors  %6d" r.transport_errors;
   ]

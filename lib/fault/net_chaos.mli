@@ -18,6 +18,10 @@
     (opt-in via [stall_s]) an inter-frame stall that the daemon must
     idle-close rather than hold forever.
 
+    Once per round, on a fresh connection and without a PRNG draw, a
+    decompression bomb ({!decompression_bomb}) must be refused with a
+    typed [Failed] naming the length overflow.
+
     The contract it checks is the ISSUE-6 acceptance criterion: the
     daemon {e never} deadlocks or dies; every job that completes is
     byte-identical to the local oracle ({!Ccomp_serve.Serve.handle_request},
@@ -74,6 +78,8 @@ type report = {
   midstream_intact : int;  (** first frames answered despite a torn successor *)
   stalls : int;
   stall_closes : int;  (** stalls the daemon idle-closed, as it must *)
+  bombs : int;  (** decompression bombs sent, one per round *)
+  bombs_refused : int;  (** bombs answered [Failed "length overflow ..."] *)
   alive_after : bool;  (** [/healthz] answered 200 after the last round *)
 }
 
@@ -87,8 +93,15 @@ val passed : config -> report -> (unit, string) result
     byte-identical completion, a typed shed if [flood > 0], a typed
     deadline reply if any probe ran, zero order violations, multiple
     pipelined replies if any burst ran, at least one intact first
-    frame if any mid-stream truncation ran, and at least one
-    idle-close if any stall ran. *)
+    frame if any mid-stream truncation ran, at least one idle-close if
+    any stall ran, and a typed length-overflow refusal for every
+    decompression bomb. *)
+
+val decompression_bomb : unit -> string
+(** A CRC-valid SECF image whose SAMC header declares 2{^31} original
+    bytes (empty 65532-byte blocks, as many as that size requires).
+    [Image.read] accepts it; [Image.decompress] must refuse it with
+    [Length_overflow] before allocating. *)
 
 val report_lines : report -> string list
 (** Human-readable summary, seed first. *)

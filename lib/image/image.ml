@@ -220,20 +220,26 @@ let read_checked ?(verify_crc = true) s =
 
 let read s = Result.map_error Decode_error.to_string (read_checked s)
 
+let max_original_bytes = 1 lsl 28
+
+let original_size t =
+  match t.payload with
+  | Samc z -> z.Samc.original_size
+  | Sadc_mips z -> Sadc.Mips.original_size z
+  | Sadc_x86 z -> Sadc.X86.original_size z
+
+(* The one decode path: tags first, then the size cap before anything is
+   allocated, then the same dispatch for every [jobs]. *)
 let decompress ?jobs t =
+  Result.iter_error Decode_error.fail (verify_block_crcs t);
+  let declared = original_size t in
+  if declared > max_original_bytes then
+    Decode_error.fail
+      (Length_overflow { section = "image"; declared; limit = max_original_bytes });
   match t.payload with
   | Samc z -> Samc.decompress ?jobs z
   | Sadc_mips z -> Sadc.Mips.decompress ?jobs z
   | Sadc_x86 z -> Sadc.X86.decompress ?jobs z
-
-let decompress_checked ?max_output t =
-  match verify_block_crcs t with
-  | Error e -> Error e
-  | Ok () -> (
-    match t.payload with
-    | Samc z -> Samc.decompress_checked ?max_output z
-    | Sadc_mips z -> Sadc.Mips.decompress_checked ?max_output z
-    | Sadc_x86 z -> Sadc.X86.decompress_checked ?max_output z)
 
 let total_bytes t = String.length (write t)
 

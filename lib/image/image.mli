@@ -73,18 +73,19 @@ val read : string -> (t, string) result
 val read_checked : ?verify_crc:bool -> string -> (t, Ccomp_util.Decode_error.t) result
 (** Typed variant. [~verify_crc:false] skips the whole-image CRC-32 so a
     fault campaign can exercise per-block localisation on a damaged image;
-    the per-block tags are still read (and checked by
-    {!decompress_checked}). Total: never raises. *)
+    the per-block tags are still read (and checked by {!decompress}).
+    Total: never raises. *)
+
+val max_original_bytes : int
+(** Largest declared original size {!decompress} accepts (256 MB). *)
 
 val decompress : ?jobs:int -> t -> string
-(** Reconstruct the original text section. [jobs] (default 1) fans
-    per-block decoding over that many domains; the output is identical
-    for every value. *)
-
-val decompress_checked : ?max_output:int -> t -> (string, Ccomp_util.Decode_error.t) result
-(** Verifies per-block tags (when present), then decodes totally: typed
-    error instead of any exception, output capped by the declared original
-    size (or [max_output]). *)
+(** The one image decode path: verifies per-block tags when present,
+    refuses a declared original size above {!max_original_bytes} before
+    allocating, then decodes over [jobs] (default 1) domains with
+    identical output for every value.
+    @raise Ccomp_util.Decode_error.Error on those refusals; wrap calls in
+    [Decode_error.protect], which also folds what corrupt payloads raise. *)
 
 val total_bytes : t -> int
 (** [String.length (write t)] — the full ROM footprint including tables

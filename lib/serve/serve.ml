@@ -10,6 +10,7 @@ module Events = Ccomp_obs.Events
 module Openmetrics = Ccomp_obs.Openmetrics
 module Runtime = Ccomp_obs.Runtime
 module Prng = Ccomp_util.Prng
+module Decode_error = Ccomp_util.Decode_error
 module Samc = Ccomp_core.Samc
 module Sadc = Ccomp_core.Sadc
 module Image = Ccomp_image.Image
@@ -127,7 +128,10 @@ let read_be64 s pos =
   done;
   !acc
 
-let max_payload = 1 lsl 28 (* 256 MB: refuse absurd frames instead of allocating them *)
+(* Refuse absurd frames instead of allocating them. The bound is the
+   decoder's cap, so every image the daemon can compress it can decode,
+   and every decoded image fits a reply frame. *)
+let max_payload = Image.max_original_bytes
 
 type protocol_error =
   | Frame_too_large of { limit : int; got : int }
@@ -327,11 +331,13 @@ let handle_request ?deadline_us ~jobs req =
           | Ok image -> (
             if expired deadline_us then deadline_reply ~at:"before decompress"
             else
-              match Image.decompress ~jobs image with
-              | code ->
+              match
+                Decode_error.protect ~section:"image" (fun () -> Image.decompress ~jobs image)
+              with
+              | Ok code ->
                 if expired deadline_us then deadline_reply ~at:"during decompress"
                 else Payload code
-              | exception e -> Failed (Printexc.to_string e)))
+              | Error e -> Failed (Decode_error.to_string e)))
 
 (* --- HTTP --------------------------------------------------------------- *)
 

@@ -155,8 +155,10 @@ type protocol_error =
 val protocol_error_to_string : protocol_error -> string
 
 val max_payload : int
-(** Largest request payload the daemon accepts (bytes); longer frames
-    are refused with {!Frame_too_large} before any allocation. *)
+(** Largest request or reply payload (bytes); longer frames are refused
+    with {!Frame_too_large} before any allocation. Equal to
+    [Image.max_original_bytes], so every image the daemon compresses it
+    can also decode and reply with. *)
 
 type frame_meta = {
   deadline_ms : int;  (** [0] = no deadline *)
@@ -189,7 +191,10 @@ val handle_request : ?deadline_us:float -> jobs:int -> request -> response
     for tests, the chaos harness's byte-identity oracle, and both
     protocols. [deadline_us] is an absolute {!Ccomp_obs.Obs.now_us}
     instant; when it passes before or during the job, the reply is
-    {!Deadline_expired} (and the partial result is discarded). Raises
+    {!Deadline_expired} (and the partial result is discarded). A
+    decompress runs [Image.decompress] under [Decode_error.protect]: an
+    image it refuses (bad tags, a declared size past the cap, corrupt
+    blocks) gets {!Failed} with the typed error's text. Raises
     {!Worker_crashed} on {!Crash_worker}. *)
 
 val http_response : string -> (int * string * string) option

@@ -2,10 +2,9 @@
 
    The pipeline carries several deliberately redundant implementations —
    fast kernels next to reference kernels, parallel paths next to serial
-   ones, total `_checked` decoders next to raising ones, a daemon that
-   promises byte-identity with the offline CLI. Every one of those is an
-   equivalence claim, and this module is where the claims are enumerated
-   and actually tested, pairwise, over real inputs:
+   ones, a daemon that promises byte-identity with the offline CLI. Every
+   one of those is an equivalence claim, and this module is where the
+   claims are enumerated and actually tested, pairwise, over real inputs:
 
      kernel     fast decode kernels vs their reference implementations
                 (SAMC flat + nibble vs pointer-chasing ref, SADC
@@ -13,8 +12,7 @@
                 canonical tree walk)
      parallel   ~jobs:N decompression and compression vs serial,
                 byte-for-byte, plus the SECF container's parallel path
-     checked    `decompress_checked` on clean input vs the unchecked
-                decoder's output
+                (on a tag-carrying image, so tag verification is in it)
      serve      the daemon's job dispatch (CCQ1 protocol handlers) vs
                 the offline CLI construction of the same image
      roundtrip  compress → (serialize → deserialize) → decompress
@@ -34,7 +32,6 @@ module Bit_reader = Ccomp_bitio.Bit_reader
 module Image = Ccomp_image.Image
 module Crc32 = Ccomp_image.Crc32
 module Serve = Ccomp_serve.Serve
-module Decode_error = Ccomp_util.Decode_error
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module P = Ccomp_progen
@@ -45,12 +42,11 @@ let isa_name = function Mips -> "mips" | X86 -> "x86"
 
 let isa_of_name = function "mips" -> Some Mips | "x86" -> Some X86 | _ -> None
 
-type pair = Kernel | Parallel | Checked | Serve_offline | Roundtrip | Golden
+type pair = Kernel | Parallel | Serve_offline | Roundtrip | Golden
 
 let pair_name = function
   | Kernel -> "kernel"
   | Parallel -> "parallel"
-  | Checked -> "checked"
   | Serve_offline -> "serve"
   | Roundtrip -> "roundtrip"
   | Golden -> "golden"
@@ -58,12 +54,11 @@ let pair_name = function
 (* Golden is a corpus, not a selectable equivalence pair — it is
    reported under its own tag but always runs when a corpus directory is
    given. *)
-let all_pairs = [ Kernel; Parallel; Checked; Serve_offline; Roundtrip ]
+let all_pairs = [ Kernel; Parallel; Serve_offline; Roundtrip ]
 
 let pair_of_name = function
   | "kernel" -> Some Kernel
   | "parallel" -> Some Parallel
-  | "checked" -> Some Checked
   | "serve" -> Some Serve_offline
   | "roundtrip" -> Some Roundtrip
   | _ -> None
@@ -200,7 +195,6 @@ let minimize ~word ~budget ~predicate code =
 type instance = {
   ci_serial : string Lazy.t;  (** decompress, jobs = 1 *)
   ci_parallel : (int -> string) option;  (** decompress ~jobs *)
-  ci_checked : unit -> (string, Decode_error.t) result;
   ci_kernels : (string * (unit -> string)) list;  (** alternative decoders *)
   ci_serialize : string Lazy.t;  (** wire form of this compressed value *)
   ci_compress_parallel : (int -> string) option;  (** wire form of compress ~jobs *)
@@ -227,7 +221,6 @@ let make_samc ~isa ~block_size code =
   {
     ci_serial = lazy (Samc.decompress z);
     ci_parallel = Some (fun j -> Samc.decompress ~jobs:j z);
-    ci_checked = (fun () -> Samc.decompress_checked z);
     ci_kernels =
       [
         ( "ref-kernel",
@@ -263,7 +256,6 @@ module Sadc_inst (I : Sadc_isa.S) = struct
     {
       ci_serial = lazy (M.decompress z);
       ci_parallel = Some (fun j -> M.decompress ~jobs:j z);
-      ci_checked = (fun () -> M.decompress_checked z);
       ci_kernels =
         [
           (* the refill engine's operation: every block from only its own
@@ -300,7 +292,6 @@ let make_byte_huffman ~block_size code =
   {
     ci_serial = lazy (Byte_huffman.decompress z);
     ci_parallel = Some (fun j -> Byte_huffman.decompress ~jobs:j z);
-    ci_checked = (fun () -> Byte_huffman.decompress_checked z);
     ci_kernels =
       [
         (* LUT-accelerated decode_symbol vs the canonical tree walk *)
@@ -370,16 +361,18 @@ let offline_image ~algo ~isa ~block_size code =
   | Algo_sadc, X86 ->
     Image.of_sadc_x86 (Sadc.X86.compress_image (Sadc.default_config ~block_size ()) code)
 
+(* Tagged, so every SECF check also runs tag verification on clean input. *)
 let image_instance =
   memo_instance (fun ~isa ~block_size code ->
-      let img = guard_build (fun () -> offline_image ~algo:Algo_samc ~isa ~block_size code) in
+      let img =
+        guard_build (fun () ->
+            Image.with_block_crcs Image.Crc8_tags
+              (offline_image ~algo:Algo_samc ~isa ~block_size code))
+      in
       let serialized = lazy (Image.write img) in
       {
         ci_serial = lazy (Image.decompress img);
         ci_parallel = Some (fun j -> Image.decompress ~jobs:j img);
-        ci_checked =
-          (fun () ->
-            Image.decompress_checked (Image.with_block_crcs Image.Crc8_tags img));
         ci_kernels = [];
         ci_serialize = serialized;
         ci_compress_parallel = None;
@@ -431,19 +424,6 @@ let parallel_check ~jobs inst _code =
             (p jobs) (Lazy.force inst.ci_serialize));
     ]
 
-let checked_check inst _code =
-  match inst.ci_checked () with
-  | Ok got ->
-    cmp ~detail:"checked decoder output differs from unchecked decoder" got
-      (Lazy.force inst.ci_serial)
-  | Error e ->
-    Diverge
-      {
-        detail = "checked decoder rejected clean input: " ^ Decode_error.to_string e;
-        got = "";
-        want = Lazy.force inst.ci_serial;
-      }
-
 let roundtrip_check inst code =
   seq
     [
@@ -465,6 +445,17 @@ let serve_checks ~isa ~block_size =
     | Serve.Overloaded e -> Error ("overloaded: " ^ e)
     | Serve.Deadline_expired e -> Error ("deadline expired: " ^ e)
   in
+  (* a tagged image also runs the served path's tag verification *)
+  let served_decompress algo tag code =
+    let img = guard_build (fun () -> offline_image ~algo ~isa ~block_size code) in
+    let img = match tag with Some kind -> Image.with_block_crcs kind img | None -> img in
+    match submit (Serve.Decompress (Image.write img)) with
+    | Error e ->
+      Diverge
+        { detail = "daemon refused to decompress an offline CLI image: " ^ e;
+          got = ""; want = code }
+    | Ok back -> cmp ~detail:"served decompress differs from the original bytes" back code
+  in
   List.concat_map
     (fun algo ->
       let name = algo_name algo in
@@ -485,18 +476,8 @@ let serve_checks ~isa ~block_size =
             | Ok served ->
               cmp ~detail:"served image differs from the offline CLI construction" served
                 offline );
-        ( name ^ "/served-decompress",
-          fun code ->
-            let offline =
-              Image.write (guard_build (fun () -> offline_image ~algo ~isa ~block_size code))
-            in
-            match submit (Serve.Decompress offline) with
-            | Error e ->
-              Diverge
-                { detail = "daemon refused to decompress an offline CLI image: " ^ e;
-                  got = ""; want = code }
-            | Ok back -> cmp ~detail:"served decompress differs from the original bytes" back code
-        );
+        (name ^ "/served-decompress", served_decompress algo None);
+        (name ^ "/served-decompress-crc8", served_decompress algo (Some Image.Crc8_tags));
       ])
     [ Algo_samc; Algo_sadc ]
 
@@ -509,7 +490,6 @@ let checks ~pair ~isa ~block_size ~jobs =
   match pair with
   | Kernel -> per_instance kernel_check
   | Parallel -> per_instance (parallel_check ~jobs)
-  | Checked -> per_instance checked_check
   | Roundtrip -> per_instance roundtrip_check
   | Serve_offline -> serve_checks ~isa ~block_size
   | Golden -> []

@@ -2,8 +2,8 @@
 
     The codebase carries deliberately redundant implementations: fast
     decode kernels next to reference kernels, [~jobs] paths next to
-    serial ones, total [_checked] decoders next to raising ones, and a
-    daemon that promises byte-identity with the offline CLI. Each
+    serial ones, and a daemon that promises byte-identity with the
+    offline CLI. Each
     redundancy is an equivalence claim; this module enumerates them as
     {!pair}s and tests every claim over generated programs and a
     committed golden corpus, shrinking any diverging input to a minimal
@@ -18,7 +18,7 @@ val isa_of_name : string -> isa option
 (** One family of equivalence claims. [Golden] tags corpus findings in
     reports; it is not in {!all_pairs} because the corpus is a fixture
     set, not a selectable pair. *)
-type pair = Kernel | Parallel | Checked | Serve_offline | Roundtrip | Golden
+type pair = Kernel | Parallel | Serve_offline | Roundtrip | Golden
 
 val pair_name : pair -> string
 

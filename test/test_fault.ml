@@ -8,7 +8,12 @@ module Target = Ccomp_fault.Target
 module Campaign = Ccomp_fault.Campaign
 module System = Ccomp_memsys.System
 module Lat = Ccomp_memsys.Lat
+module Serve = Ccomp_serve.Serve
+module Crc32 = Ccomp_image.Crc32
 module P = Ccomp_progen
+
+(* Every decode below runs under the one result boundary. *)
+let protect f = Decode_error.protect ~section:"test" f
 
 let code_for seed =
   let profile =
@@ -83,7 +88,7 @@ let test_v2_roundtrip () =
       | Ok img' ->
         Alcotest.(check bool) "tags present" true (img'.Image.block_crcs <> None);
         Alcotest.(check bool) "tags verify" true (Image.verify_block_crcs img' = Ok ());
-        (match Image.decompress_checked img' with
+        (match protect (fun () -> Image.decompress img') with
         | Ok out -> Alcotest.(check string) "decompress" code out
         | Error e -> Alcotest.failf "decompress failed: %s" (Decode_error.to_string e)))
     [ Image.Crc8_tags; Image.Crc16_tags ]
@@ -130,10 +135,110 @@ let test_locate_corruption () =
   | Error e -> Alcotest.failf "structural read failed: %s" (Decode_error.to_string e)
   | Ok img' ->
     Alcotest.(check (list int)) "corruption localised" [ target ] (Image.locate_corruption img');
-    (match Image.decompress_checked img' with
+    (match protect (fun () -> Image.decompress img') with
     | Error (Decode_error.Crc_mismatch _) -> ()
     | Error e -> Alcotest.failf "expected CRC mismatch, got %s" (Decode_error.to_string e)
     | Ok _ -> Alcotest.fail "corrupt block decoded without complaint")
+
+(* Both decode paths refuse a corrupt v2 image for the same block, and
+   a decode that fails inside the domain pool leaves the pool usable. *)
+let test_parallel_refusal () =
+  let code, img = samc_image 15L in
+  let img = Image.with_block_crcs Image.Crc8_tags img in
+  let target = Image.block_count img / 3 in
+  let damaged, _ =
+    Target.corrupt_section ~count:1 (Prng.create 9L) img (Image.Sec_block target)
+      (Image.write img)
+  in
+  let img' = Result.get_ok (Image.read_checked ~verify_crc:false damaged) in
+  let refusal jobs =
+    match protect (fun () -> Image.decompress ~jobs img') with
+    | Error (Decode_error.Crc_mismatch { section; _ }) -> section
+    | Error e ->
+      Alcotest.failf "jobs %d: expected CRC mismatch, got %s" jobs (Decode_error.to_string e)
+    | Ok _ -> Alcotest.failf "jobs %d: corrupt block decoded without complaint" jobs
+  in
+  Alcotest.(check string) "serial and parallel name the same block" (refusal 1) (refusal 2);
+  Alcotest.(check bool) "the corrupt block is named" true
+    (String.starts_with ~prefix:(Printf.sprintf "block %d " target) (refusal 2));
+  (* a tagless image whose damaged block fails mid-decode, in the pool *)
+  let x86 = x86_code_for 21L in
+  let sadc = Image.of_sadc_x86 (Sadc.X86.compress_image (Sadc.default_config ()) x86) in
+  let damaged, _ =
+    Target.corrupt_section ~count:8 ~kinds:[| Injector.Byte |] (Prng.create 4L) sadc
+      (Image.Sec_block 5) (Image.write sadc)
+  in
+  let sadc' = Result.get_ok (Image.read_checked ~verify_crc:false damaged) in
+  let aborted jobs =
+    match protect (fun () -> Image.decompress ~jobs sadc') with
+    | Error e -> Decode_error.to_string e
+    | Ok _ -> Alcotest.failf "jobs %d: damaged block decoded" jobs
+  in
+  Alcotest.(check string) "same in-pool failure for jobs 1 and 2" (aborted 1) (aborted 2);
+  Alcotest.(check string) "pool survives an aborted dispatch" code (Image.decompress ~jobs:2 img);
+  Alcotest.(check string) "pool survives an aborted dispatch (sadc)" x86
+    (Image.decompress ~jobs:2 sadc)
+
+(* --- bounded refusals -------------------------------------------------- *)
+
+(* [f] must refuse hostile bytes fast, without allocating what they
+   declare: under 1 s, and under 1 M words both allocated and added to
+   the heap's high-water mark. *)
+let bounded_refusal f =
+  let top0 = (Gc.quick_stat ()).Gc.top_heap_words in
+  let alloc0 = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let seconds = Unix.gettimeofday () -. t0 in
+  let alloc_words = (Gc.allocated_bytes () -. alloc0) /. 8.0 in
+  let top_growth = (Gc.quick_stat ()).Gc.top_heap_words - top0 in
+  Alcotest.(check bool) (Printf.sprintf "refused in %.3f s < 1 s" seconds) true (seconds < 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f words < 1M" alloc_words)
+    true (alloc_words < 1e6);
+  Alcotest.(check bool)
+    (Printf.sprintf "top_heap_words grew %d < 1M" top_growth)
+    true (top_growth < 1_000_000);
+  r
+
+let test_bomb_refused () =
+  let bomb = Ccomp_fault.Net_chaos.decompression_bomb () in
+  let img =
+    match Image.read bomb with Ok img -> img | Error e -> Alcotest.failf "bomb must read: %s" e
+  in
+  (match bounded_refusal (fun () -> protect (fun () -> Image.decompress ~jobs:2 img)) with
+  | Error (Decode_error.Length_overflow { declared; limit; _ }) ->
+    Alcotest.(check int) "declared" (1 lsl 31) declared;
+    Alcotest.(check int) "limit" (1 lsl 28) limit
+  | Error e -> Alcotest.failf "expected length overflow, got %s" (Decode_error.to_string e)
+  | Ok _ -> Alcotest.fail "bomb decoded");
+  match bounded_refusal (fun () -> Serve.handle_request ~jobs:2 (Serve.Decompress bomb)) with
+  | Serve.Failed msg ->
+    Alcotest.(check bool) ("served refusal names the overflow: " ^ msg) true
+      (String.starts_with ~prefix:"length overflow" msg)
+  | _ -> Alcotest.fail "daemon dispatch did not fail the bomb"
+
+(* An SADC image whose block prefixes declare 65535 bytes each while
+   the header declares the real size: decode would allocate the sum, so
+   reading must refuse the disagreement. *)
+let test_sadc_block_sizes_bound () =
+  let img = Image.of_sadc_mips (Sadc.Mips.compress_image (Sadc.default_config ()) (code_for 31L)) in
+  let bytes = Bytes.of_string (Image.write img) in
+  List.iter
+    (function
+      | Image.Sec_block _, (off, _) ->
+        (* prefix: u16 payload length, then u16 original bytes *)
+        Bytes.set bytes (off - 2) '\xff';
+        Bytes.set bytes (off - 1) '\xff'
+      | _ -> ())
+    (Image.sections img);
+  let n = Bytes.length bytes in
+  let crc = Crc32.of_string (Bytes.sub_string bytes 0 (n - 4)) in
+  Bytes.set_int32_be bytes (n - 4) crc;
+  match bounded_refusal (fun () -> Image.read_checked (Bytes.to_string bytes)) with
+  | Error (Decode_error.Malformed _) -> ()
+  | Error e -> Alcotest.failf "expected malformed, got %s" (Decode_error.to_string e)
+  | Ok _ -> Alcotest.fail "block sizes disagreeing with the header were accepted"
 
 (* --- hardened decoders ------------------------------------------------- *)
 
@@ -151,10 +256,10 @@ let test_huffman_rejects_deficient () =
 let test_lzw_max_output () =
   let data = String.concat "" (List.init 50 (fun i -> Printf.sprintf "chunk %d " i)) in
   let z = Ccomp_baselines.Lzw.compress data in
-  (match Ccomp_baselines.Lzw.decompress_checked ~max_output:(String.length data) z with
+  (match protect (fun () -> Ccomp_baselines.Lzw.decompress ~max_output:(String.length data) z) with
   | Ok out -> Alcotest.(check string) "roundtrip under cap" data out
   | Error e -> Alcotest.failf "in-budget decompress failed: %s" (Decode_error.to_string e));
-  match Ccomp_baselines.Lzw.decompress_checked ~max_output:10 z with
+  match protect (fun () -> Ccomp_baselines.Lzw.decompress ~max_output:10 z) with
   | Error (Decode_error.Length_overflow _) -> ()
   | Error e -> Alcotest.failf "expected overflow, got %s" (Decode_error.to_string e)
   | Ok _ -> Alcotest.fail "output exceeded max_output without complaint"
@@ -162,41 +267,31 @@ let test_lzw_max_output () =
 let test_lzss_max_output () =
   let data = String.concat "" (List.init 50 (fun i -> Printf.sprintf "block %d " i)) in
   let z = Ccomp_baselines.Lzss.compress data in
-  (match Ccomp_baselines.Lzss.decompress_checked ~max_output:(String.length data) z with
+  (match protect (fun () -> Ccomp_baselines.Lzss.decompress ~max_output:(String.length data) z) with
   | Ok out -> Alcotest.(check string) "roundtrip under cap" data out
   | Error e -> Alcotest.failf "in-budget decompress failed: %s" (Decode_error.to_string e));
-  match Ccomp_baselines.Lzss.decompress_checked ~max_output:10 z with
+  match protect (fun () -> Ccomp_baselines.Lzss.decompress ~max_output:10 z) with
   | Error (Decode_error.Length_overflow _) -> ()
   | Error e -> Alcotest.failf "expected overflow, got %s" (Decode_error.to_string e)
   | Ok _ -> Alcotest.fail "output exceeded max_output without complaint"
 
 (* --- campaigns --------------------------------------------------------- *)
 
-let image_codec name img reference =
-  let img = Image.with_block_crcs Image.Crc8_tags img in
-  {
-    Campaign.name;
-    encoded = Image.write img;
-    reference;
-    decode = (fun s -> Result.bind (Image.read_checked s) Image.decompress_checked);
-    integrity_checked = true;
-  }
-
 let secf_codecs () =
   let mips = code_for 21L and x86 = x86_code_for 21L in
   [
-    image_codec "samc-mips"
+    Campaign.image_codec "samc-mips"
       (Image.of_samc ~isa:Image.Mips (Samc.compress (Samc.mips_config ()) mips))
-      mips;
-    image_codec "samc-x86"
+      ~reference:mips;
+    Campaign.image_codec "samc-x86"
       (Image.of_samc ~isa:Image.X86 (Samc.compress (Samc.byte_config ()) x86))
-      x86;
-    image_codec "sadc-mips"
+      ~reference:x86;
+    Campaign.image_codec "sadc-mips"
       (Image.of_sadc_mips (Sadc.Mips.compress_image (Sadc.default_config ()) mips))
-      mips;
-    image_codec "sadc-x86"
+      ~reference:mips;
+    Campaign.image_codec "sadc-x86"
       (Image.of_sadc_x86 (Sadc.X86.compress_image (Sadc.default_config ()) x86))
-      x86;
+      ~reference:x86;
   ]
 
 (* The acceptance property, one qcheck test per algorithm/ISA: flip any
@@ -253,14 +348,18 @@ let test_campaign_unchecked_baselines_total () =
         Campaign.name = "lzw";
         encoded = Ccomp_baselines.Lzw.compress data;
         reference = data;
-        decode = Ccomp_baselines.Lzw.decompress_checked ~max_output:(String.length data);
+        decode =
+          (fun s ->
+            protect (fun () -> Ccomp_baselines.Lzw.decompress ~max_output:(String.length data) s));
         integrity_checked = false;
       };
       {
         Campaign.name = "lzss";
         encoded = Ccomp_baselines.Lzss.compress data;
         reference = data;
-        decode = Ccomp_baselines.Lzss.decompress_checked ~max_output:(String.length data);
+        decode =
+          (fun s ->
+            protect (fun () -> Ccomp_baselines.Lzss.decompress ~max_output:(String.length data) s));
         integrity_checked = false;
       };
       {
@@ -269,11 +368,9 @@ let test_campaign_unchecked_baselines_total () =
         reference = data;
         decode =
           (fun s ->
-            Result.bind
-              (Ccomp_baselines.Byte_huffman.deserialize_checked s ~pos:0)
-              (fun (c, _) ->
-                Ccomp_baselines.Byte_huffman.decompress_checked ~max_output:(String.length data)
-                  c));
+            protect (fun () ->
+                let c, _ = Ccomp_baselines.Byte_huffman.deserialize s ~pos:0 in
+                Ccomp_baselines.Byte_huffman.decompress ~max_output:(String.length data) c));
         integrity_checked = false;
       };
     ]
@@ -355,6 +452,9 @@ let suite =
     Alcotest.test_case "secf v2: v1 writer byte-identical" `Quick test_v1_bytes_unchanged;
     Alcotest.test_case "secf v2: section map in bounds" `Quick test_sections_cover_image;
     Alcotest.test_case "secf v2: corruption localised to block" `Quick test_locate_corruption;
+    Alcotest.test_case "secf: parallel refusal matches serial" `Quick test_parallel_refusal;
+    Alcotest.test_case "secf: decompression bomb refused" `Quick test_bomb_refused;
+    Alcotest.test_case "sadc: block sizes bound by header" `Quick test_sadc_block_sizes_bound;
     Alcotest.test_case "huffman: deficient tables rejected" `Quick test_huffman_rejects_deficient;
     Alcotest.test_case "lzw: max_output enforced" `Quick test_lzw_max_output;
     Alcotest.test_case "lzss: max_output enforced" `Quick test_lzss_max_output;

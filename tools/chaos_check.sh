@@ -18,7 +18,9 @@
 #      completed job is byte-identical to the offline oracle; the
 #      flood produces typed Overloaded replies; deadline probes
 #      produce typed Deadline_expired replies; pipelined replies arrive in order; the
-#      stalled connection is idle-closed.
+#      stalled connection is idle-closed; every decompression bomb (a
+#      CRC-valid image declaring 2^31 bytes, one per round) gets a typed
+#      length-overflow refusal.
 #   3. the overload telemetry is on /metrics afterwards: sheds,
 #      expired deadlines and the crash-op worker restart all counted,
 #      queue-depth gauges present, and the keep-alive counters moved —
@@ -91,6 +93,14 @@ grep -Eq 'pipeline bursts +[1-9]' "$dir/chaos.log" \
   || fail "no pipeline bursts ran: $(cat "$dir/chaos.log")"
 grep -Eq 'interframe stalls +[1-9]' "$dir/chaos.log" \
   || fail "no inter-frame stalls ran: $(cat "$dir/chaos.log")"
+# one decompression bomb per round, each refused typed (also gated
+# inside `chaos` itself)
+bombs=$(sed -n 's/^ *decompress bombs *\([0-9][0-9]*\) .*/\1/p' "$dir/chaos.log")
+refused=$(sed -n 's/^ *decompress bombs .*(\([0-9][0-9]*\) refused typed)$/\1/p' "$dir/chaos.log")
+[ "${bombs:-0}" -ge 2 ] 2>/dev/null \
+  || fail "want a decompression bomb per round (2), got '$bombs': $(cat "$dir/chaos.log")"
+[ "$refused" = "$bombs" ] \
+  || fail "$refused of $bombs decompression bombs refused typed: $(cat "$dir/chaos.log")"
 
 # -- 3: overload telemetry on the scrape surface ------------------------
 kill -0 "$serve_pid" 2>/dev/null || fail "daemon died during chaos: $(cat "$dir/serve.log")"

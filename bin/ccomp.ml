@@ -297,6 +297,12 @@ let compress_cmd =
 
 (* --- decompress -------------------------------------------------------- *)
 
+(* A bad image is bad input, not a bad command line: exit 1 like a
+   refused decode, not cmdliner's usage-error 124. *)
+let unreadable_image e =
+  prerr_endline ("ccomp: cannot read image: " ^ e);
+  exit 1
+
 let decompress_cmd =
   let run jobs verbose metrics trace events input output =
     let jobs = resolve_jobs jobs in
@@ -307,7 +313,7 @@ let decompress_cmd =
         phase ~verbose ~bytes:(fun _ -> String.length data) "parse" (fun () ->
             Ccomp_image.Image.read data)
       with
-      | Error e -> `Error (false, "cannot read image: " ^ e)
+      | Error e -> `Unreadable e
       | Ok image -> (
         (* decompress throughput is conventionally over output bytes *)
         match
@@ -325,10 +331,11 @@ let decompress_cmd =
           `Ok ())
     in
     match outcome with
+    | `Unreadable e -> unreadable_image e
     | `Undecodable e ->
       prerr_endline ("ccomp: cannot decompress image: " ^ Ccomp_util.Decode_error.to_string e);
       exit 1
-    | (`Ok () | `Error _) as r -> r
+    | `Ok () -> `Ok ()
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
   let term =
@@ -344,7 +351,7 @@ let decompress_cmd =
 let info_cmd =
   let run input =
     match Ccomp_image.Image.read (read_file input) with
-    | Error e -> `Error (false, "cannot read image: " ^ e)
+    | Error e -> unreadable_image e
     | Ok image ->
       print_endline (Ccomp_image.Image.describe image);
       (match image.Ccomp_image.Image.payload with
@@ -1202,7 +1209,7 @@ let chaos_cmd =
 let loadgen_cmd =
   let run host port rate duration arrivals seed senders conns no_reuse payload_bytes algo isa
       block_size deadline_ms timeout mix_compress mix_decompress mix_ping slo_p99 slo_shed
-      slo_deadline ramp ramp_low ramp_high ramp_iters emit_json merge_json print_schedule metrics
+      slo_deadline ramp ramp_low ramp_high ramp_iters emit_json print_schedule metrics
       events =
     let arrivals =
       match Loadgen.arrivals_of_string arrivals with
@@ -1267,20 +1274,10 @@ let loadgen_cmd =
           Loadgen.emit_json ~extra ~path report;
           Printf.printf "wrote %s\n" path
         | None -> ());
-        match
-          match merge_json with
-          | Some path -> Result.map (fun () -> Printf.printf "merged into %s\n" path)
-                           (Loadgen.merge_json ~extra ~path report)
-          | None -> Ok ()
-        with
-        | Error e -> `Error (false, "loadgen: --merge-json: " ^ e)
-        | Ok () ->
-          if (not ramp) && report.Loadgen.r_slo_violations <> [] then
-            `Error
-              ( false,
-                "loadgen: SLO violated: "
-                ^ String.concat "; " report.Loadgen.r_slo_violations )
-          else `Ok ())
+        if (not ramp) && report.Loadgen.r_slo_violations <> [] then
+          `Error
+            (false, "loadgen: SLO violated: " ^ String.concat "; " report.Loadgen.r_slo_violations)
+        else `Ok ())
     end
   in
   let rate_arg =
@@ -1371,14 +1368,7 @@ let loadgen_cmd =
       value
       & opt (some string) None
       & info [ "emit-json" ] ~docv:"FILE"
-          ~doc:"Write the report as a standalone ccomp-bench-v1 JSON file.")
-  in
-  let merge_json_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "merge-json" ] ~docv:"BENCH.json"
-          ~doc:"Append the loadgen.* section to an existing ccomp-bench-v1 file.")
+          ~doc:"Write the report as flat JSON, one loadgen.* key per line.")
   in
   let print_schedule_arg =
     Arg.(
@@ -1400,7 +1390,7 @@ let loadgen_cmd =
        $ slo_arg "slo-p99-ms" "MS" "the corrected p99 latency (ms)"
        $ slo_arg "slo-shed-rate" "RATE" "the shed fraction of sent requests"
        $ slo_arg "slo-deadline-rate" "RATE" "the deadline-expired fraction of sent requests"
-       $ ramp_arg $ ramp_low_arg $ ramp_high_arg $ ramp_iters_arg $ emit_json_arg $ merge_json_arg
+       $ ramp_arg $ ramp_low_arg $ ramp_high_arg $ ramp_iters_arg $ emit_json_arg
        $ print_schedule_arg $ metrics_arg $ events_arg))
   in
   Cmd.v

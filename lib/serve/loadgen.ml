@@ -572,7 +572,7 @@ let render cfg r =
     else List.iter (fun v -> line "  SLO VIOLATION: %s" v) r.r_slo_violations);
   Buffer.contents b
 
-(* --- BENCH json ---------------------------------------------------------- *)
+(* --- JSON report --------------------------------------------------------- *)
 
 let json_keys r =
   let base =
@@ -618,53 +618,17 @@ let json_keys r =
   @ opt "loadgen.slo_deadline_rate" r.r_slo_deadline_rate
   @ r.r_runtime
 
-let entry_lines ?(extra = []) r =
-  String.concat ",\n"
-    (List.map (fun (k, v) -> Printf.sprintf "  %S: %.3f" k v) (json_keys r @ extra))
-
-(* Standalone ccomp-bench-v1 file: just the loadgen section. *)
-let emit_json ?extra ~path r =
+(* Flat, one key per line, so the shell gates can read it with awk. *)
+let emit_json ?(extra = []) ~path r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc "{\n  \"schema\": \"ccomp-bench-v1\",\n  \"scale\": 1,\n  \"jobs\": 1,\n";
-      output_string oc (entry_lines ?extra r);
+      output_string oc "{\n  \"schema\": \"ccomp-bench-v1\",\n";
+      output_string oc
+        (String.concat ",\n"
+           (List.map (fun (k, v) -> Printf.sprintf "  %S: %.3f" k v) (json_keys r @ extra)));
       output_string oc "\n}\n")
-
-(* Append the loadgen section to an existing ccomp-bench-v1 file (what
-   the BENCH_PR*.json workflow does after a perf run). Textual: drop
-   the final '}', add our keys, close again. *)
-let merge_json ?extra ~path r =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text ->
-    let rstrip s =
-      let n = ref (String.length s) in
-      while !n > 0 && (match s.[!n - 1] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        decr n
-      done;
-      String.sub s 0 !n
-    in
-    let text = rstrip text in
-    let len = String.length text in
-    if len = 0 || text.[len - 1] <> '}' then
-      Error (Printf.sprintf "%s does not end in '}' — not a bench JSON file" path)
-    else begin
-      let body = rstrip (String.sub text 0 (len - 1)) in
-      let sep =
-        if String.length body > 0 && body.[String.length body - 1] = '{' then "\n" else ",\n"
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc body;
-          output_string oc sep;
-          output_string oc (entry_lines ?extra r);
-          output_string oc "\n}\n");
-      Ok ()
-    end
 
 (* --- pure replay, for property tests ------------------------------------- *)
 

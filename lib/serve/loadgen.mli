@@ -143,19 +143,15 @@ val render : config -> report -> string
 
 val json_keys : report -> (string * float) list
 (** The report flattened to ["loadgen.*"] keys (plus the [r_runtime]
-    ["runtime.*"] keys) — the BENCH json section. Declared SLO bounds
-    and runtime telemetry appear only when present, so
-    [tools/bench_check.sh] can gate on them exactly when they were
-    recorded. *)
+    ["runtime.*"] keys). Declared SLO bounds and runtime telemetry
+    appear only when present, so a reader can tell a bound that was
+    not declared from one that held. *)
 
 val emit_json : ?extra:(string * float) list -> path:string -> report -> unit
-(** Write a standalone [ccomp-bench-v1] file holding the loadgen
-    section; [extra] appends additional keys (e.g.
-    [loadgen.capacity_rps] from a {!ramp}). *)
-
-val merge_json : ?extra:(string * float) list -> path:string -> report -> (unit, string) result
-(** Append the loadgen section (plus [extra]) to an existing
-    [ccomp-bench-v1] file (textually, before the closing brace). *)
+(** Write the keys of {!json_keys} (plus [extra], e.g.
+    [loadgen.capacity_rps] from a {!ramp}) as a flat JSON object,
+    one key per line, under the schema marker ["ccomp-bench-v1"];
+    [tools/loadgen_check.sh] reads it. *)
 
 val arrivals_to_string : arrivals -> string
 

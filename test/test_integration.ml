@@ -92,25 +92,108 @@ let test_same_ir_both_backends_compress_consistently () =
   Alcotest.(check string) "x86 roundtrip" x86 (Sadc.X86.decompress zx);
   Alcotest.(check bool) "both compress" true (Sadc.Mips.ratio zm < 0.9 && Sadc.X86.ratio zx < 0.9)
 
-let test_paper_ordering_holds_on_a_small_suite () =
-  (* The qualitative Fig. 7 ordering on a reduced suite:
-     huffman worst, SAMC well below huffman, SADC <= SAMC + margin. *)
-  List.iter
-    (fun name ->
-      let p = { (P.Profile.find name) with P.Profile.target_ops = 2500; functions = 20 } in
-      let prog = P.Generator.generate ~seed:31L p in
-      let code = (snd (P.Mips_backend.lower prog)).P.Layout.code in
-      let huff = Ccomp_baselines.Byte_huffman.(ratio (compress code)) in
-      let samc = Samc.ratio (Samc.compress (Samc.mips_config ()) code) in
-      let sadc = Sadc.Mips.ratio (Sadc.Mips.compress_image (Ccomp_core.Sadc.default_config ()) code) in
+(* --- the paper's result: Fig. 7/8 ratios -------------------------------- *)
+
+type ratios = { lzw : float; gzip : float; huffman : float; samc : float; sadc : float }
+
+(* Suite averages of `bench/main.exe --scale 0.25 --tables fig7,fig8`
+   (all 18 profiles, seed 7), as its AVERAGE rows print them. A change
+   may improve any of them; it may not make one worse. *)
+let committed_mips = { lzw = 0.625; gzip = 0.426; huffman = 0.734; samc = 0.552; sadc = 0.485 }
+
+let committed_x86 = { lzw = 0.697; gzip = 0.520; huffman = 0.806; samc = 0.743; sadc = 0.541 }
+
+(* The codec configurations of bench/tables.ml's measure_mips and
+   measure_x86, so the averages here are the figures' AVERAGE rows. *)
+let mips_ratios code =
+  {
+    lzw = Ccomp_baselines.Lzw.ratio code;
+    gzip = Ccomp_baselines.Lzss.ratio code;
+    huffman = Ccomp_baselines.Byte_huffman.(ratio (compress code));
+    samc = Samc.ratio (Samc.compress (Samc.mips_config ()) code);
+    sadc = Sadc.Mips.ratio (Sadc.Mips.compress_image (Sadc.default_config ()) code);
+  }
+
+let x86_ratios code =
+  (* SAMC needs whole words; pad with NOPs like a linker would *)
+  let padded =
+    let r = String.length code mod 4 in
+    if r = 0 then code else code ^ String.make (4 - r) '\x90'
+  in
+  {
+    lzw = Ccomp_baselines.Lzw.ratio code;
+    gzip = Ccomp_baselines.Lzss.ratio code;
+    huffman = Ccomp_baselines.Byte_huffman.(ratio (compress code));
+    samc = Samc.ratio (Samc.compress (Samc.byte_config ()) padded);
+    sadc = Sadc.X86.ratio (Sadc.X86.compress_image (Sadc.default_config ()) code);
+  }
+
+let average rs =
+  let n = float_of_int (List.length rs) in
+  let avg f = List.fold_left (fun acc r -> acc +. f r) 0.0 rs /. n in
+  {
+    lzw = avg (fun r -> r.lzw);
+    gzip = avg (fun r -> r.gzip);
+    huffman = avg (fun r -> r.huffman);
+    samc = avg (fun r -> r.samc);
+    sadc = avg (fun r -> r.sadc);
+  }
+
+let test_paper_ratios_and_orderings () =
+  let profiles = Array.to_list P.Profile.spec95 in
+  let programs = List.map (P.Generator.generate ~scale:0.25 ~seed:7L) profiles in
+  let mips =
+    List.map (fun prog -> mips_ratios (snd (P.Mips_backend.lower prog)).P.Layout.code) programs
+  in
+  let x86 =
+    List.map (fun prog -> x86_ratios (snd (P.X86_backend.lower prog)).P.Layout.code) programs
+  in
+  (* per program, on MIPS: SAMC beats byte Huffman, SADC beats SAMC *)
+  List.iter2
+    (fun (profile : P.Profile.t) r ->
+      let name = profile.P.Profile.name in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: samc %.3f < huffman %.3f" name samc huff)
-        true (samc < huff);
+        (Printf.sprintf "%s: samc %.3f < huffman %.3f" name r.samc r.huffman)
+        true (r.samc < r.huffman);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: sadc %.3f <= samc %.3f + 0.02" name sadc samc)
-        true
-        (sadc <= samc +. 0.02))
-    [ "gcc"; "swim" ]
+        (Printf.sprintf "%s: sadc %.3f < samc %.3f" name r.sadc r.samc)
+        true (r.sadc < r.samc))
+    profiles mips;
+  let gate isa committed rows =
+    let avg = average rows in
+    List.iter
+      (fun (codec, f) ->
+        (* no worse than committed, as the harness prints it (%.3f) *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s average %.4f no worse than committed %.3f" isa codec (f avg)
+             (f committed))
+          true
+          (f avg < f committed +. 0.0005))
+      [
+        ("compress", fun r -> r.lzw);
+        ("gzip", fun r -> r.gzip);
+        ("huffman", fun r -> r.huffman);
+        ("samc", fun r -> r.samc);
+        ("sadc", fun r -> r.sadc);
+      ];
+    avg
+  in
+  let ordered isa ranking =
+    let names = String.concat " < " (List.map fst ranking) in
+    let rec increasing = function
+      | (_, a) :: ((_, b) :: _ as rest) -> a < b && increasing rest
+      | _ -> true
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s ordering %s (%s)" isa names
+         (String.concat ", " (List.map (fun (_, v) -> Printf.sprintf "%.3f" v) ranking)))
+      true (increasing ranking)
+  in
+  let m = gate "mips" committed_mips mips in
+  ordered "mips"
+    [ ("gzip", m.gzip); ("sadc", m.sadc); ("samc", m.samc); ("lzw", m.lzw); ("huffman", m.huffman) ];
+  let x = gate "x86" committed_x86 x86 in
+  ordered "x86" [ ("gzip", x.gzip); ("sadc", x.sadc); ("samc", x.samc); ("huffman", x.huffman) ]
 
 let suite =
   [
@@ -118,5 +201,5 @@ let suite =
     Alcotest.test_case "sadc pipeline on x86" `Quick test_full_sadc_pipeline_x86;
     Alcotest.test_case "memsys on compressed program" `Quick test_memsys_on_real_program_and_lat;
     Alcotest.test_case "both backends consistent" `Quick test_same_ir_both_backends_compress_consistently;
-    Alcotest.test_case "paper ordering (reduced)" `Quick test_paper_ordering_holds_on_a_small_suite;
+    Alcotest.test_case "paper ordering (reduced)" `Quick test_paper_ratios_and_orderings;
   ]

@@ -171,40 +171,17 @@ let contains ~needle hay =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let test_emit_and_merge_json () =
+let test_emit_json () =
   let r = mk_report () in
-  let standalone = Filename.temp_file "lg_emit" ".json" in
-  let bench = Filename.temp_file "lg_merge" ".json" in
+  let path = Filename.temp_file "lg_emit" ".json" in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove standalone;
-      Sys.remove bench)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Loadgen.emit_json ~path:standalone r;
-      let text = In_channel.with_open_bin standalone In_channel.input_all in
-      Alcotest.(check bool) "standalone carries the schema" true
+      Loadgen.emit_json ~path r;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check bool) "carries the schema" true
         (contains ~needle:"\"schema\": \"ccomp-bench-v1\"" text);
-      Alcotest.(check bool) "standalone carries p99" true
-        (contains ~needle:"\"loadgen.p99_ms\": 9.000" text);
-      (* merge into an existing bench file: old keys survive, section lands *)
-      Out_channel.with_open_bin bench (fun oc ->
-          output_string oc
-            "{\n  \"schema\": \"ccomp-bench-v1\",\n  \"scale\": 1,\n  \"jobs\": 2,\n  \"samc.ratio\": 0.581\n}\n");
-      (match Loadgen.merge_json ~path:bench r with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "merge failed: %s" e);
-      let merged = In_channel.with_open_bin bench In_channel.input_all in
-      Alcotest.(check bool) "existing keys survive the merge" true
-        (contains ~needle:"\"samc.ratio\": 0.581" merged);
-      Alcotest.(check bool) "loadgen section merged" true
-        (contains ~needle:"\"loadgen.p99_ms\": 9.000" merged);
-      Alcotest.(check bool) "still exactly one closing brace" true
-        (String.index_opt merged '}' = Some (String.length merged - 2));
-      (* a non-JSON target is refused, not clobbered *)
-      Out_channel.with_open_bin bench (fun oc -> output_string oc "not json");
-      match Loadgen.merge_json ~path:bench r with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "merging into a non-JSON file must fail")
+      Alcotest.(check bool) "carries p99" true (contains ~needle:"\"loadgen.p99_ms\": 9.000" text))
 
 let suite =
   [
@@ -215,5 +192,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_corrected_ge_naive;
     QCheck_alcotest.to_alcotest qcheck_schedule_deterministic;
     Alcotest.test_case "json keys namespaced and SLO-gated" `Quick test_json_keys;
-    Alcotest.test_case "emit/merge bench JSON" `Quick test_emit_and_merge_json;
+    Alcotest.test_case "emit bench JSON" `Quick test_emit_json;
   ]

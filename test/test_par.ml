@@ -14,6 +14,7 @@ module Bit_reader = Ccomp_bitio.Bit_reader
 module System = Ccomp_memsys.System
 module Lat = Ccomp_memsys.Lat
 module Prng = Ccomp_util.Prng
+module Obs = Ccomp_obs.Obs
 module P = Ccomp_progen
 
 (* --- pool semantics ---------------------------------------------------- *)
@@ -189,6 +190,77 @@ let prop_huffman_lut_equals_tree =
           Huffman.decode_symbol code r_lut = s && Huffman.decode_symbol_tree code r_tree = s)
         present)
 
+(* --- the pool on a real image at jobs=2 ---------------------------------- *)
+
+(* Each call is timed in windows of at least this many seconds. *)
+let window_s = 0.02
+
+(* Calls per second of [f] over one window. *)
+let rate f =
+  let t0 = Obs.now_us () in
+  let calls = ref 0 in
+  let elapsed = ref 0.0 in
+  while !elapsed < window_s do
+    ignore (f ());
+    incr calls;
+    elapsed := (Obs.now_us () -. t0) /. 1e6
+  done;
+  float_of_int !calls /. !elapsed
+
+(* Best of three windows per side, alternated so both sides see the
+   same machine weather: the fastest window is the least-disturbed
+   estimate on a shared host. *)
+let best_rates f g =
+  ignore (f ());
+  ignore (g ());
+  Gc.full_major ();
+  let bf = ref 0.0 and bg = ref 0.0 in
+  for _ = 1 to 3 do
+    bf := Float.max !bf (rate f);
+    bg := Float.max !bg (rate g)
+  done;
+  (!bf, !bg)
+
+let test_pool_runs_on_a_real_image () =
+  let prog = P.Generator.generate ~scale:0.05 ~seed:7L (P.Profile.find "go") in
+  let code = (snd (P.Mips_backend.lower prog)).P.Layout.code in
+  let samc = Samc.compress (Samc.mips_config ()) code in
+  let sadc = Sadc.Mips.compress_image (Sadc.default_config ~max_rounds:64 ()) code in
+  let huff = Byte_huffman.compress code in
+  let decoders =
+    [
+      ("samc", fun jobs -> Samc.decompress ~jobs samc);
+      ("sadc", fun jobs -> Sadc.Mips.decompress ~jobs sadc);
+      ("byte-huffman", fun jobs -> Byte_huffman.decompress ~jobs huff);
+    ]
+  in
+  (* one metrics-enabled pass per codec, outside the timed windows (the
+     per-block histogram mutex would distort them) *)
+  let was_enabled = Obs.metrics_enabled () in
+  Obs.set_metrics true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics was_enabled)
+    (fun () -> List.iter (fun (_, decode) -> ignore (decode 2)) decoders);
+  let at_least what floor v =
+    Alcotest.(check bool) (Printf.sprintf "%s: %g >= %g" what v floor) true (v >= floor)
+  in
+  at_least "par.tasks" 1.0 (float_of_int (Obs.Counter.value (Obs.Counter.make "par.tasks")));
+  at_least "par.epochs (one per codec)" 3.0
+    (float_of_int (Obs.Counter.value (Obs.Counter.make "par.epochs")));
+  Alcotest.(check (float 0.0)) "par.jobs gauge" 2.0 (Obs.Gauge.value (Obs.Gauge.make "par.jobs"));
+  at_least "par.queue_depth count" 1.0
+    (float_of_int (Obs.Histogram.count (Obs.Histogram.make "par.queue_depth")));
+  let busy = Obs.Histogram.sum (Obs.Histogram.make "par.worker_busy_us") in
+  Alcotest.(check bool) (Printf.sprintf "par.worker_busy_us sum %g > 0" busy) true (busy > 0.0);
+  (* Loose on purpose: this catches a pipeline that re-grew a serial
+     bottleneck or lost the pool, and tolerates a loaded host. *)
+  List.iter
+    (fun (name, decode) ->
+      let serial, parallel = best_rates (fun () -> decode 1) (fun () -> decode 2) in
+      at_least (name ^ " parallel decompress rate vs 0.5x serial") (0.5 *. serial) parallel)
+    decoders
+
 (* --- widened bit I/O --------------------------------------------------- *)
 
 let mask_to w v = if w >= 63 then v else v land ((1 lsl w) - 1)
@@ -279,4 +351,6 @@ let suite =
     Alcotest.test_case "width 63 and 47 fields" `Quick test_wide_width_edges;
     Alcotest.test_case "peek and skip" `Quick test_peek_and_skip;
     Alcotest.test_case "decoded-block cache counters" `Quick test_decode_cache_counters;
+    Alcotest.test_case "pool runs on a real image at jobs=2" `Quick
+      test_pool_runs_on_a_real_image;
   ]

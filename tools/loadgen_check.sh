@@ -14,9 +14,7 @@
 #      reports replies with server timing records, and --emit-json
 #      writes a ccomp-bench-v1 file with every loadgen.* key.
 #   3. reported percentiles are monotone: p50 <= p95 <= p99 <= p99.9.
-#   4. --merge-json appends the loadgen section to an existing bench
-#      file without disturbing its keys or its single closing brace.
-#   5. an impossible p99 SLO makes the run exit non-zero.
+#   4. an impossible p99 SLO makes the run exit non-zero.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: loadgen_check.sh CCOMP_EXE" >&2; exit 2; }
@@ -46,8 +44,8 @@ trap 'exit 129' HUP
 
 fail() { echo "loadgen_check: $*" >&2; exit 1; }
 
-# awk-based reader for the flat ccomp-bench-v1 JSON (same idiom as
-# tools/bench_check.sh): field 2 is the key, field 4 the value.
+# awk-based reader for the flat JSON --emit-json writes, one key per
+# line: field 2 is the key, field 4 the value.
 json_get() { awk -F'"' -v k="$2" '$2 == k { gsub(/[ :,]/, "", $3); print $3 $4 }' "$1"; }
 json_has() { [ -n "$(json_get "$1" "$2")" ]; }
 
@@ -126,27 +124,11 @@ p999=$(json_get "$dir/loadgen.json" loadgen.p999_ms)
 awk "BEGIN { exit !($p50 <= $p95 && $p95 <= $p99 && $p99 <= $p999) }" \
   || fail "percentiles not monotone: p50=$p50 p95=$p95 p99=$p99 p99.9=$p999"
 
-# -- 4: --merge-json extends an existing bench file in place ------------
-cat > "$dir/bench.json" <<'EOF'
-{
-  "schema": "ccomp-bench-v1",
-  "scale": 1,
-  "jobs": 2,
-  "samc.ratio": 0.581
-}
-EOF
-"$ccomp" loadgen --port "$port" --seed 7 --rate 100 --duration 1 \
-  --payload-bytes 1024 --merge-json "$dir/bench.json" > /dev/null \
-  || fail "merge-json run failed"
-json_has "$dir/bench.json" samc.ratio || fail "merge clobbered an existing key"
-json_has "$dir/bench.json" loadgen.p99_ms || fail "merge did not add the loadgen section"
-[ "$(grep -c '}' "$dir/bench.json")" -eq 1 ] || fail "merge left a malformed brace structure"
-
-# -- 5: an impossible SLO must fail the run -----------------------------
+# -- 4: an impossible SLO must fail the run -----------------------------
 status=0
 "$ccomp" loadgen --port "$port" --seed 7 --rate 100 --duration 1 \
   --payload-bytes 1024 --slo-p99-ms 0.000001 > "$dir/violate.txt" 2>&1 || status=$?
 [ "$status" -ne 0 ] || fail "impossible p99 SLO did not fail the run"
 grep -qi 'SLO violated' "$dir/violate.txt" || fail "SLO failure does not name the violation"
 
-echo "loadgen_check: OK (deterministic schedule, timing records, monotone percentiles, JSON merge, SLO gate)"
+echo "loadgen_check: OK (deterministic schedule, timing records, monotone percentiles, SLO gate)"

@@ -18,6 +18,8 @@
 #      image back to the original bytes.
 #   5. `ccomp stats` renders the snapshot and `ccomp stats --json`
 #      re-emits it with the schema intact.
+#   6. a truncated image is refused with exit 1 and a line naming the
+#      error, not cmdliner's usage-error exit 124.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: obs_check.sh CCOMP_EXE" >&2; exit 2; }
@@ -76,4 +78,13 @@ grep -q '"schema": "ccomp-obs-v1"' "$dir/roundtrip.json" \
 grep -q '"samc.compress.block_us":' "$dir/roundtrip.json" \
   || fail "stats --json lost histograms on round-trip"
 
-echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip)"
+# -- 6: an unreadable image exits 1 and names the error ----------------
+head -c 100 "$dir/obs.secf" > "$dir/truncated.secf"
+status=0
+"$ccomp" decompress "$dir/truncated.secf" -o "$dir/truncated.out" \
+  > /dev/null 2> "$dir/truncated.err" || status=$?
+[ "$status" -eq 1 ] || fail "truncated image: exit $status, want 1"
+grep -q '^ccomp: cannot read image: ' "$dir/truncated.err" \
+  || fail "truncated image: no 'cannot read image' line: $(cat "$dir/truncated.err")"
+
+echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image)"

@@ -10,7 +10,7 @@
 #
 # Default is the fast tier (one profile, small scale — the runtest
 # budget); --full runs the whole default sweep (gcc+swim, both ISAs,
-# scale 0.12), the bench_check-style pre-merge gate.
+# scale 0.12), a slower pre-merge gate run by hand.
 set -eu
 
 tier=--fast

@@ -21,6 +21,7 @@ module Byte_huffman = Ccomp_baselines.Byte_huffman
 module Huffman = Ccomp_huffman.Huffman
 module Bit_reader = Ccomp_bitio.Bit_reader
 module Obs = Ccomp_obs.Obs
+module Paper = Ccomp_paper.Paper
 
 let usage =
   "usage: bench [--scale S] [--tables LIST] [--no-timing] [--trace FILE]\n\
@@ -80,8 +81,8 @@ let parse_args () =
 let timing_tests () =
   let open Bechamel in
   (* One fixed workload, truncated so each run is a few milliseconds. *)
-  let w = Workloads.prepare ~scale:0.3 (Ccomp_progen.Profile.find "go") in
-  let code = Workloads.mips_code w in
+  let w = Paper.prepare ~scale:0.3 (Ccomp_progen.Profile.find "go") in
+  let code = Paper.mips_code w in
   let code = String.sub code 0 (min (String.length code) 32768) in
   let samc_cfg = Samc.mips_config () in
   let samc = Samc.compress samc_cfg code in
@@ -146,7 +147,7 @@ let main { scale; tables; timing; trace = _ } =
   Printf.printf "code compression benchmark harness (scale %.2f)\n" scale;
   let t0 = Unix.gettimeofday () in
   let suite, gen_s =
-    Obs.timed ~cat:"bench" "bench.workloads" (fun () -> Workloads.suite ~scale ())
+    Obs.timed ~cat:"bench" "bench.workloads" (fun () -> Paper.suite ~scale ())
   in
   Printf.printf "generated %d workloads in %.1fs\n%!" (Array.length suite) gen_s;
   let mips_rows =

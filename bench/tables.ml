@@ -6,32 +6,18 @@ module Samc = Ccomp_core.Samc
 module Sadc = Ccomp_core.Sadc
 module Stream_split = Ccomp_core.Stream_split
 module Bit_stats = Ccomp_entropy.Bit_stats
-module Lzw = Ccomp_baselines.Lzw
 module Lzss = Ccomp_baselines.Lzss
 module Byte_huffman = Ccomp_baselines.Byte_huffman
 module System = Ccomp_memsys.System
 module Lat = Ccomp_memsys.Lat
 module P = Ccomp_progen
-
-type ratios = { lzw : float; gzip : float; huffman : float; samc : float; sadc : float }
+module Image = Ccomp_image.Image
+module Paper = Ccomp_paper.Paper
 
 let header () = Printf.printf "%-10s %9s %9s %9s %9s %9s\n" "benchmark" "compress" "gzip" "huffman" "samc" "sadc"
 
-let row name r =
-  Printf.printf "%-10s %9.3f %9.3f %9.3f %9.3f %9.3f\n%!" name r.lzw r.gzip r.huffman r.samc r.sadc
-
-let average rs =
-  let n = float_of_int (List.length rs) in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rs /. n in
-  {
-    lzw = sum (fun r -> r.lzw);
-    gzip = sum (fun r -> r.gzip);
-    huffman = sum (fun r -> r.huffman);
-    samc = sum (fun r -> r.samc);
-    sadc = sum (fun r -> r.sadc);
-  }
-
-let verify tag ok = if not ok then failwith ("round-trip failed: " ^ tag)
+let row name { Paper.lzw; gzip; huffman; samc; sadc } =
+  Printf.printf "%-10s %9.3f %9.3f %9.3f %9.3f %9.3f\n%!" name lzw gzip huffman samc sadc
 
 (* SADC dictionary construction dominates the harness run time and the
    same image is needed by several tables; memoise per code image. *)
@@ -45,53 +31,20 @@ let sadc_mips code =
     Hashtbl.add sadc_mips_cache code z;
     z
 
-let measure_mips (w : Workloads.prepared) =
-  let code = Workloads.mips_code w in
-  let samc = Samc.compress (Samc.mips_config ()) code in
-  verify (w.Workloads.name ^ "/samc") (String.equal (Samc.decompress samc) code);
-  let sadc = sadc_mips code in
-  verify (w.Workloads.name ^ "/sadc") (String.equal (Sadc.Mips.decompress sadc) code);
-  {
-    lzw = Lzw.ratio code;
-    gzip = Lzss.ratio code;
-    huffman = Byte_huffman.(ratio (compress code));
-    samc = Samc.ratio samc;
-    sadc = Sadc.Mips.ratio sadc;
-  }
-
-let measure_x86 (w : Workloads.prepared) =
-  let code = Workloads.x86_code w in
-  (* SAMC needs whole words; pad the image with NOPs like a linker would. *)
-  let padded =
-    let r = String.length code mod 4 in
-    if r = 0 then code else code ^ String.make (4 - r) '\x90'
-  in
-  let samc = Samc.compress (Samc.byte_config ()) padded in
-  verify (w.Workloads.name ^ "/samc-x86") (String.equal (Samc.decompress samc) padded);
-  let sadc = Sadc.X86.compress_image (Sadc.default_config ()) code in
-  verify (w.Workloads.name ^ "/sadc-x86") (String.equal (Sadc.X86.decompress sadc) code);
-  {
-    lzw = Lzw.ratio code;
-    gzip = Lzss.ratio code;
-    huffman = Byte_huffman.(ratio (compress code));
-    samc = Samc.ratio samc;
-    sadc = Sadc.X86.ratio sadc;
-  }
-
 (* --- Figures 7 and 8: per-benchmark compression ratios ----------------- *)
 
-let figure ~title ~measure suite =
+let figure ~title ~isa suite =
   Printf.printf "\n=== %s ===\n" title;
   header ();
   let rows =
-    Array.to_list (Array.map (fun w -> let r = measure w in row w.Workloads.name r; r) suite)
+    Array.to_list (Array.map (fun w -> let r = Paper.measure ~isa w in row w.Paper.name r; r) suite)
   in
-  row "AVERAGE" (average rows);
+  row "AVERAGE" (Paper.average rows);
   rows
 
-let fig7 suite = figure ~title:"Figure 7: compression ratios, MIPS (SPEC95 profiles)" ~measure:measure_mips suite
+let fig7 = figure ~title:"Figure 7: compression ratios, MIPS (SPEC95 profiles)" ~isa:Image.Mips
 
-let fig8 suite = figure ~title:"Figure 8: compression ratios, x86 (SPEC95 profiles)" ~measure:measure_x86 suite
+let fig8 = figure ~title:"Figure 8: compression ratios, x86 (SPEC95 profiles)" ~isa:Image.X86
 
 (* --- Figure 9: instruction-compression algorithms, suite averages ------ *)
 
@@ -99,8 +52,8 @@ let fig9 ~mips_rows ~x86_rows =
   Printf.printf "\n=== Figure 9: instruction compression algorithms (suite averages) ===\n";
   Printf.printf "%-6s %9s %9s %9s\n" "isa" "huffman" "samc" "sadc";
   let p isa rows =
-    let a = average rows in
-    Printf.printf "%-6s %9.3f %9.3f %9.3f\n" isa a.huffman a.samc a.sadc
+    let a = Paper.average rows in
+    Printf.printf "%-6s %9.3f %9.3f %9.3f\n" isa a.Paper.huffman a.samc a.sadc
   in
   p "mips" mips_rows;
   p "x86" x86_rows
@@ -115,7 +68,7 @@ let block_size_table suite =
   print_newline ();
   List.iter
     (fun name ->
-      let code = Workloads.mips_code (Workloads.find suite name) in
+      let code = Paper.mips_code (Paper.find suite name) in
       Printf.printf "%-10s" name;
       List.iter
         (fun block_size ->
@@ -148,7 +101,7 @@ let stream_table suite =
     "(model bytes: 786k / 6k / 0.7k / 6k)";
   List.iter
     (fun name ->
-      let code = Workloads.mips_code (Workloads.find suite name) in
+      let code = Paper.mips_code (Paper.find suite name) in
       let ratio_for streams = Samc.ratio (Samc.compress (Samc.mips_config ~streams ()) code) in
       let stats = word_stats code in
       Printf.printf "%-10s %10.3f %10.3f %10.3f %10.3f\n%!" name
@@ -166,11 +119,11 @@ let quantize_table suite =
   let effs =
     Array.to_list suite
     |> List.map (fun w ->
-           let code = Workloads.mips_code w in
+           let code = Paper.mips_code w in
            let exact = Samc.ratio (Samc.compress (Samc.mips_config ()) code) in
            let quant = Samc.ratio (Samc.compress (Samc.mips_config ~quantize:true ()) code) in
            let eff = exact /. quant in
-           Printf.printf "%-10s %10.3f %10.3f %11.1f%%\n%!" w.Workloads.name exact quant (100.0 *. eff);
+           Printf.printf "%-10s %10.3f %10.3f %11.1f%%\n%!" w.Paper.name exact quant (100.0 *. eff);
            eff)
   in
   let avg = List.fold_left ( +. ) 0.0 effs /. float_of_int (List.length effs) in
@@ -182,9 +135,9 @@ let memsys_table suite =
   Printf.printf "\n=== E4: compressed memory system (Wolfe-Chanin), CPI vs cache size ===\n";
   List.iter
     (fun name ->
-      let w = Workloads.find suite name in
-      let code = Workloads.mips_code w in
-      let trace = P.Trace.generate w.Workloads.program w.Workloads.mips_layout ~seed:17L ~length:1_000_000 in
+      let w = Paper.find suite name in
+      let code = Paper.mips_code w in
+      let trace = P.Trace.generate w.Paper.program w.Paper.mips_layout ~seed:17L ~length:1_000_000 in
       let samc = Samc.compress (Samc.mips_config ()) code in
       let sadc = sadc_mips code in
       let huff = Byte_huffman.compress code in
@@ -221,7 +174,7 @@ let ppm_table suite =
     "ppm model B" "dmc states";
   List.iter
     (fun name ->
-      let code = Workloads.mips_code (Workloads.find suite name) in
+      let code = Paper.mips_code (Paper.find suite name) in
       let gzip = Lzss.ratio code in
       let samc = Samc.ratio (Samc.compress (Samc.mips_config ()) code) in
       let ppm = Ccomp_baselines.Ppm.ratio code in
@@ -240,13 +193,13 @@ let dense_table suite =
     "16-bit %" "escaped %";
   Array.iter
     (fun w ->
-      let code = Workloads.mips_code w in
+      let code = Paper.mips_code w in
       let instrs =
         Array.to_list (Array.map Option.get (Ccomp_isa.Mips.decode_program code))
       in
       let st = Ccomp_isa.Dense16.stats instrs in
       let pct x = 100.0 *. float_of_int x /. float_of_int st.Ccomp_isa.Dense16.instructions in
-      Printf.printf "%-10s %8.3f %8.3f %8.3f %8.3f %8.1f%% %8.1f%%\n%!" w.Workloads.name
+      Printf.printf "%-10s %8.3f %8.3f %8.3f %8.3f %8.1f%% %8.1f%%\n%!" w.Paper.name
         (Ccomp_isa.Dense16.ratio instrs)
         (Samc.ratio (Samc.compress (Samc.mips_config ()) code))
         (Sadc.Mips.ratio (sadc_mips code))
@@ -263,7 +216,7 @@ let x86_fields_table suite =
   Printf.printf "%-10s %12s %13s %10s\n" "benchmark" "byte-streams" "field-streams" "delta";
   List.iter
     (fun name ->
-      let code = Workloads.x86_code (Workloads.find suite name) in
+      let code = Paper.x86_code (Paper.find suite name) in
       let cfg = Sadc.default_config () in
       let bytes_z = Sadc.X86.compress_image cfg code in
       let fields_z = Sadc.X86_fields.compress_image cfg code in
@@ -283,7 +236,7 @@ let prune_table suite =
   print_newline ();
   List.iter
     (fun name ->
-      let code = Workloads.mips_code (Workloads.find suite name) in
+      let code = Paper.mips_code (Paper.find suite name) in
       Printf.printf "%-10s" name;
       List.iter
         (fun prune_below ->
@@ -304,28 +257,15 @@ let embedded_table () =
     Array.to_list
       (Array.map
          (fun profile ->
-           let w = Workloads.prepare profile in
-           let code = Workloads.mips_code w in
-           let samc = Samc.compress (Samc.mips_config ()) code in
-           let sadc = Sadc.Mips.compress_image (Sadc.default_config ()) code in
-           verify (profile.P.Profile.name ^ "/samc") (String.equal (Samc.decompress samc) code);
-           verify (profile.P.Profile.name ^ "/sadc") (String.equal (Sadc.Mips.decompress sadc) code);
-           let r =
-             {
-               lzw = Lzw.ratio code;
-               gzip = Lzss.ratio code;
-               huffman = Byte_huffman.(ratio (compress code));
-               samc = Samc.ratio samc;
-               sadc = Sadc.Mips.ratio sadc;
-             }
-           in
+           let code = Paper.mips_code (Paper.prepare profile) in
+           let r = Paper.ratios ~isa:Image.Mips code in
            Printf.printf "%-12s %7d %9.3f %9.3f %9.3f %9.3f %9.3f %11.3f\n%!"
-             profile.P.Profile.name (String.length code) r.lzw r.gzip r.huffman r.samc r.sadc
-             (Sadc.Mips.ratio_with_tables sadc);
+             profile.P.Profile.name (String.length code) r.Paper.lzw r.gzip r.huffman r.samc r.sadc
+             (Sadc.Mips.ratio_with_tables (sadc_mips code));
            r)
          P.Profile.embedded)
   in
-  row "AVERAGE" (average rows);
+  row "AVERAGE" (Paper.average rows);
   Printf.printf
     "(small images pay proportionally more for shipped tables: the semiadaptive trade)\n"
 
@@ -338,7 +278,7 @@ let codepack_table suite =
   let rows =
     Array.to_list suite
     |> List.map (fun w ->
-           let code = Workloads.mips_code w in
+           let code = Paper.mips_code w in
            let cp = Ccomp_baselines.Codepack.compress code in
            if not (String.equal (Ccomp_baselines.Codepack.decompress cp) code) then
              failwith "codepack round-trip failed";
@@ -349,7 +289,7 @@ let codepack_table suite =
                Sadc.Mips.ratio (sadc_mips code) )
            in
            let a, b, c, d = r in
-           Printf.printf "%-10s %9.3f %9.3f %9.3f %9.3f %12d\n%!" w.Workloads.name a b c d
+           Printf.printf "%-10s %9.3f %9.3f %9.3f %9.3f %12d\n%!" w.Paper.name a b c d
              (Ccomp_baselines.Codepack.table_bytes cp);
            r)
   in
@@ -370,7 +310,7 @@ let lat_table suite =
   print_newline ();
   List.iter
     (fun name ->
-      let code = Workloads.mips_code (Workloads.find suite name) in
+      let code = Paper.mips_code (Paper.find suite name) in
       let z = Samc.compress (Samc.mips_config ()) code in
       let lat = Lat.of_blocks z.Samc.blocks in
       Printf.printf "%-10s %8s" name "";
@@ -392,10 +332,10 @@ let dict_table suite =
     "spec" "longest" "rounds" "dict bytes" "tables bytes";
   Array.iter
     (fun w ->
-      let code = Workloads.mips_code w in
+      let code = Paper.mips_code w in
       let z = sadc_mips code in
       let st = Sadc.Mips.stats z in
-      Printf.printf "%-10s %8d %6d %7d %6d %8d %7d %10d %11d\n%!" w.Workloads.name
+      Printf.printf "%-10s %8d %6d %7d %6d %8d %7d %10d %11d\n%!" w.Paper.name
         st.Sadc.entries st.Sadc.base_entries st.Sadc.group_entries st.Sadc.specialized_entries
         st.Sadc.longest_group st.Sadc.rounds (Sadc.Mips.dict_bytes z) (Sadc.Mips.tables_bytes z))
     suite

@@ -38,6 +38,8 @@
 open Cmdliner
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
+module Image = Ccomp_image.Image
+module Paper = Ccomp_paper.Paper
 module Serve = Ccomp_serve.Serve
 module Top = Ccomp_serve.Top
 module Latency = Ccomp_serve.Latency
@@ -56,19 +58,17 @@ let write_file path data =
 
 (* --- shared arguments ------------------------------------------------ *)
 
-type isa = Mips | X86
-
 let isa_conv =
-  let parse = function
-    | "mips" -> Ok Mips
-    | "x86" -> Ok X86
-    | s -> Error (`Msg (Printf.sprintf "unknown ISA %S (expected mips or x86)" s))
+  let parse s =
+    match Image.isa_of_name s with
+    | Some isa -> Ok isa
+    | None -> Error (`Msg (Printf.sprintf "unknown ISA %S (expected mips or x86)" s))
   in
-  let print fmt isa = Format.pp_print_string fmt (match isa with Mips -> "mips" | X86 -> "x86") in
+  let print fmt isa = Format.pp_print_string fmt (Image.isa_name isa) in
   Arg.conv (parse, print)
 
 let isa_arg =
-  Arg.(value & opt isa_conv Mips & info [ "isa" ] ~docv:"ISA" ~doc:"Target ISA: mips or x86.")
+  Arg.(value & opt isa_conv Image.Mips & info [ "isa" ] ~docv:"ISA" ~doc:"Target ISA: mips or x86.")
 
 (* Profiles are validated at parse time, so `--profile bogus` fails
    before any work starts, names the flag and prints usage — the same
@@ -201,10 +201,12 @@ let with_obs ?(events = None) ~metrics ~trace f =
   in
   Fun.protect ~finally:finish f
 
-let lower isa prog =
+let layout isa prog =
   match isa with
-  | Mips -> (snd (Ccomp_progen.Mips_backend.lower prog)).Ccomp_progen.Layout.code
-  | X86 -> (snd (Ccomp_progen.X86_backend.lower prog)).Ccomp_progen.Layout.code
+  | Image.Mips -> snd (Ccomp_progen.Mips_backend.lower prog)
+  | Image.X86 -> snd (Ccomp_progen.X86_backend.lower prog)
+
+let lower isa prog = (layout isa prog).Ccomp_progen.Layout.code
 
 (* --- generate --------------------------------------------------------- *)
 
@@ -216,12 +218,11 @@ let generate_cmd =
       match output with
       | Some p -> p
       | None ->
-        Printf.sprintf "%s.%s.bin" profile.Ccomp_progen.Profile.name
-          (match isa with Mips -> "mips" | X86 -> "x86")
+        Printf.sprintf "%s.%s.bin" profile.Ccomp_progen.Profile.name (Image.isa_name isa)
     in
     write_file path code;
     Printf.printf "wrote %s: %d bytes of %s code\n" path (String.length code)
-      (match isa with Mips -> "MIPS" | X86 -> "x86");
+      (match isa with Image.Mips -> "MIPS" | Image.X86 -> "x86");
     `Ok ()
   in
   let term = Term.(ret (const run $ profile_arg $ isa_arg $ seed_arg $ scale_arg $ output_arg)) in
@@ -229,14 +230,10 @@ let generate_cmd =
 
 (* --- compress ---------------------------------------------------------- *)
 
-type algo = Samc | Sadc
-
 let algo_arg =
   let doc = "Compression algorithm: $(docv) is samc or sadc." in
-  Arg.(
-    value
-    & opt (enum [ ("samc", Samc); ("sadc", Sadc) ]) Samc
-    & info [ "algo" ] ~docv:"ALGO" ~doc)
+  let algos = List.map (fun a -> (Image.algo_name a, a)) [ Image.Samc; Image.Sadc ] in
+  Arg.(value & opt (enum algos) Image.Samc & info [ "algo" ] ~docv:"ALGO" ~doc)
 
 let quantize_arg =
   Arg.(value & flag & info [ "quantize" ] ~doc:"SAMC: power-of-two probabilities (shift-only).")
@@ -257,33 +254,16 @@ let compress_cmd =
     let bytes = String.length code in
     let compress_phase = phase ~verbose ~bytes:(fun _ -> bytes) "compress" in
     let image =
-      match (algo, isa) with
-      | Samc, Mips ->
-        let cfg = Ccomp_core.Samc.mips_config ~block_size ~context_bits ~quantize ~prune_below () in
-        compress_phase (fun () ->
-            Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.Mips
-              (Ccomp_core.Samc.compress ~jobs cfg code))
-      | Samc, X86 ->
-        let cfg = Ccomp_core.Samc.byte_config ~block_size ~context_bits ~quantize ~prune_below () in
-        compress_phase (fun () ->
-            Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.X86
-              (Ccomp_core.Samc.compress ~jobs cfg code))
-      | Sadc, Mips ->
-        let cfg = Ccomp_core.Sadc.default_config ~block_size () in
-        compress_phase (fun () ->
-            Ccomp_image.Image.of_sadc_mips (Ccomp_core.Sadc.Mips.compress_image ~jobs cfg code))
-      | Sadc, X86 ->
-        let cfg = Ccomp_core.Sadc.default_config ~block_size () in
-        compress_phase (fun () ->
-            Ccomp_image.Image.of_sadc_x86 (Ccomp_core.Sadc.X86.compress_image ~jobs cfg code))
+      compress_phase (fun () ->
+          Image.compress ~jobs ~context_bits ~quantize ~prune_below ~algo ~isa ~block_size code)
     in
     let path = match output with Some p -> p | None -> input ^ ".secf" in
-    let written = Ccomp_image.Image.write image in
+    let written = Image.write image in
     phase ~verbose ~bytes:(fun () -> String.length written) "write" (fun () ->
         write_file path written);
-    Printf.printf "%s\n" (Ccomp_image.Image.describe image);
-    Printf.printf "wrote %s: %d bytes total (original %d)\n" path
-      (Ccomp_image.Image.total_bytes image) (String.length code);
+    Printf.printf "%s\n" (Image.describe image);
+    Printf.printf "wrote %s: %d bytes total (original %d)\n" path (String.length written)
+      (String.length code);
     `Ok ()
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
@@ -311,7 +291,7 @@ let decompress_cmd =
       let data = phase ~verbose ~bytes:String.length "read" (fun () -> read_file input) in
       match
         phase ~verbose ~bytes:(fun _ -> String.length data) "parse" (fun () ->
-            Ccomp_image.Image.read data)
+            Image.read data)
       with
       | Error e -> `Unreadable e
       | Ok image -> (
@@ -320,7 +300,7 @@ let decompress_cmd =
           phase ~verbose ~bytes:(function Ok code -> String.length code | Error _ -> 0)
             "decompress" (fun () ->
               Ccomp_util.Decode_error.protect ~section:"image" (fun () ->
-                  Ccomp_image.Image.decompress ~jobs image))
+                  Image.decompress ~jobs image))
         with
         | Error e -> `Undecodable e
         | Ok code ->
@@ -350,32 +330,32 @@ let decompress_cmd =
 
 let info_cmd =
   let run input =
-    match Ccomp_image.Image.read (read_file input) with
+    match Image.read (read_file input) with
     | Error e -> unreadable_image e
     | Ok image ->
-      print_endline (Ccomp_image.Image.describe image);
-      (match image.Ccomp_image.Image.payload with
-      | Ccomp_image.Image.Sadc_mips z ->
+      print_endline (Image.describe image);
+      (match image.Image.payload with
+      | Image.Sadc_mips z ->
         let st = Ccomp_core.Sadc.Mips.stats z in
         Printf.printf
           "dictionary: %d entries (%d base, %d groups, %d specialised), longest group %d, %d rounds\n"
           st.entries st.base_entries st.group_entries st.specialized_entries st.longest_group
           st.rounds
-      | Ccomp_image.Image.Sadc_x86 z ->
+      | Image.Sadc_x86 z ->
         let st = Ccomp_core.Sadc.X86.stats z in
         Printf.printf
           "dictionary: %d entries (%d base, %d groups, %d specialised), longest group %d, %d rounds\n"
           st.entries st.base_entries st.group_entries st.specialized_entries st.longest_group
           st.rounds
-      | Ccomp_image.Image.Samc z ->
+      | Image.Samc z ->
         let m = z.Ccomp_core.Samc.model in
         Printf.printf "markov model: %d probabilities, %d context(s), %d bytes\n"
           (Ccomp_core.Markov_model.probability_count m)
           (Ccomp_core.Markov_model.contexts m)
           (Ccomp_core.Markov_model.storage_bytes m));
       Printf.printf "LAT: %d entries, %d bytes\n"
-        (Ccomp_memsys.Lat.entries image.Ccomp_image.Image.lat)
-        (Ccomp_memsys.Lat.storage_bytes image.Ccomp_image.Image.lat);
+        (Ccomp_memsys.Lat.entries image.Image.lat)
+        (Ccomp_memsys.Lat.storage_bytes image.Image.lat);
       `Ok ()
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
@@ -385,24 +365,11 @@ let info_cmd =
 
 let ratios_cmd =
   let run isa block_size input =
-    let code = read_file input in
-    let lzw = Ccomp_baselines.Lzw.ratio code in
-    let gzip = Ccomp_baselines.Lzss.ratio code in
-    let huff = Ccomp_baselines.Byte_huffman.(ratio (compress ~block_size code)) in
-    let samc_cfg =
-      match isa with
-      | Mips -> Ccomp_core.Samc.mips_config ~block_size ()
-      | X86 -> Ccomp_core.Samc.byte_config ~block_size ()
-    in
-    let samc = Ccomp_core.Samc.(ratio (compress samc_cfg code)) in
-    let sadc =
-      let cfg = Ccomp_core.Sadc.default_config ~block_size () in
-      match isa with
-      | Mips -> Ccomp_core.Sadc.Mips.(ratio (compress_image cfg code))
-      | X86 -> Ccomp_core.Sadc.X86.(ratio (compress_image cfg code))
+    let { Paper.lzw; gzip; huffman; samc; sadc } =
+      Paper.ratios ~block_size ~isa (read_file input)
     in
     Printf.printf "%-10s %8s %8s %8s %8s %8s\n" "file" "compress" "gzip" "huffman" "samc" "sadc";
-    Printf.printf "%-10s %8.3f %8.3f %8.3f %8.3f %8.3f\n" (Filename.basename input) lzw gzip huff
+    Printf.printf "%-10s %8.3f %8.3f %8.3f %8.3f %8.3f\n" (Filename.basename input) lzw gzip huffman
       samc sadc;
     `Ok ()
   in
@@ -452,13 +419,8 @@ let fuzz_cmd =
     let jobs = resolve_jobs jobs in
     with_obs ~events ~metrics ~trace @@ fun () ->
     let prog = Ccomp_progen.Generator.generate ~scale ~seed:(Int64.of_int seed) profile in
-    let mips = lower Mips prog in
-    let x86 =
-      let c = lower X86 prog in
-      let r = String.length c mod 4 in
-      if r = 0 then c else c ^ String.make (4 - r) '\x90'
-    in
-    let image_codec = Ccomp_fault.Campaign.image_codec in
+    let mips = lower Image.Mips prog and x86 = lower Image.X86 prog in
+    let image = Ccomp_fault.Campaign.image_codec in
     let max_output = String.length mips in
     let baseline name encoded decode =
       {
@@ -471,22 +433,10 @@ let fuzz_cmd =
     in
     let codecs =
       [
-        image_codec "samc-mips"
-          (Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.Mips
-             (Ccomp_core.Samc.compress (Ccomp_core.Samc.mips_config ()) mips))
-          ~reference:mips;
-        image_codec "samc-x86"
-          (Ccomp_image.Image.of_samc ~isa:Ccomp_image.Image.X86
-             (Ccomp_core.Samc.compress (Ccomp_core.Samc.byte_config ()) x86))
-          ~reference:x86;
-        image_codec "sadc-mips"
-          (Ccomp_image.Image.of_sadc_mips
-             (Ccomp_core.Sadc.Mips.compress_image (Ccomp_core.Sadc.default_config ()) mips))
-          ~reference:mips;
-        image_codec "sadc-x86"
-          (Ccomp_image.Image.of_sadc_x86
-             (Ccomp_core.Sadc.X86.compress_image (Ccomp_core.Sadc.default_config ()) x86))
-          ~reference:x86;
+        image ~algo:Image.Samc ~isa:Image.Mips mips;
+        image ~algo:Image.Samc ~isa:Image.X86 x86;
+        image ~algo:Image.Sadc ~isa:Image.Mips mips;
+        image ~algo:Image.Sadc ~isa:Image.X86 x86;
         baseline "byte-huffman"
           Ccomp_baselines.Byte_huffman.(serialize (compress mips))
           (fun s ->
@@ -557,26 +507,14 @@ let simulate_cmd =
       flip_back fault_seed metrics trace_out events =
     with_obs ~events ~metrics ~trace:trace_out @@ fun () ->
       let prog = Ccomp_progen.Generator.generate ~seed:(Int64.of_int seed) profile in
-      let layout =
-        match isa with
-        | Mips -> snd (Ccomp_progen.Mips_backend.lower prog)
-        | X86 -> snd (Ccomp_progen.X86_backend.lower prog)
-      in
-      let code = layout.Ccomp_progen.Layout.code in
+      let layout = layout isa prog in
       let trace =
         Ccomp_progen.Trace.generate prog layout ~seed:(Int64.of_int (seed + 1)) ~length:trace_length
       in
-      let pad =
-        (* SAMC needs whole words; pad the x86 image to a word multiple. *)
-        let r = String.length code mod 4 in
-        if r = 0 then code else code ^ String.make (4 - r) '\x90'
+      let lat =
+        (Image.compress ~algo:Image.Samc ~isa ~block_size:32 layout.Ccomp_progen.Layout.code)
+          .Image.lat
       in
-      let samc =
-        match isa with
-        | Mips -> Ccomp_core.Samc.compress (Ccomp_core.Samc.mips_config ()) pad
-        | X86 -> Ccomp_core.Samc.compress (Ccomp_core.Samc.byte_config ()) pad
-      in
-      let lat = Ccomp_memsys.Lat.of_blocks samc.Ccomp_core.Samc.blocks in
       let base =
         Ccomp_memsys.System.run (Ccomp_memsys.System.default_config ~cache_bytes ()) ~trace ()
       in
@@ -588,9 +526,7 @@ let simulate_cmd =
           ~lat ~trace ()
       in
       Printf.printf "profile %s on %s: %d fetches, cache %d bytes\n"
-        profile.Ccomp_progen.Profile.name
-        (match isa with Mips -> "mips" | X86 -> "x86")
-        (Array.length trace) cache_bytes;
+        profile.Ccomp_progen.Profile.name (Image.isa_name isa) (Array.length trace) cache_bytes;
       Printf.printf "  uncompressed: CPI %.3f, hit ratio %.4f\n" base.Ccomp_memsys.System.cpi
         base.Ccomp_memsys.System.hit_ratio;
       Printf.printf "  samc:         CPI %.3f, CLB misses %d, slowdown %.3f\n"
@@ -1017,8 +953,8 @@ let submit_cmd =
       | "compress" ->
         Serve.Compress
           {
-            algo = (match algo with Samc -> Serve.Samc | Sadc -> Serve.Sadc);
-            isa = (match isa with Mips -> Serve.Mips | X86 -> Serve.X86);
+            algo;
+            isa;
             block_size;
             code = data;
           }
@@ -1241,8 +1177,8 @@ let loadgen_cmd =
           conns;
           conn_reuse = not no_reuse;
           payload_bytes;
-          algo = (match algo with Samc -> Serve.Samc | Sadc -> Serve.Sadc);
-          isa = (match isa with Mips -> Serve.Mips | X86 -> Serve.X86);
+          algo;
+          isa;
           block_size;
           deadline_ms;
           timeout_s = timeout;
@@ -1427,7 +1363,7 @@ let disasm_cmd =
   let run isa input =
     let code = read_file input in
     match isa with
-    | Mips ->
+    | Image.Mips ->
       if String.length code mod 4 <> 0 then `Error (false, "image size not a multiple of 4")
       else begin
         let decoded = Ccomp_isa.Mips.decode_program code in
@@ -1441,7 +1377,7 @@ let disasm_cmd =
           decoded;
         `Ok ()
       end
-    | X86 -> (
+    | Image.X86 -> (
       match Ccomp_isa.X86.decode_program code with
       | None -> `Error (false, "image does not decode as x86")
       | Some instrs ->

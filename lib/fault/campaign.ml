@@ -32,12 +32,14 @@ type codec = {
   integrity_checked : bool;
 }
 
-let image_codec name image ~reference =
-  let image = Image.with_block_crcs Image.Crc8_tags image in
+let image_codec ~algo ~isa code =
+  let image =
+    Image.with_block_crcs Image.Crc8_tags (Image.compress ~algo ~isa ~block_size:32 code)
+  in
   {
-    name;
+    name = Image.algo_name algo ^ "-" ^ Image.isa_name isa;
     encoded = Image.write image;
-    reference;
+    reference = code;
     decode =
       (fun s ->
         Result.bind (Image.read_checked s) (fun image ->

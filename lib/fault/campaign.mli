@@ -30,10 +30,11 @@ type codec = {
           harness failure, not a statistic *)
 }
 
-val image_codec : string -> Ccomp_image.Image.t -> reference:string -> codec
-(** A SECF target: [image] with per-block CRC-8 tags attached, decoded by
-    [Image.read_checked] then [Image.decompress] under [protect] — the
-    path the daemon and [ccomp decompress] take.
+val image_codec : algo:Ccomp_image.Image.algo -> isa:Ccomp_image.Image.isa -> string -> codec
+(** A SECF target named ["<algo>-<isa>"]: [code] compressed by
+    [Image.compress] with 32-byte blocks, per-block CRC-8 tags attached,
+    decoded by [Image.read_checked] then [Image.decompress] under
+    [protect] — the path the daemon and [ccomp decompress] take.
     [integrity_checked = true]. *)
 
 type report = {

@@ -6,6 +6,16 @@ module Events = Ccomp_obs.Events
 
 type isa = Mips | X86
 
+type algo = Samc | Sadc
+
+let isa_name = function Mips -> "mips" | X86 -> "x86"
+
+let isa_of_name = function "mips" -> Some Mips | "x86" -> Some X86 | _ -> None
+
+let algo_name = function Samc -> "samc" | Sadc -> "sadc"
+
+let algo_of_name = function "samc" -> Some Samc | "sadc" -> Some Sadc | _ -> None
+
 type payload =
   | Samc of Samc.compressed
   | Sadc_mips of Sadc.Mips.compressed
@@ -34,6 +44,22 @@ let of_sadc_mips z =
 let of_sadc_x86 z =
   let lengths = Array.init (Sadc.X86.block_count z) (Sadc.X86.block_payload_bytes z) in
   { isa = X86; payload = Sadc_x86 z; lat = Lat.build lengths; block_crcs = None }
+
+(* The paper's setup (§5), written once for the CLI, the daemon, the
+   verifier and the Fig. 7/8 row. *)
+let compress ?jobs ?(context_bits = 2) ?(quantize = false) ?(prune_below = 0) ~algo ~isa
+    ~block_size code =
+  match ((algo : algo), isa) with
+  | Samc, Mips ->
+    let config = Samc.mips_config ~block_size ~context_bits ~quantize ~prune_below () in
+    of_samc ~isa (Samc.compress ?jobs config code)
+  | Samc, X86 ->
+    let config = Samc.byte_config ~block_size ~context_bits ~quantize ~prune_below () in
+    of_samc ~isa (Samc.compress ?jobs config code)
+  | Sadc, Mips ->
+    of_sadc_mips (Sadc.Mips.compress_image ?jobs (Sadc.default_config ~block_size ()) code)
+  | Sadc, X86 ->
+    of_sadc_x86 (Sadc.X86.compress_image ?jobs (Sadc.default_config ~block_size ()) code)
 
 let isa_tag = function Mips -> 0 | X86 -> 1
 
@@ -241,7 +267,11 @@ let decompress ?jobs t =
   | Sadc_mips z -> Sadc.Mips.decompress ?jobs z
   | Sadc_x86 z -> Sadc.X86.decompress ?jobs z
 
-let total_bytes t = String.length (write t)
+let ratio t =
+  match t.payload with
+  | Samc z -> Samc.ratio z
+  | Sadc_mips z -> Sadc.Mips.ratio z
+  | Sadc_x86 z -> Sadc.X86.ratio z
 
 (* --- section map -------------------------------------------------------- *)
 
@@ -301,7 +331,7 @@ let sections t =
   @ [ (Sec_trailer_crc, (payload_off + payload_len + crc_table_len, 4)) ]
 
 let describe t =
-  let isa = match t.isa with Mips -> "mips" | X86 -> "x86" in
+  let isa = isa_name t.isa in
   let base =
     match t.payload with
     | Samc z ->

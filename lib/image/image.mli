@@ -21,6 +21,21 @@
 
 type isa = Mips | X86
 
+type algo = Samc | Sadc
+
+val isa_name : isa -> string
+(** ["mips"] or ["x86"]: the names the CLI, the golden MANIFEST and the
+    reports use. *)
+
+val isa_of_name : string -> isa option
+
+val algo_name : algo -> string
+(** ["samc"] or ["sadc"]. *)
+
+val algo_of_name : string -> algo option
+
+(** [Samc] here is the payload constructor; the algorithm [Samc] above is
+    picked out by its type. *)
 type payload =
   | Samc of Ccomp_core.Samc.compressed
   | Sadc_mips of Ccomp_core.Sadc.Mips.compressed
@@ -36,6 +51,19 @@ type t = {
       (** per-block integrity tags over the compressed payload bytes;
           [None] writes a v1 image *)
 }
+
+val compress :
+  ?jobs:int -> ?context_bits:int -> ?quantize:bool -> ?prune_below:int -> algo:algo -> isa:isa ->
+  block_size:int -> string -> t
+(** The codec setup of the paper's evaluation (§5), defined once: SAMC
+    over four 8-bit streams of each MIPS word, or over single bytes of
+    x86 code (any length); SADC with the ISA's own operand streams.
+    The SAMC tuning arguments default to the paper's values (context 2,
+    exact probabilities, no pruning) and SADC ignores them. [jobs]
+    (default 1) never changes the output. The CLI, the daemon, the
+    verifier and the Fig. 7/8 measurement all build images here.
+    @raise Invalid_argument on MIPS code that is not whole words, code
+    that SADC cannot parse as the ISA, or an invalid configuration. *)
 
 val of_samc : isa:isa -> Ccomp_core.Samc.compressed -> t
 (** Builds the image, deriving the LAT from the block sizes. *)
@@ -87,9 +115,9 @@ val decompress : ?jobs:int -> t -> string
     @raise Ccomp_util.Decode_error.Error on those refusals; wrap calls in
     [Decode_error.protect], which also folds what corrupt payloads raise. *)
 
-val total_bytes : t -> int
-(** [String.length (write t)] — the full ROM footprint including tables
-    and LAT. *)
+val ratio : t -> float
+(** Compressed code bytes over original bytes, without tables or LAT:
+    the ratio of the paper's Figs. 7–9. *)
 
 (** Byte ranges of a written image, for section-targeted fault
     injection. *)

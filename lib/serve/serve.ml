@@ -11,13 +11,11 @@ module Openmetrics = Ccomp_obs.Openmetrics
 module Runtime = Ccomp_obs.Runtime
 module Prng = Ccomp_util.Prng
 module Decode_error = Ccomp_util.Decode_error
-module Samc = Ccomp_core.Samc
-module Sadc = Ccomp_core.Sadc
 module Image = Ccomp_image.Image
 
-type algo = Samc | Sadc
+type algo = Image.algo = Samc | Sadc
 
-type isa = Mips | X86
+type isa = Image.isa = Mips | X86
 
 type request =
   | Compress of { algo : algo; isa : isa; block_size : int; code : string }
@@ -273,23 +271,6 @@ let deadline_reply ~at =
 
 (* --- job dispatch ------------------------------------------------------- *)
 
-(* Identical construction to `ccomp compress` with default flags, so a
-   served job is byte-for-byte the offline output. *)
-let compress_job ~jobs ~algo ~isa ~block_size code =
-  match (algo, isa) with
-  | (Samc : algo), Mips ->
-    let cfg = Samc.mips_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 () in
-    Image.write (Image.of_samc ~isa:Image.Mips (Samc.compress ~jobs cfg code))
-  | Samc, X86 ->
-    let cfg = Samc.byte_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 () in
-    Image.write (Image.of_samc ~isa:Image.X86 (Samc.compress ~jobs cfg code))
-  | Sadc, Mips ->
-    let cfg = Sadc.default_config ~block_size () in
-    Image.write (Image.of_sadc_mips (Sadc.Mips.compress_image ~jobs cfg code))
-  | Sadc, X86 ->
-    let cfg = Sadc.default_config ~block_size () in
-    Image.write (Image.of_sadc_x86 (Sadc.X86.compress_image ~jobs cfg code))
-
 let handle_request ?deadline_us ~jobs req =
   let job kind f =
     let (resp : response), dt = Obs.timed ~cat:"serve" ("serve.job." ^ kind) f in
@@ -317,7 +298,7 @@ let handle_request ?deadline_us ~jobs req =
     job "compress" (fun () ->
         if expired deadline_us then deadline_reply ~at:"before compress"
         else
-          match compress_job ~jobs ~algo ~isa ~block_size code with
+          match Image.write (Image.compress ~jobs ~algo ~isa ~block_size code) with
           | image ->
             if expired deadline_us then deadline_reply ~at:"during compress" else Payload image
           | exception e -> Failed (Printexc.to_string e))

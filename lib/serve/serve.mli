@@ -15,9 +15,9 @@
        polls) and [/slow] (the tail-sampled slow-request ring as JSON
        lines, oldest first, [?n=] to bound — see {!Slow}).}}
 
-    Jobs run through exactly the same codec paths as the offline CLI,
-    so a served compression is byte-identical to [ccomp compress] with
-    the same flags.
+    A compress job builds its image with {!Ccomp_image.Image.compress},
+    as the offline CLI does, so a served compression is byte-identical
+    to [ccomp compress] with the same algorithm, ISA and block size.
 
     {2 Overload safety}
 
@@ -120,9 +120,9 @@
     write), so a client's network share is its end-to-end latency minus
     [server_us], pessimistic by the write cost. *)
 
-type algo = Samc | Sadc
+type algo = Ccomp_image.Image.algo = Samc | Sadc
 
-type isa = Mips | X86
+type isa = Ccomp_image.Image.isa = Mips | X86
 
 type request =
   | Compress of { algo : algo; isa : isa; block_size : int; code : string }

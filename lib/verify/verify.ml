@@ -16,8 +16,9 @@
      serve      the daemon's job dispatch (CCQ1 protocol handlers) vs
                 the offline CLI construction of the same image
      roundtrip  compress → (serialize → deserialize) → decompress
-                returns the original bytes, for every codec and the
-                SECF container
+                returns the original bytes, for every codec (SAMC and
+                SADC as the SECF images Image.compress builds) and the
+                tagged container
 
    On divergence the harness shrinks the input greedily (word-aligned
    chunk removal, bounded by a predicate budget) and reports a minimal
@@ -35,12 +36,6 @@ module Serve = Ccomp_serve.Serve
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module P = Ccomp_progen
-
-type isa = Mips | X86
-
-let isa_name = function Mips -> "mips" | X86 -> "x86"
-
-let isa_of_name = function "mips" -> Some Mips | "x86" -> Some X86 | _ -> None
 
 type pair = Kernel | Parallel | Serve_offline | Roundtrip | Golden
 
@@ -72,7 +67,7 @@ type divergence = {
   d_repro : string option;  (** shrunk input still reproducing the divergence *)
 }
 
-type input = { in_label : string; in_isa : isa; in_code : string }
+type input = { in_label : string; in_isa : Image.isa; in_code : string }
 
 type report = { checks : int; divergences : divergence list }
 
@@ -201,90 +196,73 @@ type instance = {
   ci_reserialized : unit -> string;  (** serialize → deserialize → decompress *)
 }
 
-(* The daemon and the CLI build SAMC with these exact settings; the
-   serve pair is only meaningful if this module does too. *)
-let samc_config ~isa ~block_size =
-  match isa with
-  | Mips -> Samc.mips_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 ()
-  | X86 -> Samc.byte_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 ()
+(* Decode [n] blocks one at a time and concatenate them: the refill
+   engine's view of a program. *)
+let refill n decode_block =
+  let b = Buffer.create 4096 in
+  for i = 0 to n - 1 do
+    Buffer.add_string b (decode_block i)
+  done;
+  Buffer.contents b
 
-let make_samc ~isa ~block_size code =
-  let cfg = samc_config ~isa ~block_size in
-  let z = guard_build (fun () -> Samc.compress cfg code) in
-  let block_bytes i = min block_size (z.Samc.original_size - (i * block_size)) in
-  let reassemble decode_block =
-    let b = Buffer.create (max 16 z.Samc.original_size) in
-    Array.iteri (fun i payload -> Buffer.add_string b (decode_block i payload)) z.Samc.blocks;
-    Buffer.contents b
+(* The per-block decoders each payload carries beside its whole-image
+   decompress. *)
+let kernels (img : Image.t) =
+  match img.Image.payload with
+  | Image.Samc z ->
+    let cfg = z.Samc.config and model = z.Samc.model in
+    let kernel name decode =
+      ( name,
+        fun () ->
+          refill (Array.length z.Samc.blocks) (fun i ->
+              let original_bytes =
+                min cfg.Samc.block_size (z.Samc.original_size - (i * cfg.Samc.block_size))
+              in
+              decode cfg model ~original_bytes z.Samc.blocks.(i)) )
+    in
+    [
+      kernel "ref-kernel" Samc.decompress_block_ref;
+      kernel "flat-kernel" Samc.decompress_block;
+      kernel "nibble-kernel" (fun cfg model ~original_bytes p ->
+          fst (Samc.decompress_block_parallel cfg model ~original_bytes p));
+    ]
+  (* every block from only its own payload, instructions re-encoded *)
+  | Image.Sadc_mips z ->
+    [
+      ( "block-refill",
+        fun () ->
+          refill (Sadc.Mips.block_count z) (fun i ->
+              Sadc_isa.Mips_streams.encode_list (Sadc.Mips.decompress_block z i)) );
+    ]
+  | Image.Sadc_x86 z ->
+    [
+      ( "block-refill",
+        fun () ->
+          refill (Sadc.X86.block_count z) (fun i ->
+              Sadc_isa.X86_streams.encode_list (Sadc.X86.decompress_block z i)) );
+    ]
+
+(* A codec's instance is its SECF image, built as the CLI and the
+   daemon build it, so the wire form under test is the shipped one. *)
+let make_image ~tag ~algo ~isa ~block_size code =
+  let build jobs =
+    let img = Image.compress ~jobs ~algo ~isa ~block_size code in
+    match tag with Some kind -> Image.with_block_crcs kind img | None -> img
   in
-  let serialized = lazy (Samc.serialize z) in
+  let img = guard_build (fun () -> build 1) in
+  let serialized = lazy (Image.write img) in
   {
-    ci_serial = lazy (Samc.decompress z);
-    ci_parallel = Some (fun j -> Samc.decompress ~jobs:j z);
-    ci_kernels =
-      [
-        ( "ref-kernel",
-          fun () ->
-            reassemble (fun i p ->
-                Samc.decompress_block_ref cfg z.Samc.model ~original_bytes:(block_bytes i) p) );
-        ( "flat-kernel",
-          fun () ->
-            reassemble (fun i p ->
-                Samc.decompress_block cfg z.Samc.model ~original_bytes:(block_bytes i) p) );
-        ( "nibble-kernel",
-          fun () ->
-            reassemble (fun i p ->
-                fst
-                  (Samc.decompress_block_parallel cfg z.Samc.model
-                     ~original_bytes:(block_bytes i) p)) );
-      ];
+    ci_serial = lazy (Image.decompress img);
+    ci_parallel = Some (fun j -> Image.decompress ~jobs:j img);
+    ci_kernels = kernels img;
     ci_serialize = serialized;
-    ci_compress_parallel = Some (fun j -> Samc.serialize (Samc.compress ~jobs:j cfg code));
+    ci_compress_parallel = Some (fun j -> Image.write (build j));
     ci_reserialized =
       (fun () ->
-        let z', _ = Samc.deserialize (Lazy.force serialized) ~pos:0 in
-        Samc.decompress z');
+        match Image.read (Lazy.force serialized) with
+        | Ok img' -> Image.decompress img'
+        | Error e -> failwith ("SECF image does not read back: " ^ e));
   }
-
-module Sadc_inst (I : Sadc_isa.S) = struct
-  module M = Sadc.Make (I)
-
-  let make ~block_size code =
-    let cfg = Sadc.default_config ~block_size () in
-    let z = guard_build (fun () -> M.compress_image cfg code) in
-    let serialized = lazy (M.serialize z) in
-    {
-      ci_serial = lazy (M.decompress z);
-      ci_parallel = Some (fun j -> M.decompress ~jobs:j z);
-      ci_kernels =
-        [
-          (* the refill engine's operation: every block from only its own
-             payload, instructions re-encoded and concatenated *)
-          ( "block-refill",
-            fun () ->
-              let b = Buffer.create (max 16 (M.original_size z)) in
-              for i = 0 to M.block_count z - 1 do
-                Buffer.add_string b (I.encode_list (M.decompress_block z i))
-              done;
-              Buffer.contents b );
-        ];
-      ci_serialize = serialized;
-      ci_compress_parallel =
-        Some (fun j -> M.serialize (M.compress_image ~jobs:j cfg code));
-      ci_reserialized =
-        (fun () ->
-          let z', _ = M.deserialize (Lazy.force serialized) ~pos:0 in
-          M.decompress z');
-    }
-end
-
-module Sadc_mips_inst = Sadc_inst (Sadc_isa.Mips_streams)
-module Sadc_x86_inst = Sadc_inst (Sadc_isa.X86_streams)
-
-let make_sadc ~isa ~block_size code =
-  match isa with
-  | Mips -> Sadc_mips_inst.make ~block_size code
-  | X86 -> Sadc_x86_inst.make ~block_size code
 
 let make_byte_huffman ~block_size code =
   let z = guard_build (fun () -> Byte_huffman.compress ~block_size code) in
@@ -336,51 +314,21 @@ let memo_instance build =
       cache := (code, isa, block_size, v) :: List.filteri (fun i _ -> i < 7) !cache;
       v
 
-let samc_instance = memo_instance make_samc
+let samc_instance = memo_instance (make_image ~tag:None ~algo:Samc)
 
-let sadc_instance = memo_instance make_sadc
+let sadc_instance = memo_instance (make_image ~tag:None ~algo:Sadc)
 
 let byte_huffman_instance = memo_instance (fun ~isa:_ ~block_size code -> make_byte_huffman ~block_size code)
 
-type algo = Algo_samc | Algo_sadc
-
-let algo_name = function Algo_samc -> "samc" | Algo_sadc -> "sadc"
-
-let algo_of_name = function "samc" -> Some Algo_samc | "sadc" -> Some Algo_sadc | _ -> None
-
-(* Identical construction to `ccomp compress` with default flags and to
-   the daemon's compress_job. *)
-let offline_image ~algo ~isa ~block_size code =
-  match (algo, isa) with
-  | Algo_samc, Mips ->
-    Image.of_samc ~isa:Image.Mips (Samc.compress (samc_config ~isa:Mips ~block_size) code)
-  | Algo_samc, X86 ->
-    Image.of_samc ~isa:Image.X86 (Samc.compress (samc_config ~isa:X86 ~block_size) code)
-  | Algo_sadc, Mips ->
-    Image.of_sadc_mips (Sadc.Mips.compress_image (Sadc.default_config ~block_size ()) code)
-  | Algo_sadc, X86 ->
-    Image.of_sadc_x86 (Sadc.X86.compress_image (Sadc.default_config ~block_size ()) code)
-
-(* Tagged, so every SECF check also runs tag verification on clean input. *)
+(* The SAMC image again, tagged, so every SECF check also runs tag
+   verification on clean input; its kernels and parallel compress are
+   the samc instance's. *)
 let image_instance =
   memo_instance (fun ~isa ~block_size code ->
-      let img =
-        guard_build (fun () ->
-            Image.with_block_crcs Image.Crc8_tags
-              (offline_image ~algo:Algo_samc ~isa ~block_size code))
-      in
-      let serialized = lazy (Image.write img) in
       {
-        ci_serial = lazy (Image.decompress img);
-        ci_parallel = Some (fun j -> Image.decompress ~jobs:j img);
+        (make_image ~tag:(Some Image.Crc8_tags) ~algo:Samc ~isa ~block_size code) with
         ci_kernels = [];
-        ci_serialize = serialized;
         ci_compress_parallel = None;
-        ci_reserialized =
-          (fun () ->
-            match Image.read (Lazy.force serialized) with
-            | Ok img' -> Image.decompress img'
-            | Error e -> failwith ("SECF image does not read back: " ^ e));
       })
 
 let builders ~isa ~block_size =
@@ -434,10 +382,7 @@ let roundtrip_check inst code =
           (inst.ci_reserialized ()) code);
     ]
 
-let serve_isa = function Mips -> Serve.Mips | X86 -> Serve.X86
-
 let serve_checks ~isa ~block_size =
-  let serve_algo = function Algo_samc -> Serve.Samc | Algo_sadc -> Serve.Sadc in
   let submit req =
     match Serve.handle_request ~jobs:1 req with
     | Serve.Payload p -> Ok p
@@ -447,7 +392,7 @@ let serve_checks ~isa ~block_size =
   in
   (* a tagged image also runs the served path's tag verification *)
   let served_decompress algo tag code =
-    let img = guard_build (fun () -> offline_image ~algo ~isa ~block_size code) in
+    let img = guard_build (fun () -> Image.compress ~algo ~isa ~block_size code) in
     let img = match tag with Some kind -> Image.with_block_crcs kind img | None -> img in
     match submit (Serve.Decompress (Image.write img)) with
     | Error e ->
@@ -458,17 +403,14 @@ let serve_checks ~isa ~block_size =
   in
   List.concat_map
     (fun algo ->
-      let name = algo_name algo in
+      let name = Image.algo_name algo in
       [
         ( name ^ "/served-compress",
           fun code ->
             let offline =
-              Image.write (guard_build (fun () -> offline_image ~algo ~isa ~block_size code))
+              Image.write (guard_build (fun () -> Image.compress ~algo ~isa ~block_size code))
             in
-            match
-              submit
-                (Serve.Compress { algo = serve_algo algo; isa = serve_isa isa; block_size; code })
-            with
+            match submit (Serve.Compress { algo; isa; block_size; code }) with
             | Error e ->
               Diverge
                 { detail = "daemon refused a compress job the CLI accepts: " ^ e;
@@ -479,7 +421,7 @@ let serve_checks ~isa ~block_size =
         (name ^ "/served-decompress", served_decompress algo None);
         (name ^ "/served-decompress-crc8", served_decompress algo (Some Image.Crc8_tags));
       ])
-    [ Algo_samc; Algo_sadc ]
+    [ Image.Samc; Image.Sadc ]
 
 let checks ~pair ~isa ~block_size ~jobs =
   let per_instance f =
@@ -551,7 +493,7 @@ let run ?(options = default_options) ?(log = fun _ -> ()) ~pairs inputs =
                   :: !divergences
               | Diverge { detail; got; want } ->
                 (* shrink while the same check still diverges *)
-                let word = match in_isa with Mips -> 4 | X86 -> 1 in
+                let word = match in_isa with Image.Mips -> 4 | Image.X86 -> 1 in
                 let predicate c =
                   match eval check c with Diverge _ -> true | Pass _ | Skip _ -> false
                 in
@@ -580,8 +522,8 @@ let run ?(options = default_options) ?(log = fun _ -> ()) ~pairs inputs =
 let gen_code ~isa ~profile ~scale ~seed =
   let prog = P.Generator.generate ~scale ~seed:(Int64.of_int seed) (P.Profile.find profile) in
   match isa with
-  | Mips -> (snd (P.Mips_backend.lower prog)).P.Layout.code
-  | X86 -> (snd (P.X86_backend.lower prog)).P.Layout.code
+  | Image.Mips -> (snd (P.Mips_backend.lower prog)).P.Layout.code
+  | Image.X86 -> (snd (P.X86_backend.lower prog)).P.Layout.code
 
 let progen_inputs ~profiles ~scale ~seed =
   List.concat_map
@@ -589,11 +531,11 @@ let progen_inputs ~profiles ~scale ~seed =
       List.map
         (fun isa ->
           {
-            in_label = profile ^ "." ^ isa_name isa;
+            in_label = profile ^ "." ^ Image.isa_name isa;
             in_isa = isa;
             in_code = gen_code ~isa ~profile ~scale ~seed;
           })
-        [ Mips; X86 ])
+        [ Image.Mips; Image.X86 ])
     profiles
 
 (* --- golden corpus -------------------------------------------------------- *)
@@ -605,19 +547,19 @@ let progen_inputs ~profiles ~scale ~seed =
    pass. *)
 type golden_entry = {
   ge_name : string;
-  ge_algo : algo;
-  ge_isa : isa;
+  ge_algo : Image.algo;
+  ge_isa : Image.isa;
   ge_block_size : int;
   ge_input_crc : int32;
   ge_artifact_crc : int32;
 }
 
-let golden_specs =
+let golden_specs : (string * Image.algo * Image.isa * string * int) list =
   [
-    ("samc-mips-gcc", Algo_samc, Mips, "gcc", 101);
-    ("samc-x86-go", Algo_samc, X86, "go", 102);
-    ("sadc-mips-swim", Algo_sadc, Mips, "swim", 103);
-    ("sadc-x86-compress", Algo_sadc, X86, "compress", 104);
+    ("samc-mips-gcc", Image.Samc, Image.Mips, "gcc", 101);
+    ("samc-x86-go", Image.Samc, Image.X86, "go", 102);
+    ("sadc-mips-swim", Image.Sadc, Image.Mips, "swim", 103);
+    ("sadc-x86-compress", Image.Sadc, Image.X86, "compress", 104);
   ]
 
 let golden_scale = 0.05
@@ -647,7 +589,7 @@ let bless_golden ~dir =
       (fun (name, algo, isa, profile, seed) ->
         let code = gen_code ~isa ~profile ~scale:golden_scale ~seed in
         let artifact =
-          Image.write (offline_image ~algo ~isa ~block_size:golden_block_size code)
+          Image.write (Image.compress ~algo ~isa ~block_size:golden_block_size code)
         in
         write_file (input_file dir name) code;
         write_file (artifact_file dir name) artifact;
@@ -666,8 +608,8 @@ let bless_golden ~dir =
   List.iter
     (fun e ->
       Buffer.add_string b
-        (Printf.sprintf "%s|%s|%s|%d|%08lx|%08lx\n" e.ge_name (algo_name e.ge_algo)
-           (isa_name e.ge_isa) e.ge_block_size e.ge_input_crc e.ge_artifact_crc))
+        (Printf.sprintf "%s|%s|%s|%d|%08lx|%08lx\n" e.ge_name (Image.algo_name e.ge_algo)
+           (Image.isa_name e.ge_isa) e.ge_block_size e.ge_input_crc e.ge_artifact_crc))
     entries;
   write_file (manifest_file dir) (Buffer.contents b);
   entries
@@ -685,8 +627,8 @@ let load_golden ~dir =
           match String.split_on_char '|' line with
           | [ name; algo; isa; bs; icrc; acrc ] -> (
             match
-              ( algo_of_name algo,
-                isa_of_name isa,
+              ( Image.algo_of_name algo,
+                Image.isa_of_name isa,
                 int_of_string_opt bs,
                 Int32.of_string_opt ("0x" ^ icrc),
                 Int32.of_string_opt ("0x" ^ acrc) )
@@ -736,7 +678,7 @@ let check_golden ?(log = fun _ -> ()) ~dir entries =
           ok 2;
           (match
              Image.write
-               (offline_image ~algo:e.ge_algo ~isa:e.ge_isa ~block_size:e.ge_block_size code)
+               (Image.compress ~algo:e.ge_algo ~isa:e.ge_isa ~block_size:e.ge_block_size code)
            with
           | fresh ->
             if String.equal fresh artifact then ok 1
@@ -744,7 +686,7 @@ let check_golden ?(log = fun _ -> ()) ~dir entries =
               diverge e
                 (Printf.sprintf
                    "format drift: fresh %s compression no longer matches the blessed artifact"
-                   (algo_name e.ge_algo))
+                   (Image.algo_name e.ge_algo))
                 fresh artifact
           | exception exn ->
             diverge e ("compressing the golden input raised: " ^ Printexc.to_string exn) "" "");

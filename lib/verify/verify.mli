@@ -9,12 +9,6 @@
     committed golden corpus, shrinking any diverging input to a minimal
     reproducer. *)
 
-type isa = Mips | X86
-
-val isa_name : isa -> string
-
-val isa_of_name : string -> isa option
-
 (** One family of equivalence claims. [Golden] tags corpus findings in
     reports; it is not in {!all_pairs} because the corpus is a fixture
     set, not a selectable pair. *)
@@ -35,7 +29,7 @@ type divergence = {
   d_repro : string option;  (** shrunk input that still reproduces it *)
 }
 
-type input = { in_label : string; in_isa : isa; in_code : string }
+type input = { in_label : string; in_isa : Ccomp_image.Image.isa; in_code : string }
 
 type report = { checks : int; divergences : divergence list }
 
@@ -67,7 +61,7 @@ val minimize :
     word are preserved. The result always satisfies [predicate] if the
     original input did. *)
 
-val gen_code : isa:isa -> profile:string -> scale:float -> seed:int -> string
+val gen_code : isa:Ccomp_image.Image.isa -> profile:string -> scale:float -> seed:int -> string
 (** Lower one progen program to raw instruction bytes.
     @raise Not_found on an unknown profile name. *)
 
@@ -82,12 +76,10 @@ val progen_inputs : profiles:string list -> scale:float -> seed:int -> input lis
     wire-format or default-configuration change shows up even while
     round-trips still pass. *)
 
-type algo = Algo_samc | Algo_sadc
-
 type golden_entry = {
   ge_name : string;
-  ge_algo : algo;
-  ge_isa : isa;
+  ge_algo : Ccomp_image.Image.algo;
+  ge_isa : Ccomp_image.Image.isa;
   ge_block_size : int;
   ge_input_crc : int32;
   ge_artifact_crc : int32;

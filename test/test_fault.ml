@@ -25,9 +25,7 @@ let x86_code_for seed =
   let profile =
     { (P.Profile.find "m88ksim") with P.Profile.name = "t"; target_ops = 700; functions = 8 }
   in
-  let c = (snd (P.X86_backend.lower (P.Generator.generate ~seed profile))).P.Layout.code in
-  let r = String.length c mod 4 in
-  if r = 0 then c else c ^ String.make (4 - r) '\x90'
+  (snd (P.X86_backend.lower (P.Generator.generate ~seed profile))).P.Layout.code
 
 (* --- injector ---------------------------------------------------------- *)
 
@@ -280,18 +278,10 @@ let test_lzss_max_output () =
 let secf_codecs () =
   let mips = code_for 21L and x86 = x86_code_for 21L in
   [
-    Campaign.image_codec "samc-mips"
-      (Image.of_samc ~isa:Image.Mips (Samc.compress (Samc.mips_config ()) mips))
-      ~reference:mips;
-    Campaign.image_codec "samc-x86"
-      (Image.of_samc ~isa:Image.X86 (Samc.compress (Samc.byte_config ()) x86))
-      ~reference:x86;
-    Campaign.image_codec "sadc-mips"
-      (Image.of_sadc_mips (Sadc.Mips.compress_image (Sadc.default_config ()) mips))
-      ~reference:mips;
-    Campaign.image_codec "sadc-x86"
-      (Image.of_sadc_x86 (Sadc.X86.compress_image (Sadc.default_config ()) x86))
-      ~reference:x86;
+    Campaign.image_codec ~algo:Image.Samc ~isa:Image.Mips mips;
+    Campaign.image_codec ~algo:Image.Samc ~isa:Image.X86 x86;
+    Campaign.image_codec ~algo:Image.Sadc ~isa:Image.Mips mips;
+    Campaign.image_codec ~algo:Image.Sadc ~isa:Image.X86 x86;
   ]
 
 (* The acceptance property, one qcheck test per algorithm/ISA: flip any

@@ -26,6 +26,37 @@ let code_for seed =
   in
   (snd (P.Mips_backend.lower (P.Generator.generate ~seed profile))).P.Layout.code
 
+let x86_code_for seed =
+  let profile =
+    { (P.Profile.find "m88ksim") with P.Profile.name = "t"; target_ops = 700; functions = 8 }
+  in
+  (snd (P.X86_backend.lower (P.Generator.generate ~seed profile))).P.Layout.code
+
+(* Every (algorithm, ISA) pair through the container; the x86 code is
+   not a whole number of words, which SAMC's byte mode must not need. *)
+let test_compress_roundtrip () =
+  let x86 = x86_code_for 1L in
+  Alcotest.(check bool) "x86 input is not whole words" true (String.length x86 mod 4 <> 0);
+  List.iter
+    (fun (isa, code) ->
+      Alcotest.(check bool) "isa name round-trips" true
+        (Image.isa_of_name (Image.isa_name isa) = Some isa);
+      List.iter
+        (fun algo ->
+          Alcotest.(check bool) "algo name round-trips" true
+            (Image.algo_of_name (Image.algo_name algo) = Some algo);
+          let label = Image.algo_name algo ^ "-" ^ Image.isa_name isa in
+          let img = Image.compress ~algo ~isa ~block_size:32 code in
+          match Image.read (Image.write img) with
+          | Error e -> Alcotest.failf "%s: read failed: %s" label e
+          | Ok img' ->
+            Alcotest.(check bool) (label ^ ": isa preserved") true (img'.Image.isa = isa);
+            Alcotest.(check string) (label ^ ": decompress") code (Image.decompress img');
+            Alcotest.(check int) (label ^ ": lat entries") (Image.block_count img)
+              (Lat.entries img'.Image.lat))
+        [ Image.Samc; Image.Sadc ])
+    [ (Image.Mips, code_for 1L); (Image.X86, x86) ]
+
 let test_samc_image_roundtrip () =
   let code = code_for 1L in
   let z = Samc.compress (Samc.mips_config ()) code in
@@ -58,8 +89,7 @@ let test_lat_matches_payload () =
 
 let test_corruption_detected () =
   let code = code_for 4L in
-  let z = Samc.compress (Samc.mips_config ()) code in
-  let bytes = Image.write (Image.of_samc ~isa:Image.Mips z) in
+  let bytes = Image.write (Image.compress ~algo:Image.Samc ~isa:Image.Mips ~block_size:32 code) in
   for pos = 0 to 5 do
     let target = 11 + (pos * String.length bytes / 7) in
     let corrupted = Bytes.of_string bytes in
@@ -85,8 +115,7 @@ let contains hay needle =
 
 let test_describe_mentions_algorithm () =
   let code = code_for 5L in
-  let z = Samc.compress (Samc.mips_config ()) code in
-  let d = Image.describe (Image.of_samc ~isa:Image.Mips z) in
+  let d = Image.describe (Image.compress ~algo:Image.Samc ~isa:Image.Mips ~block_size:32 code) in
   Alcotest.(check bool) "mentions samc" true (contains d "samc");
   Alcotest.(check bool) "mentions isa" true (contains d "mips")
 
@@ -97,6 +126,7 @@ let suite =
     Alcotest.test_case "crc32 detects change" `Quick test_crc32_detects_change;
     Alcotest.test_case "samc image roundtrip" `Quick test_samc_image_roundtrip;
     Alcotest.test_case "sadc image roundtrip" `Quick test_sadc_image_roundtrip;
+    Alcotest.test_case "compress roundtrip, every pair" `Quick test_compress_roundtrip;
     Alcotest.test_case "lat matches payload" `Quick test_lat_matches_payload;
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
     Alcotest.test_case "bad magic rejected" `Quick test_bad_magic_rejected;

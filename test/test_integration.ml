@@ -7,6 +7,7 @@ module Sadc = Ccomp_core.Sadc
 module Image = Ccomp_image.Image
 module System = Ccomp_memsys.System
 module Lat = Ccomp_memsys.Lat
+module Paper = Ccomp_paper.Paper
 
 let profile =
   { (P.Profile.find "ijpeg") with P.Profile.name = "it"; target_ops = 1500; functions = 12 }
@@ -17,8 +18,7 @@ let test_full_samc_pipeline_mips () =
   let prog = P.Generator.generate ~seed:21L profile in
   let _, layout = P.Mips_backend.lower prog in
   let code = layout.P.Layout.code in
-  let z = Samc.compress (Samc.mips_config ()) code in
-  let rom = Image.write (Image.of_samc ~isa:Image.Mips z) in
+  let rom = Image.write (Image.compress ~algo:Image.Samc ~isa:Image.Mips ~block_size:32 code) in
   let img =
     match Image.read rom with Ok i -> i | Error e -> Alcotest.failf "image: %s" e
   in
@@ -43,8 +43,7 @@ let test_full_sadc_pipeline_x86 () =
   let prog = P.Generator.generate ~seed:23L profile in
   let _, layout = P.X86_backend.lower prog in
   let code = layout.P.Layout.code in
-  let z = Sadc.X86.compress_image (Ccomp_core.Sadc.default_config ()) code in
-  let rom = Image.write (Image.of_sadc_x86 z) in
+  let rom = Image.write (Image.compress ~algo:Image.Sadc ~isa:Image.X86 ~block_size:32 code) in
   match Image.read rom with
   | Error e -> Alcotest.failf "image: %s" e
   | Ok img ->
@@ -94,106 +93,42 @@ let test_same_ir_both_backends_compress_consistently () =
 
 (* --- the paper's result: Fig. 7/8 ratios -------------------------------- *)
 
-type ratios = { lzw : float; gzip : float; huffman : float; samc : float; sadc : float }
-
 (* Suite averages of `bench/main.exe --scale 0.25 --tables fig7,fig8`
    (all 18 profiles, seed 7), as its AVERAGE rows print them. A change
    may improve any of them; it may not make one worse. *)
-let committed_mips = { lzw = 0.625; gzip = 0.426; huffman = 0.734; samc = 0.552; sadc = 0.485 }
+let committed_mips =
+  { Paper.lzw = 0.625; gzip = 0.426; huffman = 0.734; samc = 0.552; sadc = 0.485 }
 
-let committed_x86 = { lzw = 0.697; gzip = 0.520; huffman = 0.806; samc = 0.743; sadc = 0.541 }
-
-(* The codec configurations of bench/tables.ml's measure_mips and
-   measure_x86, so the averages here are the figures' AVERAGE rows. *)
-let mips_ratios code =
-  {
-    lzw = Ccomp_baselines.Lzw.ratio code;
-    gzip = Ccomp_baselines.Lzss.ratio code;
-    huffman = Ccomp_baselines.Byte_huffman.(ratio (compress code));
-    samc = Samc.ratio (Samc.compress (Samc.mips_config ()) code);
-    sadc = Sadc.Mips.ratio (Sadc.Mips.compress_image (Sadc.default_config ()) code);
-  }
-
-let x86_ratios code =
-  (* SAMC needs whole words; pad with NOPs like a linker would *)
-  let padded =
-    let r = String.length code mod 4 in
-    if r = 0 then code else code ^ String.make (4 - r) '\x90'
-  in
-  {
-    lzw = Ccomp_baselines.Lzw.ratio code;
-    gzip = Ccomp_baselines.Lzss.ratio code;
-    huffman = Ccomp_baselines.Byte_huffman.(ratio (compress code));
-    samc = Samc.ratio (Samc.compress (Samc.byte_config ()) padded);
-    sadc = Sadc.X86.ratio (Sadc.X86.compress_image (Sadc.default_config ()) code);
-  }
-
-let average rs =
-  let n = float_of_int (List.length rs) in
-  let avg f = List.fold_left (fun acc r -> acc +. f r) 0.0 rs /. n in
-  {
-    lzw = avg (fun r -> r.lzw);
-    gzip = avg (fun r -> r.gzip);
-    huffman = avg (fun r -> r.huffman);
-    samc = avg (fun r -> r.samc);
-    sadc = avg (fun r -> r.sadc);
-  }
+let committed_x86 =
+  { Paper.lzw = 0.697; gzip = 0.520; huffman = 0.806; samc = 0.743; sadc = 0.541 }
 
 let test_paper_ratios_and_orderings () =
-  let profiles = Array.to_list P.Profile.spec95 in
-  let programs = List.map (P.Generator.generate ~scale:0.25 ~seed:7L) profiles in
-  let mips =
-    List.map (fun prog -> mips_ratios (snd (P.Mips_backend.lower prog)).P.Layout.code) programs
-  in
-  let x86 =
-    List.map (fun prog -> x86_ratios (snd (P.X86_backend.lower prog)).P.Layout.code) programs
-  in
+  let suite = Array.to_list (Paper.suite ~scale:0.25 ()) in
+  let mips = List.map (Paper.measure ~isa:Image.Mips) suite in
+  let x86 = List.map (Paper.measure ~isa:Image.X86) suite in
   (* per program, on MIPS: SAMC beats byte Huffman, SADC beats SAMC *)
   List.iter2
-    (fun (profile : P.Profile.t) r ->
-      let name = profile.P.Profile.name in
+    (fun (w : Paper.prepared) (r : Paper.ratios) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s: samc %.3f < huffman %.3f" name r.samc r.huffman)
+        (Printf.sprintf "%s: samc %.3f < huffman %.3f" w.name r.samc r.huffman)
         true (r.samc < r.huffman);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: sadc %.3f < samc %.3f" name r.sadc r.samc)
+        (Printf.sprintf "%s: sadc %.3f < samc %.3f" w.name r.sadc r.samc)
         true (r.sadc < r.samc))
-    profiles mips;
+    suite mips;
   let gate isa committed rows =
-    let avg = average rows in
-    List.iter
-      (fun (codec, f) ->
-        (* no worse than committed, as the harness prints it (%.3f) *)
-        Alcotest.(check bool)
-          (Printf.sprintf "%s %s average %.4f no worse than committed %.3f" isa codec (f avg)
-             (f committed))
-          true
-          (f avg < f committed +. 0.0005))
-      [
-        ("compress", fun r -> r.lzw);
-        ("gzip", fun r -> r.gzip);
-        ("huffman", fun r -> r.huffman);
-        ("samc", fun r -> r.samc);
-        ("sadc", fun r -> r.sadc);
-      ];
+    let avg = Paper.average rows in
+    Alcotest.(check (list string)) (isa ^ " averages no worse than committed") []
+      (Paper.regressions ~committed avg);
     avg
   in
-  let ordered isa ranking =
-    let names = String.concat " < " (List.map fst ranking) in
-    let rec increasing = function
-      | (_, a) :: ((_, b) :: _ as rest) -> a < b && increasing rest
-      | _ -> true
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s ordering %s (%s)" isa names
-         (String.concat ", " (List.map (fun (_, v) -> Printf.sprintf "%.3f" v) ranking)))
-      true (increasing ranking)
+  let ordered isa avg names =
+    let described, holds = Paper.ordering avg names in
+    Alcotest.(check bool) (isa ^ " ordering " ^ described) true holds
   in
-  let m = gate "mips" committed_mips mips in
-  ordered "mips"
-    [ ("gzip", m.gzip); ("sadc", m.sadc); ("samc", m.samc); ("lzw", m.lzw); ("huffman", m.huffman) ];
-  let x = gate "x86" committed_x86 x86 in
-  ordered "x86" [ ("gzip", x.gzip); ("sadc", x.sadc); ("samc", x.samc); ("huffman", x.huffman) ]
+  ordered "mips" (gate "mips" committed_mips mips)
+    [ "gzip"; "sadc"; "samc"; "compress"; "huffman" ];
+  ordered "x86" (gate "x86" committed_x86 x86) [ "gzip"; "sadc"; "samc"; "huffman" ]
 
 let suite =
   [

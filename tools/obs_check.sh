@@ -20,6 +20,9 @@
 #      re-emits it with the schema intact.
 #   6. a truncated image is refused with exit 1 and a line naming the
 #      error, not cmdliner's usage-error exit 124.
+#   7. `ccomp ratios --isa x86` on code that is not a whole number of
+#      4-byte words prints five ratios, each under 1; `--isa bogus` is a
+#      command-line error (exit 124).
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: obs_check.sh CCOMP_EXE" >&2; exit 2; }
@@ -87,4 +90,18 @@ status=0
 grep -q '^ccomp: cannot read image: ' "$dir/truncated.err" \
   || fail "truncated image: no 'cannot read image' line: $(cat "$dir/truncated.err")"
 
-echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image)"
+# -- 7: ratios on x86 code of any length --------------------------------
+"$ccomp" generate --profile go --scale 0.15 --seed 11 --isa x86 -o "$dir/x86.bin" >/dev/null
+len=$(wc -c < "$dir/x86.bin")
+[ $((len % 4)) -ne 0 ] || fail "x86.bin: $len bytes is whole words; pick another seed"
+"$ccomp" ratios --isa x86 "$dir/x86.bin" > "$dir/ratios.txt" \
+  || fail "ratios --isa x86 exited nonzero: $(cat "$dir/ratios.txt")"
+tail -n 1 "$dir/ratios.txt" | awk '
+  NF != 6 { exit 1 }
+  { for (i = 2; i <= 6; i++) if (!($i > 0 && $i < 1)) exit 1 }' \
+  || fail "ratios: want five ratios in (0, 1), got: $(tail -n 1 "$dir/ratios.txt")"
+status=0
+"$ccomp" ratios --isa bogus "$dir/x86.bin" > /dev/null 2>&1 || status=$?
+[ "$status" -eq 124 ] || fail "ratios --isa bogus: exit $status, want 124"
+
+echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image, ratios)"

@@ -102,8 +102,12 @@ let committed_mips =
 let committed_x86 =
   { Paper.lzw = 0.697; gzip = 0.520; huffman = 0.806; samc = 0.743; sadc = 0.541 }
 
+(* The Fig. 7/8 suite at scale 0.25, shared by the ratio gate and the
+   SADC image pin below. *)
+let reduced_suite = lazy (Array.to_list (Paper.suite ~scale:0.25 ()))
+
 let test_paper_ratios_and_orderings () =
-  let suite = Array.to_list (Paper.suite ~scale:0.25 ()) in
+  let suite = Lazy.force reduced_suite in
   let mips = List.map (Paper.measure ~isa:Image.Mips) suite in
   let x86 = List.map (Paper.measure ~isa:Image.X86) suite in
   (* per program, on MIPS: SAMC beats byte Huffman, SADC beats SAMC *)
@@ -130,6 +134,78 @@ let test_paper_ratios_and_orderings () =
     [ "gzip"; "sadc"; "samc"; "compress"; "huffman" ];
   ordered "x86" (gate "x86" committed_x86 x86) [ "gzip"; "sadc"; "samc"; "huffman" ]
 
+(* --- SADC images pinned byte for byte --------------------------------- *)
+
+(* MD5 of [Image.write] of every SADC image of the reduced suite, with
+   the dictionary's rounds and entries. Any change to a byte SADC emits
+   shows here; a faster builder must reproduce these exactly. *)
+let committed_sadc_images =
+  [
+    ("applu/mips", "e649f8e2fa8da0fa7562396c5ad0298e", 224, 256);
+    ("applu/x86", "a04cbfe8c0814eceaf6ce87e8cc7ed07", 203, 256);
+    ("apsi/mips", "ec3b8a434374f17ec5bc3277ae7584e2", 224, 256);
+    ("apsi/x86", "0f9115e635e39de8a36811223634a668", 200, 256);
+    ("compress/mips", "76d8192ccc252872199434095b6a87e1", 224, 256);
+    ("compress/x86", "b33733aff22ad014427815c5ae0cb974", 144, 187);
+    ("fpppp/mips", "ec14aa6bd36a1cd0799bf1f3c7747255", 225, 256);
+    ("fpppp/x86", "03ecf9960d0616a0482efe52eb2e7518", 201, 256);
+    ("gcc/mips", "4f0fa014cc2b72e4e01f2b6df25b00aa", 224, 256);
+    ("gcc/x86", "fa75c7076edde03486d291c8453462b5", 193, 256);
+    ("go/mips", "9fbb0785aee04ce9fa2249d9207e0fbe", 224, 256);
+    ("go/x86", "47b24615b814c218331e04d539762a46", 194, 256);
+    ("hydro2d/mips", "7e6e14e6f7bbb235df9bc98f059024a3", 224, 256);
+    ("hydro2d/x86", "bf7af6250292a04c18c5fc8b4fa76665", 206, 256);
+    ("ijpeg/mips", "9c8b205be187617a7b6e792e420ebc03", 224, 256);
+    ("ijpeg/x86", "501cb1f32e229db0d98ad7921629a18f", 200, 256);
+    ("m88ksim/mips", "69a653beec35b489c25c0654c1d5287a", 224, 256);
+    ("m88ksim/x86", "55abb45f38d60564d363eb9c16c4c923", 202, 256);
+    ("mgrid/mips", "522aa2b054ebe6ee9af9f491e2d581ab", 224, 256);
+    ("mgrid/x86", "d9a411c0b0afc992397d70af4fb4df8a", 208, 256);
+    ("perl/mips", "fcb3dd13e14add7bb7eecd6b2b186967", 224, 256);
+    ("perl/x86", "5a76b2a9380b2d7c0dd320b94717af9f", 200, 256);
+    ("su2cor/mips", "ebea2dbf43bfb14fb948bb4574c86ad7", 224, 256);
+    ("su2cor/x86", "792e34c1914e1a3c626cc46cdc0d85f8", 203, 256);
+    ("swim/mips", "d8364f7e301c03eb93173c399dfe25e2", 226, 256);
+    ("swim/x86", "5027b46837ce976ae9b5864855f123a7", 195, 238);
+    ("tomcatv/mips", "1765d88bc7b76790ae076fa1b4e9ac1e", 226, 256);
+    ("tomcatv/x86", "987d2dd8214e29a70131f8c7aa3cd889", 211, 256);
+    ("turb3d/mips", "edf90c1d534772b5938b0958587e881a", 224, 256);
+    ("turb3d/x86", "d893861a0b4c46c306e563f6cb9be6e0", 203, 256);
+    ("vortex/mips", "34e847f9892435088130f81ca2ed845d", 224, 256);
+    ("vortex/x86", "b35fe5d25ac4cba9a859f5e4e0109bc6", 198, 256);
+    ("wave5/mips", "09b54006e769b6b50acaa259de4f77b5", 224, 256);
+    ("wave5/x86", "27e1cff51ea37cb74b2658e7dea547ef", 204, 256);
+    ("xlisp/mips", "30f1c2d0764d62c8e7720e8eef836db5", 224, 256);
+    ("xlisp/x86", "0efa8e0cb6faf0c54288087696d3b807", 205, 256);
+  ]
+
+let test_sadc_images_pinned () =
+  let actual =
+    List.concat_map
+      (fun (w : Paper.prepared) ->
+        List.map
+          (fun isa ->
+            let code = match isa with Image.Mips -> Paper.mips_code w | X86 -> Paper.x86_code w in
+            let img = Image.compress ~algo:Image.Sadc ~isa ~block_size:32 code in
+            let st =
+              match img.Image.payload with
+              | Image.Sadc_mips z -> Sadc.Mips.stats z
+              | Image.Sadc_x86 z -> Sadc.X86.stats z
+              | Image.Samc _ -> Alcotest.fail "payload kind"
+            in
+            ( Printf.sprintf "%s/%s" w.name (Image.isa_name isa),
+              Digest.to_hex (Digest.string (Image.write img)),
+              st.Sadc.rounds,
+              st.Sadc.entries ))
+          [ Image.Mips; Image.X86 ])
+      (Lazy.force reduced_suite)
+  in
+  let show (name, digest, rounds, entries) =
+    Printf.sprintf "(%S, %S, %d, %d);" name digest rounds entries
+  in
+  Alcotest.(check (list string)) "sadc images (name, md5, rounds, entries)"
+    (List.map show committed_sadc_images) (List.map show actual)
+
 let suite =
   [
     Alcotest.test_case "samc pipeline on mips" `Quick test_full_samc_pipeline_mips;
@@ -137,4 +213,5 @@ let suite =
     Alcotest.test_case "memsys on compressed program" `Quick test_memsys_on_real_program_and_lat;
     Alcotest.test_case "both backends consistent" `Quick test_same_ir_both_backends_compress_consistently;
     Alcotest.test_case "paper ordering (reduced)" `Quick test_paper_ratios_and_orderings;
+    Alcotest.test_case "sadc images pinned (reduced)" `Quick test_sadc_images_pinned;
   ]

@@ -200,34 +200,47 @@ let test_ratio_better_than_tokens_alone () =
 
 let mips_instrs code = Mips.decode_program code |> Array.to_list |> List.map Option.get
 
+let x86_instrs code = Option.get (X86.decode_program code)
+
 (* The incremental builder must be observationally identical to the
    full-rescan reference: same dictionary entries (symbols, fixed
-   operands, order) and same number of specialization rounds. *)
-let prop_incremental_matches_naive =
-  QCheck.Test.make ~name:"sadc mips: incremental dictionary builder matches naive" ~count:8
+   operands, order) and same number of specialization rounds. On x86,
+   instructions of one symbol can differ in operand count, which is the
+   absent-position path of specialisation candidates. *)
+let prop_incremental_matches_naive ~isa ~lower ~instrs ~naive ~incremental =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sadc %s: incremental dictionary builder matches naive" isa)
+    ~count:8
     QCheck.(pair (int_bound 1000) (int_bound 1))
     (fun (seed, prof) ->
       let base = if prof = 0 then "xlisp" else "go" in
       let code =
-        (snd
-           (P.Mips_backend.lower
-              (P.Generator.generate ~seed:(Int64.of_int (seed + 41)) (small base 500))))
+        (snd (lower (P.Generator.generate ~seed:(Int64.of_int (seed + 41)) (small base 500))))
           .P.Layout.code
       in
-      let instrs = mips_instrs code in
-      Sadc.Mips.For_tests.build_naive cfg instrs
-      = Sadc.Mips.For_tests.build_incremental cfg instrs)
+      let instrs = instrs code in
+      naive cfg instrs = incremental cfg instrs)
 
-let test_incremental_counts_checked () =
-  (* ~check:true re-derives every candidate count by full rescan at the
-     start of each round and raises on any disagreement with the
-     incrementally maintained counts — this exercises the per-round
-     bookkeeping, not just the final dictionary. *)
+let prop_mips_incremental_matches_naive =
+  prop_incremental_matches_naive ~isa:"mips" ~lower:P.Mips_backend.lower ~instrs:mips_instrs
+    ~naive:Sadc.Mips.For_tests.build_naive
+    ~incremental:(fun c i -> Sadc.Mips.For_tests.build_incremental c i)
+
+let prop_x86_incremental_matches_naive =
+  prop_incremental_matches_naive ~isa:"x86" ~lower:P.X86_backend.lower ~instrs:x86_instrs
+    ~naive:Sadc.X86.For_tests.build_naive
+    ~incremental:(fun c i -> Sadc.X86.For_tests.build_incremental c i)
+
+(* ~check:true re-derives every candidate count by full rescan at the
+   start of each round and raises on any disagreement with the
+   incrementally maintained counts — this exercises the per-round
+   bookkeeping, not just the final dictionary. *)
+let incremental_counts_checked ~code ~instrs ~naive ~checked () =
   List.iter
     (fun (seed, c, label) ->
-      let instrs = mips_instrs (mips_code seed) in
-      let naive = Sadc.Mips.For_tests.build_naive c instrs in
-      let checked = Sadc.Mips.For_tests.build_incremental ~check:true c instrs in
+      let instrs = instrs (code seed) in
+      let naive = naive c instrs in
+      let checked = checked c instrs in
       Alcotest.(check bool) (label ^ ": dict and rounds equal") true (naive = checked);
       Alcotest.(check bool) (label ^ ": ran at least one round") true (snd checked >= 1))
     [
@@ -235,6 +248,16 @@ let test_incremental_counts_checked () =
       (22L, cfg, "default config seed 22");
       (23L, Sadc.default_config ~max_rounds:64 (), "max_rounds 64");
     ]
+
+let test_incremental_counts_checked =
+  incremental_counts_checked ~code:mips_code ~instrs:mips_instrs
+    ~naive:Sadc.Mips.For_tests.build_naive
+    ~checked:(Sadc.Mips.For_tests.build_incremental ~check:true)
+
+let test_x86_incremental_counts_checked =
+  incremental_counts_checked ~code:x86_code ~instrs:x86_instrs
+    ~naive:Sadc.X86.For_tests.build_naive
+    ~checked:(Sadc.X86.For_tests.build_incremental ~check:true)
 
 let suite =
   [
@@ -256,7 +279,10 @@ let suite =
     Alcotest.test_case "ratio accounting" `Quick test_ratio_better_than_tokens_alone;
     Alcotest.test_case "incremental counts verified per round" `Quick
       test_incremental_counts_checked;
-    QCheck_alcotest.to_alcotest prop_incremental_matches_naive;
+    Alcotest.test_case "x86 incremental counts verified per round" `Quick
+      test_x86_incremental_counts_checked;
+    QCheck_alcotest.to_alcotest prop_mips_incremental_matches_naive;
+    QCheck_alcotest.to_alcotest prop_x86_incremental_matches_naive;
   ]
 
 let test_x86_field_streams_roundtrip () =

@@ -49,12 +49,77 @@ type dict_stats = {
   rounds : int;
 }
 
+(* [a]'s first [n] elements in an array twice as long. *)
+let grow_ints a n =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Max-heap of candidate (gain, key) pairs on two parallel int arrays:
+   larger gain first, equal gains toward the smaller key. The dictionary
+   builder's queue; monomorphic, so a push or a pop compares unboxed
+   ints and allocates nothing between growths. *)
+module Gain_heap = struct
+  type t = { mutable gain : int array; mutable key : int array; mutable size : int }
+
+  let create () = { gain = Array.make 1024 0; key = Array.make 1024 0; size = 0 }
+
+  let is_empty h = h.size = 0
+
+  let top_gain h = h.gain.(0)
+
+  let top_key h = h.key.(0)
+
+  let before g k g' k' = g > g' || (g = g' && k < k')
+
+  let push h g k =
+    let n = h.size in
+    if n = Array.length h.gain then begin
+      h.gain <- grow_ints h.gain n;
+      h.key <- grow_ints h.key n
+    end;
+    h.size <- n + 1;
+    let i = ref n in
+    while !i > 0 && before g k h.gain.((!i - 1) / 2) h.key.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      h.gain.(!i) <- h.gain.(p);
+      h.key.(!i) <- h.key.(p);
+      i := p
+    done;
+    h.gain.(!i) <- g;
+    h.key.(!i) <- k
+
+  (* Remove the top element. *)
+  let drop h =
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let g = h.gain.(n) and k = h.key.(n) in
+      let i = ref 0 in
+      let sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let r = l + 1 in
+          let c = if r < n && before h.gain.(r) h.key.(r) h.gain.(l) h.key.(l) then r else l in
+          if before h.gain.(c) h.key.(c) g k then begin
+            h.gain.(!i) <- h.gain.(c);
+            h.key.(!i) <- h.key.(c);
+            i := c
+          end
+          else sifting := false
+        end
+      done;
+      h.gain.(!i) <- g;
+      h.key.(!i) <- k
+    end
+end
+
 module Make (I : Sadc_isa.S) = struct
   type primitive = { sym : int; fixed : (int * int * int) list }
 
   type entry = { prims : primitive array }
-
-  type token = { t_entry : int; t_start : int; t_len : int }
 
   type compressed = {
     config : config;
@@ -91,41 +156,175 @@ module Make (I : Sadc_isa.S) = struct
     in
     go 0 stream_widths.(s)
 
-  (* Chunk values of one item, most significant chunk first. *)
-  let chunks_of s value =
-    let widths = stream_chunks.(s) in
-    let total = List.fold_left ( + ) 0 widths in
-    let rec go remaining = function
-      | [] -> []
-      | w :: ws ->
-        let shift = remaining - w in
-        ((value lsr shift) land ((1 lsl w) - 1)) :: go shift ws
+  (* The encoder's alphabets are numbered: 0 for tokens, then one per
+     (stream, chunk width) in stream order. Chunk [k] of an item [v] of
+     stream [s] is [(v lsr chunk_shift.(s).(k)) land chunk_mask.(s).(k)],
+     coded in alphabet [chunk_alpha.(s).(k)]; chunks run most
+     significant first. *)
+  let alpha_base =
+    let next = ref 1 in
+    Array.map
+      (fun widths ->
+        let a = !next in
+        next := a + List.length widths;
+        a)
+      stream_widths
+
+  let alphabet_count = Array.fold_left (fun acc ws -> acc + List.length ws) 1 stream_widths
+
+  let alpha_width =
+    let w = Array.make alphabet_count 0 in
+    Array.iteri
+      (fun s ws -> List.iteri (fun wi x -> w.(alpha_base.(s) + wi) <- x) ws)
+      stream_widths;
+    w
+
+  let chunk_shift =
+    Array.map
+      (fun widths ->
+        let rest = ref (List.fold_left ( + ) 0 widths) in
+        Array.of_list
+          (List.map
+             (fun w ->
+               rest := !rest - w;
+               !rest)
+             widths))
+      stream_chunks
+
+  let chunk_mask =
+    Array.map (fun ws -> Array.of_list (List.map (fun w -> (1 lsl w) - 1) ws)) stream_chunks
+
+  let chunk_alpha =
+    Array.mapi
+      (fun s ws -> Array.of_list (List.map (fun w -> alpha_base.(s) + width_index s w) ws))
+      stream_chunks
+
+  (* --- the program as flat arrays ------------------------------------ *)
+
+  (* Everything the compressor reads of the program, extracted once:
+     instruction [i] has base symbol [syms.(i)], occupies bytes
+     [boff.(i)] to [boff.(i + 1) - 1] of the image, and its items of
+     stream [s], in the order [I.read] pulls them, are [items.(s).(q)]
+     for [q] from [ioff.(s).(i)] to [ioff.(s).(i + 1) - 1]. *)
+  type program = {
+    syms : int array;
+    boff : int array;
+    items : int array array;
+    ioff : int array array;
+  }
+
+  let program_of instrs =
+    let n = Array.length instrs in
+    let syms = Array.make n 0 and boff = Array.make (n + 1) 0 in
+    let items = Array.init I.stream_count (fun _ -> Array.make (max n 16) 0) in
+    let ioff = Array.init I.stream_count (fun _ -> Array.make (n + 1) 0) in
+    let rec add s q = function
+      | [] -> q
+      | v :: tl ->
+        if q = Array.length items.(s) then items.(s) <- grow_ints items.(s) q;
+        items.(s).(q) <- v;
+        add s (q + 1) tl
     in
-    go total widths
+    for i = 0 to n - 1 do
+      let instr = instrs.(i) in
+      syms.(i) <- I.symbol instr;
+      boff.(i + 1) <- boff.(i) + I.byte_length instr;
+      let per_stream = I.items instr in
+      for s = 0 to I.stream_count - 1 do
+        ioff.(s).(i + 1) <- add s ioff.(s).(i) per_stream.(s)
+      done
+    done;
+    { syms; boff; items; ioff }
 
   (* --- segmentation ------------------------------------------------- *)
 
   (* Greedy instruction-aligned packing into cache blocks; fixed-width
      ISAs fill each block exactly, variable-length ones approximate the
-     cache line without splitting an instruction (DESIGN.md §2). *)
-  let segments instrs block_size =
-    let n = Array.length instrs in
-    let segs = ref [] in
+     cache line without splitting an instruction (DESIGN.md §2). Block
+     [b] holds instructions [seg.(b)] to [seg.(b + 1) - 1]. *)
+  let segments boff block_size =
+    let n = Array.length boff - 1 in
+    let seg = Array.make (n + 1) 0 in
+    let nb = ref 0 in
     let start = ref 0 in
-    let acc = ref 0 in
     for i = 0 to n - 1 do
-      let len = I.byte_length instrs.(i) in
-      if !acc > 0 && !acc + len > block_size then begin
-        segs := (!start, i - !start) :: !segs;
-        start := i;
-        acc := 0
-      end;
-      acc := !acc + len
+      if boff.(i) > boff.(!start) && boff.(i + 1) - boff.(!start) > block_size then begin
+        seg.(!nb) <- !start;
+        incr nb;
+        start := i
+      end
     done;
-    if !start < n then segs := (!start, n - !start) :: !segs;
-    Array.of_list (List.rev !segs)
+    if !start < n then begin
+      seg.(!nb) <- !start;
+      incr nb
+    end;
+    seg.(!nb) <- n;
+    Array.sub seg 0 (!nb + 1)
 
   (* --- dictionary construction --------------------------------------- *)
+
+  (* A token is one packed int: its dictionary entry in the low
+     [entry_bits] bits and the index of its first instruction above. It
+     covers as many instructions as its entry has primitives. *)
+  let entry_bits = 20
+
+  let entry_mask = (1 lsl entry_bits) - 1
+
+  let tok_entry t = t land entry_mask
+
+  let tok_start t = t lsr entry_bits
+
+  let with_entry t e = (t land lnot entry_mask) lor e
+
+  (* The dictionary under construction and the program's tokenisation.
+     Block [b]'s tokens are [tok.(seg.(b))] to [tok.(seg.(b) + blen.(b)
+     - 1)]: reparsing only ever merges tokens, so a block's tokens stay a
+     prefix of its own instruction range and are rewritten in place. *)
+  type builder = {
+    prog : program;
+    seg : int array;
+    tok : int array;
+    blen : int array;
+    mutable dict_entries : entry array;
+    mutable dict_n : int;
+  }
+
+  let push bld e =
+    let id = bld.dict_n in
+    if id = Array.length bld.dict_entries then begin
+      let grown = Array.make (max 16 (2 * id)) e in
+      Array.blit bld.dict_entries 0 grown 0 id;
+      bld.dict_entries <- grown
+    end;
+    bld.dict_entries.(id) <- e;
+    bld.dict_n <- id + 1;
+    id
+
+  let entry_cost bld e = Array.length bld.dict_entries.(e).prims
+
+  (* Base dictionary (one entry per opcode symbol present, in order of
+     first appearance, §4.1 step 2) and the base tokenization, one token
+     per instruction; shared by both builders. *)
+  let builder prog seg =
+    let n = Array.length prog.syms in
+    let nblocks = Array.length seg - 1 in
+    let bld =
+      {
+        prog;
+        seg;
+        tok = Array.make n 0;
+        blen = Array.init nblocks (fun b -> seg.(b + 1) - seg.(b));
+        dict_entries = [||];
+        dict_n = 0;
+      }
+    in
+    let base_id = Array.make I.base_symbols (-1) in
+    for i = 0 to n - 1 do
+      let sym = prog.syms.(i) in
+      if base_id.(sym) < 0 then base_id.(sym) <- push bld { prims = [| { sym; fixed = [] } |] };
+      bld.tok.(i) <- (i lsl entry_bits) lor base_id.(sym)
+    done;
+    bld
 
   type cand =
     | Pair of int * int
@@ -148,22 +347,26 @@ module Make (I : Sadc_isa.S) = struct
     | 3 -> Spec (field 40 20, field 36 4, field 30 6, field 0 30)
     | _ -> assert false
 
-  let entry_cost e = Array.length e.prims
+  (* Tokens one occurrence of the candidate replaces. *)
+  let cand_width = function Pair _ -> 2 | Triple _ -> 3 | Spec _ -> 1
 
-  let is_fixed prim s p = List.exists (fun (s', p', _) -> s' = s && p' = p) prim.fixed
+  let rec is_fixed fixed s p =
+    match fixed with
+    | [] -> false
+    | (s', p', _) :: tl -> (s' = s && p' = p) || is_fixed tl s p
 
-  (* Count one block's candidate occurrences, calling [emit key] once per
-     counted occurrence. Blocks count independently: the non-overlap
-     bookkeeping for self-overlapping n-grams like (a, a) is block-local
-     (a pattern never straddles two blocks), so the global count of every
-     candidate is the sum of its per-block counts — the invariant the
-     incremental builder rests on. Token [t_start] indexes the whole
-     program's [all_items] directly; there are no per-block item copies. *)
-  (* [last_end] is caller-provided scratch (last counted end index per
-     n-gram key): a tiny generation-stamped open-addressing map, reset
-     O(1) per block by bumping the generation — a block holds at most
-     [block_size] tokens, so the per-window bookkeeping must not
-     allocate. Slots from older generations read as empty. *)
+  (* Candidate occurrences are reported as [emit b key d]: [key]'s count
+     in block [b] moves by [d]. Blocks count independently: the
+     non-overlap bookkeeping for self-overlapping n-grams like (a, a) is
+     block-local (a pattern never straddles two blocks), so the global
+     count of every candidate is the sum of its per-block counts — the
+     invariant the incremental builder rests on. *)
+
+  (* Last counted end index per n-gram key within one block: a tiny
+     generation-stamped open-addressing map, reset O(1) per block by
+     bumping the generation — a block holds at most [block_size] tokens,
+     so the per-window bookkeeping must not allocate. Slots from older
+     generations read as empty. *)
   type last_end = {
     mutable le_key : int array;
     mutable le_end : int array;
@@ -181,17 +384,8 @@ module Make (I : Sadc_isa.S) = struct
       le_g = 0;
     }
 
-  (* Closure-free walk of one token's operand items for specialisation
-     candidates (one [key_spec] per non-absorbed item). *)
-  let rec emit_specs emit entry_id prim s p items =
-    match items with
-    | [] -> ()
-    | v :: tl ->
-      if not (is_fixed prim s p) then emit (key_spec entry_id s p v);
-      emit_specs emit entry_id prim s (p + 1) tl
-
-  let count_block le dict_get all_items tokens emit =
-    let n = Array.length tokens in
+  (* Start a block of [n] tokens. *)
+  let le_reset le n =
     if 4 * n > le.le_cap then begin
       let c = ref le.le_cap in
       while 4 * n > !c do
@@ -202,237 +396,196 @@ module Make (I : Sadc_isa.S) = struct
       le.le_gen <- Array.make !c (-1);
       le.le_cap <- !c
     end;
-    le.le_g <- le.le_g + 1;
-    let g = le.le_g in
-    let mask = le.le_cap - 1 in
-    let emit_ngram key first last =
-      let h = key * 0x9E3779B97F4A7C1 in
-      let i = ref ((h lxor (h lsr 31)) land mask) in
-      while le.le_gen.(!i) = g && le.le_key.(!i) <> key do
-        i := (!i + 1) land mask
-      done;
-      if le.le_gen.(!i) <> g || le.le_end.(!i) < first then begin
-        emit key;
-        le.le_key.(!i) <- key;
-        le.le_end.(!i) <- last;
-        le.le_gen.(!i) <- g
-      end
-    in
+    le.le_g <- le.le_g + 1
+
+  (* Does the occurrence of n-gram [key] over tokens [first..last] count,
+     i.e. not overlap the last counted one? Records it if so. *)
+  let le_counts le key first last =
+    let g = le.le_g and mask = le.le_cap - 1 in
+    let h = key * 0x9E3779B97F4A7C1 in
+    let i = ref ((h lxor (h lsr 31)) land mask) in
+    while le.le_gen.(!i) = g && le.le_key.(!i) <> key do
+      i := (!i + 1) land mask
+    done;
+    if le.le_gen.(!i) <> g || le.le_end.(!i) < first then begin
+      le.le_key.(!i) <- key;
+      le.le_end.(!i) <- last;
+      le.le_gen.(!i) <- g;
+      true
+    end
+    else false
+
+  (* Specialisation keys of token [t] when its entry is one primitive:
+     one per item that primitive does not already absorb. *)
+  let emit_specs bld emit b d t =
+    let e = tok_entry t in
+    let prims = bld.dict_entries.(e).prims in
+    if Array.length prims = 1 then begin
+      let fixed = prims.(0).fixed and i = tok_start t in
+      for s = 0 to I.stream_count - 1 do
+        let ioff = bld.prog.ioff.(s) and items = bld.prog.items.(s) in
+        let base = ioff.(i) in
+        for q = base to ioff.(i + 1) - 1 do
+          if not (is_fixed fixed s (q - base)) then emit b (key_spec e s (q - base) items.(q)) d
+        done
+      done
+    end
+
+  (* Count block [b]'s candidate occurrences. [le] is the caller's
+     scratch. *)
+  let count_block le bld emit b =
+    let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+    le_reset le n;
     for i = 0 to n - 2 do
-      emit_ngram (key_pair tokens.(i).t_entry tokens.(i + 1).t_entry) i (i + 1)
+      let key = key_pair (tok_entry tok.(off + i)) (tok_entry tok.(off + i + 1)) in
+      if le_counts le key i (i + 1) then emit b key 1
     done;
     for i = 0 to n - 3 do
-      emit_ngram
-        (key_triple tokens.(i).t_entry tokens.(i + 1).t_entry tokens.(i + 2).t_entry)
-        i (i + 2)
+      let key =
+        key_triple
+          (tok_entry tok.(off + i))
+          (tok_entry tok.(off + i + 1))
+          (tok_entry tok.(off + i + 2))
+      in
+      if le_counts le key i (i + 2) then emit b key 1
     done;
-    for ti = 0 to n - 1 do
-      let t = tokens.(ti) in
-      let e : entry = dict_get t.t_entry in
-      if Array.length e.prims = 1 then begin
-        let prim = e.prims.(0) in
-        let streams = all_items.(t.t_start) in
-        for s = 0 to Array.length streams - 1 do
-          emit_specs emit t.t_entry prim s 0 streams.(s)
-        done
-      end
+    for i = 0 to n - 1 do
+      emit_specs bld emit b 1 tok.(off + i)
     done
 
   (* Full-rescan reference: global counts rebuilt from scratch. Kept as
      the specification the incremental builder is tested against. *)
-  let count_candidates dict_get all_items blocks_tokens =
+  let count_candidates bld =
     let counts : (int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-    let last_end = le_create () in
-    Array.iter
-      (fun tokens ->
-        count_block last_end dict_get all_items tokens (fun key ->
-            match Hashtbl.find_opt counts key with
-            | Some r -> incr r
-            | None -> Hashtbl.add counts key (ref 1)))
-      blocks_tokens;
+    let le = le_create () in
+    let emit _ key _ =
+      match Hashtbl.find_opt counts key with
+      | Some r -> incr r
+      | None -> Hashtbl.add counts key (ref 1)
+    in
+    for b = 0 to Array.length bld.blen - 1 do
+      count_block le bld emit b
+    done;
     counts
 
   (* Gains in bytes saved, following §4.1: a group of n opcodes replacing
      f occurrences saves f*(occupied tokens - 1) opcode bytes and costs n
      dictionary bytes; absorbing an operand of b bits saves f*b/8. *)
-  let gain dict_get cand count =
+  let gain bld cand count =
     let f = float_of_int count in
     match cand with
-    | Pair (a, b) -> f -. float_of_int (entry_cost (dict_get a) + entry_cost (dict_get b))
+    | Pair (a, b) -> f -. float_of_int (entry_cost bld a + entry_cost bld b)
     | Triple (a, b, c) ->
-      (2.0 *. f)
-      -. float_of_int (entry_cost (dict_get a) + entry_cost (dict_get b) + entry_cost (dict_get c))
+      (2.0 *. f) -. float_of_int (entry_cost bld a + entry_cost bld b + entry_cost bld c)
     | Spec (_, s, _, _) -> (f *. float_of_int I.stream_bits.(s) /. 8.0) -. 1.0
 
-  let new_entry dict_get = function
-    | Pair (a, b) -> { prims = Array.append (dict_get a).prims (dict_get b).prims }
-    | Triple (a, b, c) ->
-      { prims = Array.concat [ (dict_get a).prims; (dict_get b).prims; (dict_get c).prims ] }
+  let new_entry bld cand =
+    let prims e = bld.dict_entries.(e).prims in
+    match cand with
+    | Pair (a, b) -> { prims = Array.append (prims a) (prims b) }
+    | Triple (a, b, c) -> { prims = Array.concat [ prims a; prims b; prims c ] }
     | Spec (e, s, p, v) ->
-      let prim = (dict_get e).prims.(0) in
+      let prim = (prims e).(0) in
       { prims = [| { prim with fixed = (s, p, v) :: prim.fixed } |] }
 
-  (* Would [replace] change this block? Cheap pre-scan so the reparse
-     pass skips (and never reallocates) untouched blocks — with the
-     candidate index below, most rounds touch a handful of blocks. *)
-  let matches all_items cand tokens =
-    let n = Array.length tokens in
-    match cand with
-    | Pair (a, b) ->
-      let rec go i =
-        i + 1 < n && ((tokens.(i).t_entry = a && tokens.(i + 1).t_entry = b) || go (i + 1))
-      in
-      go 0
-    | Triple (a, b, c) ->
-      let rec go i =
-        i + 2 < n
-        && ((tokens.(i).t_entry = a && tokens.(i + 1).t_entry = b && tokens.(i + 2).t_entry = c)
-           || go (i + 1))
-      in
-      go 0
-    | Spec (e, s, p, v) ->
-      Array.exists
-        (fun t ->
-          t.t_entry = e
-          && (match List.nth_opt all_items.(t.t_start).(s) p with
-             | Some v' -> v' = v
-             | None -> false))
-        tokens
+  (* One block's greedy reparse, written to [new_tok]: [old_sites] are
+     the indices of each consumed occurrence in the block's tokens,
+     [new_sites] those of the inserted tokens in [new_tok]. Sized for
+     the longest block; reparsing never lengthens one. *)
+  type reparse = {
+    new_tok : int array;
+    old_sites : int array;
+    new_sites : int array;
+    mutable nsites : int;
+    mutable nout : int;
+  }
 
-  (* Greedy reparse of one block, also reporting the replacement sites:
-     [old_sites] are start indices (in [tokens]) of each consumed
-     occurrence, [new_sites] the indices of the inserted [nid] tokens in
-     the result. The surgical count update needs both. *)
-  let replace_sites all_items cand nid tokens =
-    match cand with
-    | Pair (a, b) ->
-      let n = Array.length tokens in
-      let out = ref [] in
-      let nout = ref 0 in
-      let old_sites = ref [] and new_sites = ref [] in
+  let reparse_scratch bld =
+    let longest = ref 1 in
+    Array.iter (fun n -> longest := max !longest n) bld.blen;
+    let buf () = Array.make !longest 0 in
+    { new_tok = buf (); old_sites = buf (); new_sites = buf (); nsites = 0; nout = 0 }
+
+  let keep r t =
+    r.new_tok.(r.nout) <- t;
+    r.nout <- r.nout + 1
+
+  let replace r i t nid =
+    r.old_sites.(r.nsites) <- i;
+    r.new_sites.(r.nsites) <- r.nout;
+    r.nsites <- r.nsites + 1;
+    keep r (with_entry t nid)
+
+  (* Reparse block [b], replacing each occurrence of [cand] with entry
+     [nid]. False when the candidate no longer occurs there. *)
+  let reparse bld r cand nid b =
+    let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+    r.nsites <- 0;
+    r.nout <- 0;
+    (match cand with
+    | Pair (a, a') ->
       let i = ref 0 in
       while !i < n do
-        if !i + 1 < n && tokens.(!i).t_entry = a && tokens.(!i + 1).t_entry = b then begin
-          out :=
-            { t_entry = nid; t_start = tokens.(!i).t_start; t_len = tokens.(!i).t_len + tokens.(!i + 1).t_len }
-            :: !out;
-          old_sites := !i :: !old_sites;
-          new_sites := !nout :: !new_sites;
-          incr nout;
+        let t = tok.(off + !i) in
+        if !i + 1 < n && tok_entry t = a && tok_entry tok.(off + !i + 1) = a' then begin
+          replace r !i t nid;
           i := !i + 2
         end
         else begin
-          out := tokens.(!i) :: !out;
-          incr nout;
+          keep r t;
           incr i
         end
-      done;
-      (Array.of_list (List.rev !out), !old_sites, !new_sites)
-    | Triple (a, b, c) ->
-      let n = Array.length tokens in
-      let out = ref [] in
-      let nout = ref 0 in
-      let old_sites = ref [] and new_sites = ref [] in
+      done
+    | Triple (a, a', a'') ->
       let i = ref 0 in
       while !i < n do
+        let t = tok.(off + !i) in
         if
           !i + 2 < n
-          && tokens.(!i).t_entry = a
-          && tokens.(!i + 1).t_entry = b
-          && tokens.(!i + 2).t_entry = c
+          && tok_entry t = a
+          && tok_entry tok.(off + !i + 1) = a'
+          && tok_entry tok.(off + !i + 2) = a''
         then begin
-          out :=
-            {
-              t_entry = nid;
-              t_start = tokens.(!i).t_start;
-              t_len = tokens.(!i).t_len + tokens.(!i + 1).t_len + tokens.(!i + 2).t_len;
-            }
-            :: !out;
-          old_sites := !i :: !old_sites;
-          new_sites := !nout :: !new_sites;
-          incr nout;
+          replace r !i t nid;
           i := !i + 3
         end
         else begin
-          out := tokens.(!i) :: !out;
-          incr nout;
+          keep r t;
           incr i
         end
-      done;
-      (Array.of_list (List.rev !out), !old_sites, !new_sites)
+      done
     | Spec (e, s, p, v) ->
       (* Same-symbol instructions can differ in operand count (x86 ModRM
-         forms), so the item at (s, p) may be absent. Positions are
-         preserved, so old and new sites coincide. *)
-      let sites = ref [] in
-      let out =
-        Array.mapi
-          (fun i t ->
-            if t.t_entry = e then
-              match List.nth_opt all_items.(t.t_start).(s) p with
-              | Some v' when v' = v ->
-                sites := i :: !sites;
-                { t with t_entry = nid }
-              | Some _ | None -> t
-            else t)
-          tokens
-      in
-      (out, !sites, !sites)
+         forms), so the item at (s, p) may be absent. *)
+      let ioff = bld.prog.ioff.(s) and items = bld.prog.items.(s) in
+      for i = 0 to n - 1 do
+        let t = tok.(off + i) in
+        if
+          tok_entry t = e
+          &&
+          let q = ioff.(tok_start t) + p in
+          q < ioff.(tok_start t + 1) && items.(q) = v
+        then replace r i t nid
+        else keep r t
+      done);
+    r.nsites > 0
 
-  let replace all_items cand nid tokens =
-    let out, _, _ = replace_sites all_items cand nid tokens in
-    out
-
-  (* Base dictionary (one entry per opcode symbol present, §4.1 step 2)
-     plus the base tokenization, shared by both builders. Tokens index
-     the whole program: block [b] covers [instrs] from [segs.(b)]. *)
-  let dict_builder instrs segs =
-    let dict : entry array ref = ref [||] in
-    let dict_n = ref 0 in
-    let push e =
-      let id = !dict_n in
-      let cap = Array.length !dict in
-      if id = cap then begin
-        let grown = Array.make (max 16 (2 * cap)) e in
-        Array.blit !dict 0 grown 0 cap;
-        dict := grown
-      end;
-      !dict.(id) <- e;
-      incr dict_n;
-      id
-    in
-    let dict_get i = !dict.(i) in
-    let base_id = Hashtbl.create 64 in
-    Array.iter
-      (fun instr ->
-        let sym = I.symbol instr in
-        if not (Hashtbl.mem base_id sym) then
-          Hashtbl.add base_id sym (push { prims = [| { sym; fixed = [] } |] }))
-      instrs;
-    let blocks_tokens =
-      Array.map
-        (fun (start, len) ->
-          Array.init len (fun i ->
-              {
-                t_entry = Hashtbl.find base_id (I.symbol instrs.(start + i));
-                t_start = start + i;
-                t_len = 1;
-              }))
-        segs
-    in
-    (dict, dict_n, push, dict_get, blocks_tokens)
+  (* Write the reparsed block back in place. *)
+  let commit bld r b =
+    Array.blit r.new_tok 0 bld.tok bld.seg.(b) r.nout;
+    bld.blen.(b) <- r.nout
 
   (* Canonical selection: largest gain, ties broken toward the smallest
      packed key. (The seed's tie-break was Hashtbl iteration order, which
      an incremental builder cannot reproduce; both builders now share
      this deterministic rule.) *)
-  let select_best dict_get counts =
+  let select_best bld counts =
     let best = ref None in
     Hashtbl.iter
       (fun key count ->
         let c = !count in
         if c > 0 then begin
-          let g = gain dict_get (cand_of_key key) c in
+          let g = gain bld (cand_of_key key) c in
           if g > 0.0 then
             match !best with
             | Some (g', k') when g' > g || (g' = g && k' < key) -> ()
@@ -443,27 +596,57 @@ module Make (I : Sadc_isa.S) = struct
 
   (* Full-rescan builder: recounts every candidate in every block each
      round. Kept as the executable specification of the incremental
-     builder (and for the parity tests); not used on the hot path. *)
-  let build_dictionary_naive config instrs all_items segs =
-    let dict, dict_n, push, dict_get, blocks_tokens = dict_builder instrs segs in
-    let blocks_tokens = ref blocks_tokens in
+     builder (and for the parity tests); not used on the hot path.
+     Returns the rounds run; the dictionary and tokens are left in
+     [bld]. *)
+  let build_dictionary_naive config bld =
+    let r = reparse_scratch bld in
     let rounds = ref 0 in
     let continue_ = ref true in
-    while !continue_ && !dict_n < config.max_entries && !rounds < config.max_rounds do
+    while !continue_ && bld.dict_n < config.max_entries && !rounds < config.max_rounds do
       incr rounds;
-      let counts = count_candidates dict_get all_items !blocks_tokens in
-      match select_best dict_get counts with
+      match select_best bld (count_candidates bld) with
       | None -> continue_ := false
       | Some (_, key) ->
         let cand = cand_of_key key in
-        let nid = push (new_entry dict_get cand) in
-        blocks_tokens :=
-          Array.map
-            (fun tokens ->
-              if matches all_items cand tokens then replace all_items cand nid tokens else tokens)
-            !blocks_tokens
+        let nid = push bld (new_entry bld cand) in
+        for b = 0 to Array.length bld.blen - 1 do
+          if reparse bld r cand nid b then commit bld r b
+        done
     done;
-    (Array.sub !dict 0 !dict_n, !blocks_tokens, !rounds)
+    !rounds
+
+  (* Non-overlap chain count of one pair or triple key over [n] tokens
+     of [arr] from [off] — the per-key replay of [count_block]'s
+     bookkeeping, for the few keys the windowed +/-1s cannot handle. *)
+  let chain_count arr off n key =
+    let count = ref 0 in
+    let last = ref (-1) in
+    let f shift = (key lsr shift) land entry_mask in
+    if key lsr 60 = 1 then begin
+      let a = f 20 and a' = f 0 in
+      for i = 0 to n - 2 do
+        if tok_entry arr.(off + i) = a && tok_entry arr.(off + i + 1) = a' && !last < i then begin
+          incr count;
+          last := i + 1
+        end
+      done
+    end
+    else begin
+      let a = f 40 and a' = f 20 and a'' = f 0 in
+      for i = 0 to n - 3 do
+        if
+          tok_entry arr.(off + i) = a
+          && tok_entry arr.(off + i + 1) = a'
+          && tok_entry arr.(off + i + 2) = a''
+          && !last < i
+        then begin
+          incr count;
+          last := i + 2
+        end
+      done
+    end;
+    !count
 
   (* Incremental builder: global candidate counts are kept as the sum of
      per-block contributions. Each round pops the best candidate from a
@@ -471,34 +654,35 @@ module Make (I : Sadc_isa.S) = struct
      candidate's occurrence index, and patches counts surgically: only
      token windows overlapping a replacement site can change, so the
      matched blocks get a handful of +/-1 bumps instead of a full
-     recount. A heap element is [(gain, key)] frozen at push time; a pop
-     is valid only if that gain still equals the gain recomputed from the
-     live count. Gains depend only on the live count and on entry costs
-     fixed at entry creation, so the staleness check is exact, and every
-     key with positive gain always has its live entry somewhere in the
-     heap. [check] recomputes all counts by full rescan each round and
-     raises on any disagreement (the parity tests' hook). *)
-  let build_dictionary_incremental ?(check = false) config instrs all_items segs =
-    let dict, dict_n, push, dict_get, blocks_tokens = dict_builder instrs segs in
-    let nblocks = Array.length blocks_tokens in
-    (* One flat open-addressing table over packed candidate keys replaces
-       a counts / occurrence-index / touched-set Hashtbl trio: a bump is
-       a single probe. Slot [i] keeps its key and count adjacent
-       ([kc.(2i)], [kc.(2i+1)]) so the hot path touches one cache line.
-       Packed keys are nonzero (the kind tag sits in the high bits), so
-       key 0 marks an empty slot. The occurrence index lists blocks that
-       contributed to a key when last counted; it is append-only and
-       allowed to go stale — entries are re-validated by the reparse
-       scan before any count is changed. *)
-    (* Initial capacity sized so the table never grows on realistic
+     recount. A heap element is [(gain, key)] frozen at push time. Every
+     key with positive gain keeps an element at or above its live gain:
+     a key is pushed when its count rises above its highest element, and
+     a popped element whose gain has fallen is pushed back at the live
+     gain. A pop is therefore valid exactly when its gain equals the gain
+     recomputed from the live count. Gains depend only on the live count
+     and on entry costs fixed at entry creation, so that test is exact.
+     [check] recomputes all counts by full rescan each round and raises
+     on any disagreement (the parity tests' hook). Returns the rounds
+     run; the dictionary and tokens are left in [bld]. *)
+  let build_dictionary_incremental ?(check = false) config bld =
+    let nblocks = Array.length bld.blen in
+    (* One flat open-addressing table over packed candidate keys. Slot
+       [i] is four adjacent ints, so a bump touches one cache line:
+       - [tbl.(4i)]: the key, with bit 62 set while its count has risen
+         since the last heap refresh (packed keys are nonzero and use
+         bits 0-61, so 0 marks an empty slot);
+       - [tbl.(4i+1)]: the live count;
+       - [tbl.(4i+2)]: the head of the key's occurrence list, plus one
+         (0 for none);
+       - [tbl.(4i+3)]: the highest gain pushed for this key and not yet
+         popped, or 0 (pushed gains are positive).
+       Initial capacity is sized so the table never grows on realistic
        corpora: distinct keys stay under ~1.6 per token (pairs + triples
        + specialisations, measured on the generated suites), so four
        slots per token keeps the final load factor under the 75% grow
-       threshold — growth would copy every array below into garbage on
-       each build. [grow] still handles adversarial key densities. *)
-    let total_tokens = Array.fold_left (fun a t -> a + Array.length t) 0 blocks_tokens in
+       threshold. [grow] still handles adversarial key densities. *)
     let initial_cap =
-      let target = max 4096 (4 * total_tokens) in
+      let target = max 4096 (4 * Array.length bld.tok) in
       let c = ref 4096 in
       while !c < target do
         c := !c * 2
@@ -507,49 +691,33 @@ module Make (I : Sadc_isa.S) = struct
     in
     let cap = ref initial_cap in
     let mask = ref (!cap - 1) in
-    let kc = ref (Array.make (2 * !cap) 0) in
-    let occ_at = ref (Array.make !cap []) in
-    (* The "count moved since last heap refresh" flag lives in bit 62 of
-       the stored key (packed keys use bits 0-61), so marking a slot hot
-       touches no extra cache line. *)
+    let tbl = ref (Array.make (4 * !cap) 0) in
+    (* Per slot, the gain coefficients (see [gain_at]), 0 until needed. *)
+    let coef_at = ref (Array.make !cap 0) in
+    let size = ref 0 in
     let hot_bit = 1 lsl 62 in
     let key_mask = hot_bit - 1 in
-    (* Gains are linear in the live count — [gain] is [m * count - k]
-       with [m] and [k] fixed per key (entries are immutable once
-       pushed, so their costs never change). Both coefficients are
-       cached per slot on first use ([gm = 0.0] marks uncached), making
-       the heap-refresh and staleness checks multiply-adds.
-       [lastg] dedups heap pushes: the gain most recently pushed for
-       this key and not yet popped, or [neg_infinity]. Keys often get
-       net-zero count updates (touched but unchanged); without the
-       dedup every such key is re-pushed each round. *)
-    let gm_at = ref (Array.make !cap 0.0) in
-    let gk_at = ref (Array.make !cap 0.0) in
-    let lastg_at = ref (Array.make !cap neg_infinity) in
-    let size = ref 0 in
-    (* Keys whose count moved since the last heap refresh (their slot's
-       hot flag is set, so each key is listed once). A reusable stack
-       rather than a list: it fills and drains every round. *)
+    (* The occurrence index: per key, a linked list through the node pool
+       [occ_blk]/[occ_next] (newest first, -1 ends it) of the blocks that
+       contributed to the key when last counted. It is append-only and
+       allowed to go stale — entries are re-validated by the reparse
+       scan before any count is changed. *)
+    let occ_blk = ref (Array.make (max 1024 (Array.length bld.tok)) 0) in
+    let occ_next = ref (Array.make (Array.length !occ_blk) 0) in
+    let nocc = ref 0 in
+    (* Slots whose count rose since the last heap refresh (their hot flag
+       is set, so each is listed once). *)
     let touched = ref (Array.make 1024 0) in
     let ntouched = ref 0 in
-    let touch key =
-      if !ntouched = Array.length !touched then begin
-        let bigger = Array.make (2 * !ntouched) 0 in
-        Array.blit !touched 0 bigger 0 !ntouched;
-        touched := bigger
-      end;
-      Array.unsafe_set !touched !ntouched key;
-      incr ntouched
-    in
     (* Slots are provably in [0, cap): unsafe accesses avoid bounds
        checks on the single hottest loop of the build. *)
     let probe key =
       let h = key * 0x9E3779B97F4A7C1 in
-      let a = !kc in
+      let t = !tbl in
       let m = !mask in
       let i = ref ((h lxor (h lsr 31)) land m) in
       while
-        let k = Array.unsafe_get a (!i * 2) land key_mask in
+        let k = Array.unsafe_get t (!i * 4) land key_mask in
         k <> 0 && k <> key
       do
         i := (!i + 1) land m
@@ -557,250 +725,120 @@ module Make (I : Sadc_isa.S) = struct
       !i
     in
     let grow () =
-      let okc = !kc and oocc = !occ_at in
-      let ogm = !gm_at and ogk = !gk_at and olastg = !lastg_at in
-      let ocap = !cap in
+      let otbl = !tbl and ocoef = !coef_at and ocap = !cap in
       cap := ocap * 2;
       mask := !cap - 1;
-      kc := Array.make (2 * !cap) 0;
-      occ_at := Array.make !cap [];
-      gm_at := Array.make !cap 0.0;
-      gk_at := Array.make !cap 0.0;
-      lastg_at := Array.make !cap neg_infinity;
+      tbl := Array.make (4 * !cap) 0;
+      coef_at := Array.make !cap 0;
       for i = 0 to ocap - 1 do
-        if okc.(i * 2) <> 0 then begin
-          let j = probe (okc.(i * 2) land key_mask) in
-          !kc.((j * 2) + 0) <- okc.(i * 2);
-          !kc.((j * 2) + 1) <- okc.((i * 2) + 1);
-          !occ_at.(j) <- oocc.(i);
-          !gm_at.(j) <- ogm.(i);
-          !gk_at.(j) <- ogk.(i);
-          !lastg_at.(j) <- olastg.(i)
+        let kv = otbl.(i * 4) in
+        if kv <> 0 then begin
+          let j = probe (kv land key_mask) in
+          Array.blit otbl (i * 4) !tbl (j * 4) 4;
+          !coef_at.(j) <- ocoef.(i)
         end
+      done;
+      for t = 0 to !ntouched - 1 do
+        !touched.(t) <- probe (otbl.(!touched.(t) * 4) land key_mask)
       done
     in
-    let count_of key = !kc.((probe key * 2) + 1) in
+    let count_of key = !tbl.((probe key * 4) + 1) in
     let bump b key d =
       if !size * 4 >= !cap * 3 then grow ();
       let i = probe key in
-      let a = !kc in
-      let kv = Array.unsafe_get a (i * 2) in
-      if kv land hot_bit = 0 then begin
-        if kv = 0 then incr size;
-        Array.unsafe_set a (i * 2) (key lor hot_bit);
-        touch key
+      let t = !tbl in
+      let kv = Array.unsafe_get t (i * 4) in
+      if kv = 0 then begin
+        incr size;
+        Array.unsafe_set t (i * 4) key
       end;
-      Array.unsafe_set a ((i * 2) + 1) (Array.unsafe_get a ((i * 2) + 1) + d);
-      if d > 0 then
-        let occ = !occ_at in
-        match Array.unsafe_get occ i with
-        | b' :: _ when b' = b -> ()
-        | _ -> Array.unsafe_set occ i (b :: Array.unsafe_get occ i)
-    in
-    let last_end = le_create () in
-    let add_block b tokens =
-      count_block last_end dict_get all_items tokens (fun key -> bump b key 1)
-    in
-    (* Non-overlap chain count of one n-gram key in one block — the
-       per-key replay of [count_block]'s bookkeeping, for the few keys
-       the windowed +/-1s cannot handle. *)
-    let chain_count tokens key =
-      let n = Array.length tokens in
-      let count = ref 0 in
-      let last = ref (-1) in
-      (match cand_of_key key with
-      | Pair (a, b) ->
-        for i = 0 to n - 2 do
-          if tokens.(i).t_entry = a && tokens.(i + 1).t_entry = b && !last < i then begin
-            incr count;
-            last := i + 1
-          end
-        done
-      | Triple (a, b, c) ->
-        for i = 0 to n - 3 do
-          if
-            tokens.(i).t_entry = a
-            && tokens.(i + 1).t_entry = b
-            && tokens.(i + 2).t_entry = c
-            && !last < i
-          then begin
-            incr count;
-            last := i + 2
-          end
-        done
-      | Spec _ -> assert false);
-      !count
-    in
-    let spec_delta b d t =
-      let e = dict_get t.t_entry in
-      if Array.length e.prims = 1 then begin
-        let prim = e.prims.(0) in
-        let streams = all_items.(t.t_start) in
-        for s = 0 to Array.length streams - 1 do
-          let items = ref streams.(s) in
-          let p = ref 0 in
-          while
-            match !items with
-            | [] -> false
-            | v :: tl ->
-              if not (is_fixed prim s !p) then bump b (key_spec t.t_entry s !p v) d;
-              items := tl;
-              incr p;
-              true
-          do
-            ()
-          done
-        done
+      Array.unsafe_set t ((i * 4) + 1) (Array.unsafe_get t ((i * 4) + 1) + d);
+      if d > 0 then begin
+        if kv land hot_bit = 0 then begin
+          Array.unsafe_set t (i * 4) (key lor hot_bit);
+          if !ntouched = Array.length !touched then touched := grow_ints !touched !ntouched;
+          !touched.(!ntouched) <- i;
+          incr ntouched
+        end;
+        let head = Array.unsafe_get t ((i * 4) + 2) - 1 in
+        if head < 0 || !occ_blk.(head) <> b then begin
+          if !nocc = Array.length !occ_blk then begin
+            occ_blk := grow_ints !occ_blk !nocc;
+            occ_next := grow_ints !occ_next !nocc
+          end;
+          !occ_blk.(!nocc) <- b;
+          !occ_next.(!nocc) <- head;
+          incr nocc;
+          Array.unsafe_set t ((i * 4) + 2) !nocc
+        end
       end
     in
-    let max_len = Array.fold_left (fun m t -> max m (Array.length t)) 1 blocks_tokens in
-    (* Self-overlapping keys needing a full re-walk this block. Keys are
-       immediate ints, so [memq] is an exact membership test; the list
-       stays tiny (self-overlap needs repeated entries inside one
-       window). *)
-    let recount = ref [] in
-    (* Apply the windowed +/-[d]s for one side of a reparse: every pair
-       and triple window that overlaps a replacement site, visited once
-       even when consecutive sites' windows overlap (sites ascend, so a
-       per-kind cursor suffices). Only windows that overlap a site can
-       change an n-gram count — unmarked windows map one-to-one between
-       the old and new token arrays with their keys intact, so their
-       contributions cancel; a marked window of a non-self-overlapping
-       key contributes exactly one match. Self-overlapping keys (pair
-       with equal halves, triple with first = third) are deferred to
-       [recount]. *)
-    let windows b tokens n sites nsites width d =
+    (* Self-overlapping keys needing a full re-walk this block, listed
+       once each; a block's windows number under four per token. *)
+    let recount = Array.make ((4 * Array.fold_left max 1 bld.blen) + 4) 0 in
+    let nrecount = ref 0 in
+    let defer key =
+      let r = ref 0 in
+      while !r < !nrecount && recount.(!r) <> key do
+        incr r
+      done;
+      if !r = !nrecount then begin
+        recount.(!r) <- key;
+        incr nrecount
+      end
+    in
+    (* Apply the windowed +/-[d]s for one side of a reparse, over [n]
+       tokens of [arr] from [off]: every pair and triple window that
+       overlaps a replacement site, visited once even when consecutive
+       sites' windows overlap (sites ascend, so a per-kind cursor
+       suffices). Only windows that overlap a site can change an n-gram
+       count — unmarked windows map one-to-one between the old and new
+       tokens with their keys intact, so their contributions cancel; a
+       marked window of a non-self-overlapping key contributes exactly
+       one match. Self-overlapping keys (pair with equal halves, triple
+       with first = third) are deferred to [recount]. *)
+    let windows b arr off n sites nsites width d =
       let nextp = ref 0 and nextt = ref 0 in
       for si = 0 to nsites - 1 do
         let s = sites.(si) in
         let hi = s + width - 1 in
         for p = max !nextp (s - 1) to min (n - 2) hi do
-          let a = (Array.unsafe_get tokens p).t_entry
-          and b' = (Array.unsafe_get tokens (p + 1)).t_entry in
-          let key = key_pair a b' in
-          if a = b' then begin
-            if not (List.memq key !recount) then recount := key :: !recount
-          end
-          else bump b key d
+          let a = tok_entry arr.(off + p) and a' = tok_entry arr.(off + p + 1) in
+          let key = key_pair a a' in
+          if a = a' then defer key else bump b key d
         done;
         nextp := hi + 1;
         for p = max !nextt (s - 2) to min (n - 3) hi do
-          let a = (Array.unsafe_get tokens p).t_entry
-          and c = (Array.unsafe_get tokens (p + 2)).t_entry in
-          let key = key_triple a (Array.unsafe_get tokens (p + 1)).t_entry c in
-          if a = c then begin
-            if not (List.memq key !recount) then recount := key :: !recount
-          end
-          else bump b key d
+          let a = tok_entry arr.(off + p) and a'' = tok_entry arr.(off + p + 2) in
+          let key = key_triple a (tok_entry arr.(off + p + 1)) a'' in
+          if a = a'' then defer key else bump b key d
         done;
         nextt := hi + 1
       done
     in
-    (* Scratch for the fused reparse (reparsing only ever shortens a
-       block's token count, so [max_len] bounds every block for the
-       whole build). *)
-    let scratch = Array.make max_len { t_entry = 0; t_start = 0; t_len = 0 } in
-    let old_site_buf = Array.make max_len 0 in
-    let new_site_buf = Array.make max_len 0 in
+    let r = reparse_scratch bld in
     (* Fused reparse + surgical count patch for one block. Returns false
        (leaving the block untouched) when the candidate no longer occurs
        — the reparse scan doubles as the stale-occurrence test. *)
     let update_block b cand nid =
-      let old_tokens = blocks_tokens.(b) in
-      let n = Array.length old_tokens in
-      let nsites = ref 0 in
-      let nout = ref 0 in
-      (match cand with
-      | Pair (a, b') ->
-        let i = ref 0 in
-        while !i < n do
-          if
-            !i + 1 < n
-            && (Array.unsafe_get old_tokens !i).t_entry = a
-            && (Array.unsafe_get old_tokens (!i + 1)).t_entry = b'
-          then begin
-            scratch.(!nout) <-
-              {
-                t_entry = nid;
-                t_start = old_tokens.(!i).t_start;
-                t_len = old_tokens.(!i).t_len + old_tokens.(!i + 1).t_len;
-              };
-            old_site_buf.(!nsites) <- !i;
-            new_site_buf.(!nsites) <- !nout;
-            incr nsites;
-            incr nout;
-            i := !i + 2
-          end
-          else begin
-            scratch.(!nout) <- old_tokens.(!i);
-            incr nout;
-            incr i
-          end
-        done
-      | Triple (a, b', c) ->
-        let i = ref 0 in
-        while !i < n do
-          if
-            !i + 2 < n
-            && (Array.unsafe_get old_tokens !i).t_entry = a
-            && (Array.unsafe_get old_tokens (!i + 1)).t_entry = b'
-            && (Array.unsafe_get old_tokens (!i + 2)).t_entry = c
-          then begin
-            scratch.(!nout) <-
-              {
-                t_entry = nid;
-                t_start = old_tokens.(!i).t_start;
-                t_len =
-                  old_tokens.(!i).t_len + old_tokens.(!i + 1).t_len + old_tokens.(!i + 2).t_len;
-              };
-            old_site_buf.(!nsites) <- !i;
-            new_site_buf.(!nsites) <- !nout;
-            incr nsites;
-            incr nout;
-            i := !i + 3
-          end
-          else begin
-            scratch.(!nout) <- old_tokens.(!i);
-            incr nout;
-            incr i
-          end
-        done
-      | Spec (e, s, p, v) ->
-        for i = 0 to n - 1 do
-          let t = old_tokens.(i) in
-          if
-            t.t_entry = e
-            && (match List.nth_opt all_items.(t.t_start).(s) p with
-               | Some v' -> v' = v
-               | None -> false)
-          then begin
-            scratch.(i) <- { t with t_entry = nid };
-            old_site_buf.(!nsites) <- i;
-            new_site_buf.(!nsites) <- i;
-            incr nsites
-          end
-          else scratch.(i) <- t
-        done;
-        nout := n);
-      !nsites > 0
+      reparse bld r cand nid b
       && begin
-           let new_tokens = Array.sub scratch 0 !nout in
-           blocks_tokens.(b) <- new_tokens;
-           let width = match cand with Pair _ -> 2 | Triple _ -> 3 | Spec _ -> 1 in
-           recount := [];
-           windows b old_tokens n old_site_buf !nsites width (-1);
-           windows b new_tokens !nout new_site_buf !nsites 1 1;
+           let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+           let width = cand_width cand in
+           nrecount := 0;
+           windows b tok off n r.old_sites r.nsites width (-1);
+           windows b r.new_tok 0 r.nout r.new_sites r.nsites 1 1;
            (* Self-overlapping keys surfaced from either side: replace the
               windowed +/-1s they never received with a full old/new diff. *)
-           List.iter
-             (fun key ->
-               let d = chain_count new_tokens key - chain_count old_tokens key in
-               if d <> 0 then bump b key d)
-             !recount;
-           for si = 0 to !nsites - 1 do
-             let site = old_site_buf.(si) in
+           for k = 0 to !nrecount - 1 do
+             let key = recount.(k) in
+             let d = chain_count r.new_tok 0 r.nout key - chain_count tok off n key in
+             if d <> 0 then bump b key d
+           done;
+           for si = 0 to r.nsites - 1 do
+             let site = off + r.old_sites.(si) in
              for j = 0 to width - 1 do
-               spec_delta b (-1) old_tokens.(site + j)
+               emit_specs bld bump b (-1) tok.(site + j)
              done
            done;
            (* The inserted token's own spec keys: only a Spec candidate
@@ -808,67 +846,79 @@ module Make (I : Sadc_isa.S) = struct
               no spec keys). *)
            (match cand with
            | Spec _ ->
-             for si = 0 to !nsites - 1 do
-               spec_delta b 1 new_tokens.(new_site_buf.(si))
+             for si = 0 to r.nsites - 1 do
+               emit_specs bld bump b 1 r.new_tok.(r.new_sites.(si))
              done
            | Pair _ | Triple _ -> ());
+           commit bld r b;
            true
          end
     in
-    let heap =
-      Ccomp_util.Heap.create ~cmp:(fun (g1, k1) (g2, k2) ->
-          if g1 <> g2 then compare (g2 : float) g1 else compare (k1 : int) k2)
+    let heap = Gain_heap.create () in
+    (* [gain] scaled by 8, so exact in ints: [m * count - k] with [m]
+       and [k] fixed per key (entries are immutable once pushed, so
+       their costs never change), cached per slot as [m lsl 32 lor k].
+       Scaling by a positive constant keeps the order and the ties of
+       [gain]'s exact multiples of 1/8. *)
+    let gain_at i c =
+      let coef = !coef_at.(i) in
+      let coef =
+        if coef <> 0 then coef
+        else begin
+          let key = !tbl.(i * 4) land key_mask in
+          let cost shift = entry_cost bld ((key lsr shift) land entry_mask) in
+          let coef =
+            match key lsr 60 with
+            | 1 -> (8 lsl 32) lor (8 * (cost 20 + cost 0))
+            | 2 -> (16 lsl 32) lor (8 * (cost 40 + cost 20 + cost 0))
+            | _ -> (I.stream_bits.((key lsr 36) land 15) lsl 32) lor 8
+          in
+          !coef_at.(i) <- coef;
+          coef
+        end
+      in
+      ((coef lsr 32) * c) - (coef land 0xFFFF_FFFF)
     in
-    (* Same value as [gain dict_get (cand_of_key key)], via the slot
-       cache. The Spec-case reassociation ([m *. f] with [m = bits / 8]
-       versus [f *. bits /. 8.0]) is bit-exact: every sub-product is an
-       integer-valued float well under 2^53 scaled by a power of two. *)
-    let gain_slot i key c =
-      if !gm_at.(i) = 0.0 then begin
-        let m, k =
-          match cand_of_key key with
-          | Pair (a, b) -> (1.0, float_of_int (entry_cost (dict_get a) + entry_cost (dict_get b)))
-          | Triple (a, b, c') ->
-            ( 2.0,
-              float_of_int
-                (entry_cost (dict_get a) + entry_cost (dict_get b) + entry_cost (dict_get c')) )
-          | Spec (_, s, _, _) -> (float_of_int I.stream_bits.(s) /. 8.0, 1.0)
-        in
-        !gm_at.(i) <- m;
-        !gk_at.(i) <- k
-      end;
-      (!gm_at.(i) *. float_of_int c) -. !gk_at.(i)
+    (* Push slot [i]'s live gain when it tops every element the key
+       already has in the heap. *)
+    let offer i =
+      let t = !tbl in
+      let c = t.((i * 4) + 1) in
+      if c > 0 then begin
+        let g = gain_at i c in
+        if g > 0 && g > t.((i * 4) + 3) then begin
+          Gain_heap.push heap g (t.(i * 4) land key_mask);
+          t.((i * 4) + 3) <- g
+        end
+      end
     in
     let refresh_heap () =
-      for t = 0 to !ntouched - 1 do
-        let key = !touched.(t) in
-        let i = probe key in
-        !kc.(i * 2) <- key;
-        let c = !kc.((i * 2) + 1) in
-        if c > 0 then begin
-          let g = gain_slot i key c in
-          if g > 0.0 && g <> !lastg_at.(i) then begin
-            Ccomp_util.Heap.push heap (g, key);
-            !lastg_at.(i) <- g
-          end
-        end
+      for k = 0 to !ntouched - 1 do
+        let i = !touched.(k) in
+        !tbl.(i * 4) <- !tbl.(i * 4) land key_mask;
+        offer i
       done;
       ntouched := 0
     in
+    (* The best live key, or 0 when none has a positive gain. *)
     let rec pop_best () =
-      if Ccomp_util.Heap.is_empty heap then None
+      if Gain_heap.is_empty heap then 0
       else begin
-        let g, key = Ccomp_util.Heap.pop heap in
+        let g = Gain_heap.top_gain heap and key = Gain_heap.top_key heap in
+        Gain_heap.drop heap;
         let i = probe key in
-        (* The pushed copy of [g] is leaving the heap; forget it so a
-           later return to the same gain is pushed again. *)
-        if !lastg_at.(i) = g then !lastg_at.(i) <- neg_infinity;
-        let c = !kc.((i * 2) + 1) in
-        if c > 0 && gain_slot i key c = g then Some key else pop_best ()
+        let t = !tbl in
+        if t.((i * 4) + 3) = g then t.((i * 4) + 3) <- 0;
+        let c = t.((i * 4) + 1) in
+        if c > 0 && gain_at i c = g then key
+        else begin
+          offer i;
+          pop_best ()
+        end
       end
     in
     let check_counts () =
-      let reference = count_candidates dict_get all_items blocks_tokens in
+      let reference = count_candidates bld in
       Hashtbl.iter
         (fun key r ->
           if count_of key <> !r then
@@ -877,122 +927,150 @@ module Make (I : Sadc_isa.S) = struct
                  (count_of key) !r))
         reference;
       for i = 0 to !cap - 1 do
-        let key = !kc.(i * 2) land key_mask in
-        if key <> 0 && !kc.((i * 2) + 1) <> 0 && not (Hashtbl.mem reference key) then
+        let key = !tbl.(i * 4) land key_mask in
+        if key <> 0 && !tbl.((i * 4) + 1) <> 0 && not (Hashtbl.mem reference key) then
           failwith
-            (Printf.sprintf "Sadc incremental counts: key %d has stale %d" key !kc.((i * 2) + 1))
+            (Printf.sprintf "Sadc incremental counts: key %d has stale %d" key !tbl.((i * 4) + 1))
       done
     in
-    Array.iteri add_block blocks_tokens;
+    let le = le_create () in
+    for b = 0 to nblocks - 1 do
+      count_block le bld bump b
+    done;
     refresh_heap ();
-    (* Scratch "already reparsed this round" flags — an occurrence list
-       may carry duplicates. *)
-    let seen = Bytes.make (max nblocks 1) '\000' in
+    (* The round in which each block was last reparsed — an occurrence
+       list may name a block twice. *)
+    let seen = Array.make (max nblocks 1) 0 in
     let rounds = ref 0 in
     let continue_ = ref true in
-    while !continue_ && !dict_n < config.max_entries && !rounds < config.max_rounds do
+    while !continue_ && bld.dict_n < config.max_entries && !rounds < config.max_rounds do
       incr rounds;
       if check then check_counts ();
-      match pop_best () with
-      | None -> continue_ := false
-      | Some key ->
+      let key = pop_best () in
+      if key = 0 then continue_ := false
+      else begin
         let cand = cand_of_key key in
-        let nid = push (new_entry dict_get cand) in
-        let blocks = !occ_at.(probe key) in
-        List.iter
-          (fun b ->
-            if Bytes.get seen b = '\000' then begin
-              Bytes.set seen b '\001';
-              ignore (update_block b cand nid : bool)
-            end)
-          blocks;
-        List.iter (fun b -> Bytes.set seen b '\000') blocks;
+        let nid = push bld (new_entry bld cand) in
+        let node = ref (!tbl.((probe key * 4) + 2) - 1) in
+        while !node >= 0 do
+          let b = !occ_blk.(!node) in
+          if seen.(b) <> !rounds then begin
+            seen.(b) <- !rounds;
+            ignore (update_block b cand nid : bool)
+          end;
+          node := !occ_next.(!node)
+        done;
         refresh_heap ()
+      end
     done;
-    (Array.sub !dict 0 !dict_n, blocks_tokens, !rounds)
+    !rounds
 
   (* --- entropy coding ------------------------------------------------- *)
 
-  (* Iterate every coded element of a block: [on_token] per token, then
-     [on_chunk stream chunk_index value] for each unabsorbed operand
-     chunk, in decode pull order. *)
-  let iter_block dict all_items tokens ~on_token ~on_chunk =
-    Array.iter
-      (fun t ->
-        on_token t.t_entry;
-        let e = dict.(t.t_entry) in
-        Array.iteri
-          (fun j prim ->
-            let items = all_items.(t.t_start + j) in
-            Array.iteri
-              (fun s stream_items ->
-                List.iteri
-                  (fun p v ->
-                    if not (is_fixed prim s p) then
-                      List.iter2 (fun w cv -> on_chunk s w cv) stream_chunks.(s) (chunks_of s v))
-                  stream_items)
-              items)
-          e.prims)
-      tokens
+  (* Every coded element of the program, in block and decode pull order:
+     per token its entry, then each unabsorbed operand chunk. An element
+     is one packed int, its value above [alpha_bits] and its alphabet
+     below. Block [b]'s elements are [elems.(eoff.(b))] to
+     [elems.(eoff.(b + 1) - 1)]. Built once; the frequency count and the
+     encoder both read it. *)
+  let alpha_bits = 8
 
-  let build_codes dict all_items blocks_tokens =
-    let token_freq = Freq.create (Array.length dict) in
-    let chunk_freqs =
-      Array.map (fun widths -> Array.of_list (List.map (fun w -> Freq.create (1 lsl w)) widths)) stream_widths
+  let alpha_mask = (1 lsl alpha_bits) - 1
+
+  let coded_elements bld dict =
+    let prog = bld.prog in
+    let nblocks = Array.length bld.blen in
+    let eoff = Array.make (nblocks + 1) 0 in
+    let elems = ref (Array.make (max 1024 (4 * Array.length bld.tok)) 0) in
+    let len = ref 0 in
+    let add x =
+      if !len = Array.length !elems then elems := grow_ints !elems !len;
+      Array.unsafe_set !elems !len x;
+      incr len
     in
-    Array.iter
-      (fun tokens ->
-        iter_block dict all_items tokens
-          ~on_token:(fun e -> Freq.add token_freq e)
-          ~on_chunk:(fun s w cv -> Freq.add chunk_freqs.(s).(width_index s w) cv))
-      blocks_tokens;
-    let token_code = Huffman.build token_freq in
+    for b = 0 to nblocks - 1 do
+      eoff.(b) <- !len;
+      let off = bld.seg.(b) in
+      for ti = off to off + bld.blen.(b) - 1 do
+        let t = bld.tok.(ti) in
+        let e = tok_entry t in
+        add (e lsl alpha_bits);
+        let prims = dict.(e).prims in
+        for j = 0 to Array.length prims - 1 do
+          let i = tok_start t + j and fixed = prims.(j).fixed in
+          for s = 0 to I.stream_count - 1 do
+            let ioff = prog.ioff.(s) and items = prog.items.(s) in
+            let shift = chunk_shift.(s) and cmask = chunk_mask.(s) and alpha = chunk_alpha.(s) in
+            let base = ioff.(i) in
+            for q = base to ioff.(i + 1) - 1 do
+              if not (is_fixed fixed s (q - base)) then begin
+                let v = items.(q) in
+                for k = 0 to Array.length shift - 1 do
+                  add ((((v lsr shift.(k)) land cmask.(k)) lsl alpha_bits) lor alpha.(k))
+                done
+              end
+            done
+          done
+        done
+      done
+    done;
+    eoff.(nblocks) <- !len;
+    (!elems, eoff)
+
+  (* The token code, the chunk codes per (stream, width), and every code
+     by alphabet number for the encoder. *)
+  let build_codes dict elems n =
+    let freqs =
+      Array.init alphabet_count (fun a ->
+          Freq.create (if a = 0 then Array.length dict else 1 lsl alpha_width.(a)))
+    in
+    for q = 0 to n - 1 do
+      let x = elems.(q) in
+      Freq.add freqs.(x land alpha_mask) (x lsr alpha_bits)
+    done;
+    let token_code = Huffman.build freqs.(0) in
+    let by_alpha =
+      Array.init alphabet_count (fun a ->
+          if a = 0 then Some token_code
+          else if Freq.total freqs.(a) > 0 then Some (Huffman.build freqs.(a))
+          else None)
+    in
     let chunk_codes =
-      Array.map
-        (Array.map (fun freq -> if Freq.total freq > 0 then Some (Huffman.build freq) else None))
-        chunk_freqs
+      Array.mapi
+        (fun s widths ->
+          Array.of_list (List.mapi (fun wi _ -> by_alpha.(alpha_base.(s) + wi)) widths))
+        stream_widths
     in
-    (token_code, chunk_codes)
+    (token_code, chunk_codes, by_alpha)
 
-  let encode_block w dict token_code chunk_codes instrs all_items tokens =
+  let encode_block w by_alpha elems lo hi =
     Bit_writer.reset w;
-    iter_block dict all_items tokens
-      ~on_token:(fun e -> Huffman.encode_symbol token_code w e)
-      ~on_chunk:(fun s cw cv ->
-        match chunk_codes.(s).(width_index s cw) with
-        | Some code -> Huffman.encode_symbol code w cv
-        | None -> assert false);
-    let original =
-      Array.fold_left (fun acc t ->
-          let stop = t.t_start + t.t_len in
-          let sum = ref 0 in
-          for i = t.t_start to stop - 1 do
-            sum := !sum + I.byte_length instrs.(i)
-          done;
-          acc + !sum)
-        0 tokens
-    in
+    for q = lo to hi - 1 do
+      let x = elems.(q) in
+      match by_alpha.(x land alpha_mask) with
+      | Some code -> Huffman.encode_symbol code w (x lsr alpha_bits)
+      | None -> assert false
+    done;
     if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
-    (Bit_writer.contents w, original)
+    Bit_writer.contents w
 
   let compress ?(jobs = 1) config instr_list =
     Obs.with_span ~cat:"sadc" ("sadc." ^ I.name ^ ".compress") @@ fun () ->
     let instrs = Array.of_list instr_list in
     if Array.length instrs = 0 then invalid_arg "Sadc.compress: empty program";
-    let segs = segments instrs config.block_size in
-    (* Operand items feed every dictionary round and both coders; one
-       array for the whole program, indexed by the tokens' absolute
-       [t_start] — no per-block instruction or item copies anywhere. *)
-    let all_items = Array.map I.items instrs in
+    let prog = program_of instrs in
+    let bld = builder prog (segments prog.boff config.block_size) in
     (* Dictionary construction and code building are global (they see
        every block), so they stay serial; the entropy-coding of each
        block against the finished tables is independent and fans out,
        each domain reusing one bit writer. *)
-    let dict, blocks_tokens, rounds =
+    let rounds =
       Obs.with_span ~cat:"sadc" "sadc.dictionary" (fun () ->
-          build_dictionary_incremental config instrs all_items segs)
+          build_dictionary_incremental config bld)
     in
-    let token_code, chunk_codes = build_codes dict all_items blocks_tokens in
+    let dict = Array.sub bld.dict_entries 0 bld.dict_n in
+    let elems, eoff = coded_elements bld dict in
+    let token_code, chunk_codes, by_alpha = build_codes dict elems eoff.(Array.length bld.blen) in
     let instrument = Obs.metrics_enabled () in
     if instrument then begin
       Obs.Gauge.set g_dict_entries (float_of_int (Array.length dict));
@@ -1000,27 +1078,22 @@ module Make (I : Sadc_isa.S) = struct
     end;
     let blocks =
       Obs.with_span ~cat:"sadc" "sadc.encode" @@ fun () ->
-      Ccomp_par.Pool.mapi_local ~jobs
-        ~local:(fun () -> Bit_writer.create ())
-        (fun w _ tokens ->
-          if not instrument then encode_block w dict token_code chunk_codes instrs all_items tokens
-          else begin
-            let t0 = Obs.now_us () in
-            let ((payload, original) as blk) =
-              encode_block w dict token_code chunk_codes instrs all_items tokens
-            in
+      Ccomp_par.Pool.init_local ~jobs ~local:Bit_writer.create (Array.length bld.blen) (fun w b ->
+          let t0 = if instrument then Obs.now_us () else 0.0 in
+          let payload = encode_block w by_alpha elems eoff.(b) eoff.(b + 1) in
+          let original = prog.boff.(bld.seg.(b + 1)) - prog.boff.(bld.seg.(b)) in
+          if instrument then begin
             Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
             Obs.Counter.incr m_c_blocks;
             Obs.Counter.add m_c_bytes_in original;
             Obs.Counter.add m_c_bytes_out (String.length payload);
             if original > 0 then
               Obs.Histogram.observe m_c_block_ratio
-                (float_of_int (String.length payload) /. float_of_int original);
-            blk
-          end)
-        blocks_tokens
+                (float_of_int (String.length payload) /. float_of_int original)
+          end;
+          (payload, original))
     in
-    let original_size = Array.fold_left (fun acc i -> acc + I.byte_length i) 0 instrs in
+    let original_size = prog.boff.(Array.length instrs) in
     { config; dict; token_code; chunk_codes; blocks; original_size; rounds }
 
   let compress_image ?jobs config image =
@@ -1401,19 +1474,18 @@ module Make (I : Sadc_isa.S) = struct
 
   module For_tests = struct
     let prepare config instr_list =
-      let instrs = Array.of_list instr_list in
-      let segs = segments instrs config.block_size in
-      (instrs, Array.map I.items instrs, segs)
+      let prog = program_of (Array.of_list instr_list) in
+      builder prog (segments prog.boff config.block_size)
 
     let build_naive config instr_list =
-      let instrs, all_items, segs = prepare config instr_list in
-      let dict, _, rounds = build_dictionary_naive config instrs all_items segs in
-      (dict, rounds)
+      let bld = prepare config instr_list in
+      let rounds = build_dictionary_naive config bld in
+      (Array.sub bld.dict_entries 0 bld.dict_n, rounds)
 
     let build_incremental ?check config instr_list =
-      let instrs, all_items, segs = prepare config instr_list in
-      let dict, _, rounds = build_dictionary_incremental ?check config instrs all_items segs in
-      (dict, rounds)
+      let bld = prepare config instr_list in
+      let rounds = build_dictionary_incremental ?check config bld in
+      (Array.sub bld.dict_entries 0 bld.dict_n, rounds)
   end
 end
 

@@ -1,5 +1,4 @@
-(** Imperative binary min-heap, used by the Huffman tree builder and the
-    dictionary generator's candidate queue. *)
+(** Imperative binary min-heap, used by the Huffman tree builder. *)
 
 type 'a t
 

@@ -218,20 +218,21 @@ module Make (I : Sadc_isa.S) = struct
     let syms = Array.make n 0 and boff = Array.make (n + 1) 0 in
     let items = Array.init I.stream_count (fun _ -> Array.make (max n 16) 0) in
     let ioff = Array.init I.stream_count (fun _ -> Array.make (n + 1) 0) in
-    let rec add s q = function
-      | [] -> q
-      | v :: tl ->
-        if q = Array.length items.(s) then items.(s) <- grow_ints items.(s) q;
-        items.(s).(q) <- v;
-        add s (q + 1) tl
+    (* Items appended so far per stream. *)
+    let fill = Array.make I.stream_count 0 in
+    let add s v =
+      let q = fill.(s) in
+      if q = Array.length items.(s) then items.(s) <- grow_ints items.(s) q;
+      items.(s).(q) <- v;
+      fill.(s) <- q + 1
     in
     for i = 0 to n - 1 do
       let instr = instrs.(i) in
       syms.(i) <- I.symbol instr;
       boff.(i + 1) <- boff.(i) + I.byte_length instr;
-      let per_stream = I.items instr in
+      I.iter_items instr add;
       for s = 0 to I.stream_count - 1 do
-        ioff.(s).(i + 1) <- add s ioff.(s).(i) per_stream.(s)
+        ioff.(s).(i + 1) <- fill.(s)
       done
     done;
     { syms; boff; items; ioff }
@@ -415,9 +416,120 @@ module Make (I : Sadc_isa.S) = struct
     end
     else false
 
+  (* Candidate counts: one flat open-addressing table over packed keys.
+     Slot [i] is four adjacent ints, so a bump touches one cache line:
+     - [slots.(4i)]: the key, with [hot_bit] set while its count has
+       risen since the last heap refresh (packed keys are nonzero and use
+       bits 0-61, so 0 marks an empty slot);
+     - [slots.(4i+1)]: the count;
+     - [slots.(4i+2)]: the head of the key's occurrence list, plus one
+       (0 for none);
+     - [slots.(4i+3)]: the highest gain queued for this key and not yet
+       popped, or 0 (queued gains are positive).
+     The occurrence lists run through the node pool
+     [occ_blk]/[occ_next] (newest first, -1 ends one) and name the
+     blocks that contributed to the key when last counted. They are
+     append-only and allowed to go stale: the reparse scan re-validates
+     a block before any count changes. [touched] lists the hot slots. *)
+  type counts = {
+    mutable cap : int;
+    mutable slots : int array;
+    mutable size : int;
+    mutable occ_blk : int array;
+    mutable occ_next : int array;
+    mutable nocc : int;
+    mutable touched : int array;
+    mutable ntouched : int;
+  }
+
+  let hot_bit = 1 lsl 62
+
+  let key_mask = hot_bit - 1
+
+  (* Sized so the table never grows on realistic corpora: distinct keys
+     stay under ~1.9 per token (pairs + triples + specialisations,
+     measured on the generated suites), so four slots per token keeps
+     the final load factor under the 75% grow threshold. [grow] still
+     handles adversarial key densities. *)
+  let counts_create tokens =
+    let cap = ref 4096 in
+    while !cap < 4 * tokens do
+      cap := !cap * 2
+    done;
+    {
+      cap = !cap;
+      slots = Array.make (4 * !cap) 0;
+      size = 0;
+      occ_blk = Array.make (max 1024 tokens) 0;
+      occ_next = Array.make (max 1024 tokens) 0;
+      nocc = 0;
+      touched = Array.make 1024 0;
+      ntouched = 0;
+    }
+
+  (* [key]'s slot, or the empty slot where it would go. Slots are
+     provably in [0, cap): unsafe accesses avoid bounds checks on the
+     hottest loop of the build. *)
+  let probe c key =
+    let h = key * 0x9E3779B97F4A7C1 in
+    let slots = c.slots and mask = c.cap - 1 in
+    let i = ref ((h lxor (h lsr 31)) land mask) in
+    while
+      let k = Array.unsafe_get slots (!i * 4) land key_mask in
+      k <> 0 && k <> key
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow c =
+    let oslots = c.slots and ocap = c.cap in
+    c.cap <- ocap * 2;
+    c.slots <- Array.make (4 * c.cap) 0;
+    for i = 0 to ocap - 1 do
+      let kv = oslots.(i * 4) in
+      if kv <> 0 then Array.blit oslots (i * 4) c.slots (probe c (kv land key_mask) * 4) 4
+    done;
+    for t = 0 to c.ntouched - 1 do
+      c.touched.(t) <- probe c (oslots.(c.touched.(t) * 4) land key_mask)
+    done
+
+  let count_of c key = c.slots.((probe c key * 4) + 1)
+
+  (* [key]'s count in block [b] moves by [d]. *)
+  let bump c b key d =
+    if c.size * 4 >= c.cap * 3 then grow c;
+    let i = probe c key in
+    let slots = c.slots in
+    let kv = Array.unsafe_get slots (i * 4) in
+    if kv = 0 then begin
+      c.size <- c.size + 1;
+      Array.unsafe_set slots (i * 4) key
+    end;
+    Array.unsafe_set slots ((i * 4) + 1) (Array.unsafe_get slots ((i * 4) + 1) + d);
+    if d > 0 then begin
+      if kv land hot_bit = 0 then begin
+        Array.unsafe_set slots (i * 4) (key lor hot_bit);
+        if c.ntouched = Array.length c.touched then c.touched <- grow_ints c.touched c.ntouched;
+        c.touched.(c.ntouched) <- i;
+        c.ntouched <- c.ntouched + 1
+      end;
+      let head = Array.unsafe_get slots ((i * 4) + 2) - 1 in
+      if head < 0 || c.occ_blk.(head) <> b then begin
+        if c.nocc = Array.length c.occ_blk then begin
+          c.occ_blk <- grow_ints c.occ_blk c.nocc;
+          c.occ_next <- grow_ints c.occ_next c.nocc
+        end;
+        c.occ_blk.(c.nocc) <- b;
+        c.occ_next.(c.nocc) <- head;
+        c.nocc <- c.nocc + 1;
+        Array.unsafe_set slots ((i * 4) + 2) c.nocc
+      end
+    end
+
   (* Specialisation keys of token [t] when its entry is one primitive:
      one per item that primitive does not already absorb. *)
-  let emit_specs bld emit b d t =
+  let emit_specs bld c b d t =
     let e = tok_entry t in
     let prims = bld.dict_entries.(e).prims in
     if Array.length prims = 1 then begin
@@ -426,47 +538,41 @@ module Make (I : Sadc_isa.S) = struct
         let ioff = bld.prog.ioff.(s) and items = bld.prog.items.(s) in
         let base = ioff.(i) in
         for q = base to ioff.(i + 1) - 1 do
-          if not (is_fixed fixed s (q - base)) then emit b (key_spec e s (q - base) items.(q)) d
+          if not (is_fixed fixed s (q - base)) then bump c b (key_spec e s (q - base) items.(q)) d
         done
       done
     end
 
-  (* Count block [b]'s candidate occurrences. [le] is the caller's
-     scratch. *)
-  let count_block le bld emit b =
+  (* Count block [b]'s candidate occurrences into [c]. [le] is the
+     caller's scratch. *)
+  let count_block le bld c b =
     let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
     le_reset le n;
+    (* Only a pair (a, a) or a triple (a, _, a) can overlap itself, so
+       only those consult [le]. *)
     for i = 0 to n - 2 do
-      let key = key_pair (tok_entry tok.(off + i)) (tok_entry tok.(off + i + 1)) in
-      if le_counts le key i (i + 1) then emit b key 1
+      let a = tok_entry tok.(off + i) and a' = tok_entry tok.(off + i + 1) in
+      let key = key_pair a a' in
+      if a <> a' || le_counts le key i (i + 1) then bump c b key 1
     done;
     for i = 0 to n - 3 do
-      let key =
-        key_triple
-          (tok_entry tok.(off + i))
-          (tok_entry tok.(off + i + 1))
-          (tok_entry tok.(off + i + 2))
-      in
-      if le_counts le key i (i + 2) then emit b key 1
+      let a = tok_entry tok.(off + i) and a'' = tok_entry tok.(off + i + 2) in
+      let key = key_triple a (tok_entry tok.(off + i + 1)) a'' in
+      if a <> a'' || le_counts le key i (i + 2) then bump c b key 1
     done;
     for i = 0 to n - 1 do
-      emit_specs bld emit b 1 tok.(off + i)
+      emit_specs bld c b 1 tok.(off + i)
     done
 
   (* Full-rescan reference: global counts rebuilt from scratch. Kept as
      the specification the incremental builder is tested against. *)
   let count_candidates bld =
-    let counts : (int, int ref) Hashtbl.t = Hashtbl.create 4096 in
+    let c = counts_create (Array.length bld.tok) in
     let le = le_create () in
-    let emit _ key _ =
-      match Hashtbl.find_opt counts key with
-      | Some r -> incr r
-      | None -> Hashtbl.add counts key (ref 1)
-    in
     for b = 0 to Array.length bld.blen - 1 do
-      count_block le bld emit b
+      count_block le bld c b
     done;
-    counts
+    c
 
   (* Gains in bytes saved, following §4.1: a group of n opcodes replacing
      f occurrences saves f*(occupied tokens - 1) opcode bytes and costs n
@@ -579,19 +685,18 @@ module Make (I : Sadc_isa.S) = struct
      packed key. (The seed's tie-break was Hashtbl iteration order, which
      an incremental builder cannot reproduce; both builders now share
      this deterministic rule.) *)
-  let select_best bld counts =
+  let select_best bld c =
     let best = ref None in
-    Hashtbl.iter
-      (fun key count ->
-        let c = !count in
-        if c > 0 then begin
-          let g = gain bld (cand_of_key key) c in
-          if g > 0.0 then
-            match !best with
-            | Some (g', k') when g' > g || (g' = g && k' < key) -> ()
-            | _ -> best := Some (g, key)
-        end)
-      counts;
+    for i = 0 to c.cap - 1 do
+      let key = c.slots.(i * 4) land key_mask and count = c.slots.((i * 4) + 1) in
+      if count > 0 then begin
+        let g = gain bld (cand_of_key key) count in
+        if g > 0.0 then
+          match !best with
+          | Some (g', k') when g' > g || (g' = g && k' < key) -> ()
+          | _ -> best := Some (g, key)
+      end
+    done;
     !best
 
   (* Full-rescan builder: recounts every candidate in every block each
@@ -622,9 +727,8 @@ module Make (I : Sadc_isa.S) = struct
   let chain_count arr off n key =
     let count = ref 0 in
     let last = ref (-1) in
-    let f shift = (key lsr shift) land entry_mask in
     if key lsr 60 = 1 then begin
-      let a = f 20 and a' = f 0 in
+      let a = (key lsr 20) land entry_mask and a' = key land entry_mask in
       for i = 0 to n - 2 do
         if tok_entry arr.(off + i) = a && tok_entry arr.(off + i + 1) = a' && !last < i then begin
           incr count;
@@ -633,7 +737,9 @@ module Make (I : Sadc_isa.S) = struct
       done
     end
     else begin
-      let a = f 40 and a' = f 20 and a'' = f 0 in
+      let a = (key lsr 40) land entry_mask
+      and a' = (key lsr 20) land entry_mask
+      and a'' = key land entry_mask in
       for i = 0 to n - 3 do
         if
           tok_entry arr.(off + i) = a
@@ -647,6 +753,31 @@ module Make (I : Sadc_isa.S) = struct
       done
     end;
     !count
+
+  (* Cost of the entry packed at bit [shift] of an n-gram key. *)
+  let field_cost bld key shift = entry_cost bld ((key lsr shift) land entry_mask)
+
+  (* [gain] of [key] at count [n], scaled by 8 to be exact in ints.
+     Scaling by a positive constant keeps the order and the ties of
+     [gain]'s exact multiples of 1/8. *)
+  let gain_at bld key n =
+    match key lsr 60 with
+    | 1 -> 8 * (n - field_cost bld key 20 - field_cost bld key 0)
+    | 2 -> 8 * ((2 * n) - field_cost bld key 40 - field_cost bld key 20 - field_cost bld key 0)
+    | _ -> (I.stream_bits.((key lsr 36) land 15) * n) - 8
+
+  (* Queue slot [i]'s live gain when it tops every gain the key already
+     has queued. *)
+  let offer bld c heap i =
+    let n = c.slots.((i * 4) + 1) in
+    if n > 0 then begin
+      let key = c.slots.(i * 4) land key_mask in
+      let g = gain_at bld key n in
+      if g > 0 && g > c.slots.((i * 4) + 3) then begin
+        Gain_heap.push heap g key;
+        c.slots.((i * 4) + 3) <- g
+      end
+    end
 
   (* Incremental builder: global candidate counts are kept as the sum of
      per-block contributions. Each round pops the best candidate from a
@@ -666,113 +797,7 @@ module Make (I : Sadc_isa.S) = struct
      run; the dictionary and tokens are left in [bld]. *)
   let build_dictionary_incremental ?(check = false) config bld =
     let nblocks = Array.length bld.blen in
-    (* One flat open-addressing table over packed candidate keys. Slot
-       [i] is four adjacent ints, so a bump touches one cache line:
-       - [tbl.(4i)]: the key, with bit 62 set while its count has risen
-         since the last heap refresh (packed keys are nonzero and use
-         bits 0-61, so 0 marks an empty slot);
-       - [tbl.(4i+1)]: the live count;
-       - [tbl.(4i+2)]: the head of the key's occurrence list, plus one
-         (0 for none);
-       - [tbl.(4i+3)]: the highest gain pushed for this key and not yet
-         popped, or 0 (pushed gains are positive).
-       Initial capacity is sized so the table never grows on realistic
-       corpora: distinct keys stay under ~1.6 per token (pairs + triples
-       + specialisations, measured on the generated suites), so four
-       slots per token keeps the final load factor under the 75% grow
-       threshold. [grow] still handles adversarial key densities. *)
-    let initial_cap =
-      let target = max 4096 (4 * Array.length bld.tok) in
-      let c = ref 4096 in
-      while !c < target do
-        c := !c * 2
-      done;
-      !c
-    in
-    let cap = ref initial_cap in
-    let mask = ref (!cap - 1) in
-    let tbl = ref (Array.make (4 * !cap) 0) in
-    (* Per slot, the gain coefficients (see [gain_at]), 0 until needed. *)
-    let coef_at = ref (Array.make !cap 0) in
-    let size = ref 0 in
-    let hot_bit = 1 lsl 62 in
-    let key_mask = hot_bit - 1 in
-    (* The occurrence index: per key, a linked list through the node pool
-       [occ_blk]/[occ_next] (newest first, -1 ends it) of the blocks that
-       contributed to the key when last counted. It is append-only and
-       allowed to go stale — entries are re-validated by the reparse
-       scan before any count is changed. *)
-    let occ_blk = ref (Array.make (max 1024 (Array.length bld.tok)) 0) in
-    let occ_next = ref (Array.make (Array.length !occ_blk) 0) in
-    let nocc = ref 0 in
-    (* Slots whose count rose since the last heap refresh (their hot flag
-       is set, so each is listed once). *)
-    let touched = ref (Array.make 1024 0) in
-    let ntouched = ref 0 in
-    (* Slots are provably in [0, cap): unsafe accesses avoid bounds
-       checks on the single hottest loop of the build. *)
-    let probe key =
-      let h = key * 0x9E3779B97F4A7C1 in
-      let t = !tbl in
-      let m = !mask in
-      let i = ref ((h lxor (h lsr 31)) land m) in
-      while
-        let k = Array.unsafe_get t (!i * 4) land key_mask in
-        k <> 0 && k <> key
-      do
-        i := (!i + 1) land m
-      done;
-      !i
-    in
-    let grow () =
-      let otbl = !tbl and ocoef = !coef_at and ocap = !cap in
-      cap := ocap * 2;
-      mask := !cap - 1;
-      tbl := Array.make (4 * !cap) 0;
-      coef_at := Array.make !cap 0;
-      for i = 0 to ocap - 1 do
-        let kv = otbl.(i * 4) in
-        if kv <> 0 then begin
-          let j = probe (kv land key_mask) in
-          Array.blit otbl (i * 4) !tbl (j * 4) 4;
-          !coef_at.(j) <- ocoef.(i)
-        end
-      done;
-      for t = 0 to !ntouched - 1 do
-        !touched.(t) <- probe (otbl.(!touched.(t) * 4) land key_mask)
-      done
-    in
-    let count_of key = !tbl.((probe key * 4) + 1) in
-    let bump b key d =
-      if !size * 4 >= !cap * 3 then grow ();
-      let i = probe key in
-      let t = !tbl in
-      let kv = Array.unsafe_get t (i * 4) in
-      if kv = 0 then begin
-        incr size;
-        Array.unsafe_set t (i * 4) key
-      end;
-      Array.unsafe_set t ((i * 4) + 1) (Array.unsafe_get t ((i * 4) + 1) + d);
-      if d > 0 then begin
-        if kv land hot_bit = 0 then begin
-          Array.unsafe_set t (i * 4) (key lor hot_bit);
-          if !ntouched = Array.length !touched then touched := grow_ints !touched !ntouched;
-          !touched.(!ntouched) <- i;
-          incr ntouched
-        end;
-        let head = Array.unsafe_get t ((i * 4) + 2) - 1 in
-        if head < 0 || !occ_blk.(head) <> b then begin
-          if !nocc = Array.length !occ_blk then begin
-            occ_blk := grow_ints !occ_blk !nocc;
-            occ_next := grow_ints !occ_next !nocc
-          end;
-          !occ_blk.(!nocc) <- b;
-          !occ_next.(!nocc) <- head;
-          incr nocc;
-          Array.unsafe_set t ((i * 4) + 2) !nocc
-        end
-      end
-    in
+    let c = counts_create (Array.length bld.tok) in
     (* Self-overlapping keys needing a full re-walk this block, listed
        once each; a block's windows number under four per token. *)
     let recount = Array.make ((4 * Array.fold_left max 1 bld.blen) + 4) 0 in
@@ -805,13 +830,13 @@ module Make (I : Sadc_isa.S) = struct
         for p = max !nextp (s - 1) to min (n - 2) hi do
           let a = tok_entry arr.(off + p) and a' = tok_entry arr.(off + p + 1) in
           let key = key_pair a a' in
-          if a = a' then defer key else bump b key d
+          if a = a' then defer key else bump c b key d
         done;
         nextp := hi + 1;
         for p = max !nextt (s - 2) to min (n - 3) hi do
           let a = tok_entry arr.(off + p) and a'' = tok_entry arr.(off + p + 2) in
           let key = key_triple a (tok_entry arr.(off + p + 1)) a'' in
-          if a = a'' then defer key else bump b key d
+          if a = a'' then defer key else bump c b key d
         done;
         nextt := hi + 1
       done
@@ -833,12 +858,12 @@ module Make (I : Sadc_isa.S) = struct
            for k = 0 to !nrecount - 1 do
              let key = recount.(k) in
              let d = chain_count r.new_tok 0 r.nout key - chain_count tok off n key in
-             if d <> 0 then bump b key d
+             if d <> 0 then bump c b key d
            done;
            for si = 0 to r.nsites - 1 do
              let site = off + r.old_sites.(si) in
              for j = 0 to width - 1 do
-               emit_specs bld bump b (-1) tok.(site + j)
+               emit_specs bld c b (-1) tok.(site + j)
              done
            done;
            (* The inserted token's own spec keys: only a Spec candidate
@@ -847,7 +872,7 @@ module Make (I : Sadc_isa.S) = struct
            (match cand with
            | Spec _ ->
              for si = 0 to r.nsites - 1 do
-               emit_specs bld bump b 1 r.new_tok.(r.new_sites.(si))
+               emit_specs bld c b 1 r.new_tok.(r.new_sites.(si))
              done
            | Pair _ | Triple _ -> ());
            commit bld r b;
@@ -855,50 +880,13 @@ module Make (I : Sadc_isa.S) = struct
          end
     in
     let heap = Gain_heap.create () in
-    (* [gain] scaled by 8, so exact in ints: [m * count - k] with [m]
-       and [k] fixed per key (entries are immutable once pushed, so
-       their costs never change), cached per slot as [m lsl 32 lor k].
-       Scaling by a positive constant keeps the order and the ties of
-       [gain]'s exact multiples of 1/8. *)
-    let gain_at i c =
-      let coef = !coef_at.(i) in
-      let coef =
-        if coef <> 0 then coef
-        else begin
-          let key = !tbl.(i * 4) land key_mask in
-          let cost shift = entry_cost bld ((key lsr shift) land entry_mask) in
-          let coef =
-            match key lsr 60 with
-            | 1 -> (8 lsl 32) lor (8 * (cost 20 + cost 0))
-            | 2 -> (16 lsl 32) lor (8 * (cost 40 + cost 20 + cost 0))
-            | _ -> (I.stream_bits.((key lsr 36) land 15) lsl 32) lor 8
-          in
-          !coef_at.(i) <- coef;
-          coef
-        end
-      in
-      ((coef lsr 32) * c) - (coef land 0xFFFF_FFFF)
-    in
-    (* Push slot [i]'s live gain when it tops every element the key
-       already has in the heap. *)
-    let offer i =
-      let t = !tbl in
-      let c = t.((i * 4) + 1) in
-      if c > 0 then begin
-        let g = gain_at i c in
-        if g > 0 && g > t.((i * 4) + 3) then begin
-          Gain_heap.push heap g (t.(i * 4) land key_mask);
-          t.((i * 4) + 3) <- g
-        end
-      end
-    in
     let refresh_heap () =
-      for k = 0 to !ntouched - 1 do
-        let i = !touched.(k) in
-        !tbl.(i * 4) <- !tbl.(i * 4) land key_mask;
-        offer i
+      for k = 0 to c.ntouched - 1 do
+        let i = c.touched.(k) in
+        c.slots.(i * 4) <- c.slots.(i * 4) land key_mask;
+        offer bld c heap i
       done;
-      ntouched := 0
+      c.ntouched <- 0
     in
     (* The best live key, or 0 when none has a positive gain. *)
     let rec pop_best () =
@@ -906,36 +894,35 @@ module Make (I : Sadc_isa.S) = struct
       else begin
         let g = Gain_heap.top_gain heap and key = Gain_heap.top_key heap in
         Gain_heap.drop heap;
-        let i = probe key in
-        let t = !tbl in
-        if t.((i * 4) + 3) = g then t.((i * 4) + 3) <- 0;
-        let c = t.((i * 4) + 1) in
-        if c > 0 && gain_at i c = g then key
+        let i = probe c key in
+        if c.slots.((i * 4) + 3) = g then c.slots.((i * 4) + 3) <- 0;
+        let n = c.slots.((i * 4) + 1) in
+        if n > 0 && gain_at bld key n = g then key
         else begin
-          offer i;
+          offer bld c heap i;
           pop_best ()
         end
       end
     in
     let check_counts () =
       let reference = count_candidates bld in
-      Hashtbl.iter
-        (fun key r ->
-          if count_of key <> !r then
-            failwith
-              (Printf.sprintf "Sadc incremental counts: key %d has %d, rescan says %d" key
-                 (count_of key) !r))
-        reference;
-      for i = 0 to !cap - 1 do
-        let key = !tbl.(i * 4) land key_mask in
-        if key <> 0 && !tbl.((i * 4) + 1) <> 0 && not (Hashtbl.mem reference key) then
-          failwith
-            (Printf.sprintf "Sadc incremental counts: key %d has stale %d" key !tbl.((i * 4) + 1))
+      let differ what key live rescan =
+        failwith
+          (Printf.sprintf "Sadc incremental counts: key %d has %s %d, rescan says %d" key what live
+             rescan)
+      in
+      for i = 0 to reference.cap - 1 do
+        let key = reference.slots.(i * 4) land key_mask and n = reference.slots.((i * 4) + 1) in
+        if n > 0 && count_of c key <> n then differ "count" key (count_of c key) n
+      done;
+      for i = 0 to c.cap - 1 do
+        let key = c.slots.(i * 4) land key_mask and n = c.slots.((i * 4) + 1) in
+        if key <> 0 && n <> 0 && count_of reference key = 0 then differ "stale count" key n 0
       done
     in
     let le = le_create () in
     for b = 0 to nblocks - 1 do
-      count_block le bld bump b
+      count_block le bld c b
     done;
     refresh_heap ();
     (* The round in which each block was last reparsed — an occurrence
@@ -951,14 +938,14 @@ module Make (I : Sadc_isa.S) = struct
       else begin
         let cand = cand_of_key key in
         let nid = push bld (new_entry bld cand) in
-        let node = ref (!tbl.((probe key * 4) + 2) - 1) in
+        let node = ref (c.slots.((probe c key * 4) + 2) - 1) in
         while !node >= 0 do
-          let b = !occ_blk.(!node) in
+          let b = c.occ_blk.(!node) in
           if seen.(b) <> !rounds then begin
             seen.(b) <- !rounds;
             ignore (update_block b cand nid : bool)
           end;
-          node := !occ_next.(!node)
+          node := c.occ_next.(!node)
         done;
         refresh_heap ()
       end

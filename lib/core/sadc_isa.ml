@@ -7,7 +7,7 @@ module type S = sig
   val stream_count : int
   val stream_bits : int array
   val stream_names : string array
-  val items : instr -> int list array
+  val iter_items : instr -> (int -> int -> unit) -> unit
   val byte_length : instr -> int
   val read : symbol:int -> next:(int -> int) -> instr
   val read_into : symbol:int -> next:(int -> int) -> Bytes.t -> int -> int
@@ -27,9 +27,38 @@ module Mips_streams = struct
   let stream_bits = [| 5; 16; 26 |]
   let stream_names = [| "register"; "immediate"; "long-immediate" |]
 
-  let items i =
-    let opt = function Some v -> [ v ] | None -> [] in
-    [| M.operand_regs i; opt (M.immediate i); opt (M.long_immediate i) |]
+  (* Registers in {!read}'s pull order, then the immediate or the jump
+     target. *)
+  let iter_items i f =
+    match i.M.spec.M.operands with
+    | M.Op_none -> ()
+    | M.Op_rd_rs_rt | M.Op_rd_rt_rs ->
+      f 0 i.M.rs;
+      f 0 i.M.rt;
+      f 0 i.M.rd
+    | M.Op_rd_rt_shamt ->
+      f 0 i.M.rt;
+      f 0 i.M.rd;
+      f 0 i.M.shamt
+    | M.Op_rs_rt ->
+      f 0 i.M.rs;
+      f 0 i.M.rt
+    | M.Op_rd -> f 0 i.M.rd
+    | M.Op_rs -> f 0 i.M.rs
+    | M.Op_rd_rs ->
+      f 0 i.M.rs;
+      f 0 i.M.rd
+    | M.Op_rt_rs_imm | M.Op_rt_base_offset | M.Op_rs_rt_branch ->
+      f 0 i.M.rs;
+      f 0 i.M.rt;
+      f 1 i.M.imm
+    | M.Op_rt_imm ->
+      f 0 i.M.rt;
+      f 1 i.M.imm
+    | M.Op_rs_branch ->
+      f 0 i.M.rs;
+      f 1 i.M.imm
+    | M.Op_target -> f 2 i.M.imm
 
   let byte_length _ = 4
 
@@ -125,11 +154,18 @@ module X86_streams = struct
   let stream_bits = [| 8; 8 |]
   let stream_names = [| "modrm-sib"; "imm-disp" |]
 
-  let bytes_to_items s = List.init (String.length s) (fun k -> Char.code s.[k])
+  let iter_bytes f s bytes =
+    for k = 0 to String.length bytes - 1 do
+      f s (Char.code (String.unsafe_get bytes k))
+    done
 
-  let items i =
-    let _, ms, id = X.streams i in
-    [| bytes_to_items ms; bytes_to_items id |]
+  (* ModRM then SIB; displacement then immediate bytes — the layout of
+     [X.streams]. *)
+  let iter_items i f =
+    (match i.X.modrm with Some m -> f 0 m | None -> ());
+    (match i.X.sib with Some b -> f 0 b | None -> ());
+    iter_bytes f 1 i.X.disp;
+    iter_bytes f 1 i.X.imm
 
   let byte_length = X.length
 
@@ -173,21 +209,18 @@ module X86_field_streams = struct
   let stream_bits = [| 2; 3; 3; 2; 3; 3; 8 |]
   let stream_names = [| "mod"; "reg"; "rm"; "scale"; "index"; "base"; "disp-imm" |]
 
-  let items i =
-    let modrm_fields =
-      match i.X.modrm with
-      | Some m -> ([ m lsr 6 ], [ (m lsr 3) land 7 ], [ m land 7 ])
-      | None -> ([], [], [])
+  (* ModRM's fields to streams 0-2 and SIB's to 3-5, two-three-three
+     bits each; displacement then immediate bytes to stream 6. *)
+  let iter_items i f =
+    let fields s byte =
+      f s (byte lsr 6);
+      f (s + 1) ((byte lsr 3) land 7);
+      f (s + 2) (byte land 7)
     in
-    let sib_fields =
-      match i.X.sib with
-      | Some s -> ([ s lsr 6 ], [ (s lsr 3) land 7 ], [ s land 7 ])
-      | None -> ([], [], [])
-    in
-    let md, reg, rm = modrm_fields in
-    let scale, index, base = sib_fields in
-    let bytes s = List.init (String.length s) (fun k -> Char.code s.[k]) in
-    [| md; reg; rm; scale; index; base; bytes i.X.disp @ bytes i.X.imm |]
+    (match i.X.modrm with Some m -> fields 0 m | None -> ());
+    (match i.X.sib with Some b -> fields 3 b | None -> ());
+    X86_streams.iter_bytes f 6 i.X.disp;
+    X86_streams.iter_bytes f 6 i.X.imm
 
   let byte_length = X.length
 

@@ -24,8 +24,9 @@ module type S = sig
 
   val stream_names : string array
 
-  val items : instr -> int list array
-  (** Operand items per stream, in the order {!read} pulls them. *)
+  val iter_items : instr -> (int -> int -> unit) -> unit
+  (** [iter_items instr f] calls [f s v] for each operand item [v] of
+      stream [s]; within a stream, in the order {!read} pulls them. *)
 
   val byte_length : instr -> int
 

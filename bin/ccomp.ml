@@ -245,26 +245,38 @@ let prune_arg =
 let context_arg =
   Arg.(value & opt int 2 & info [ "context-bits" ] ~docv:"N" ~doc:"SAMC connected-tree context bits.")
 
+(* Code the codec cannot take (not whole MIPS words, not parseable as
+   the ISA) is bad input, not a bad command line: a typed line and exit
+   1, as for an image that does not decode. *)
+let uncompressible e =
+  prerr_endline ("ccomp: cannot compress: " ^ e);
+  exit 1
+
 let compress_cmd =
   let run algo isa block_size context_bits quantize prune_below jobs verbose metrics trace events
       input output =
     let jobs = resolve_jobs jobs in
-    with_obs ~events ~metrics ~trace @@ fun () ->
-    let code = phase ~verbose ~bytes:String.length "read" (fun () -> read_file input) in
-    let bytes = String.length code in
-    let compress_phase = phase ~verbose ~bytes:(fun _ -> bytes) "compress" in
-    let image =
-      compress_phase (fun () ->
-          Image.compress ~jobs ~context_bits ~quantize ~prune_below ~algo ~isa ~block_size code)
+    let outcome =
+      with_obs ~events ~metrics ~trace @@ fun () ->
+      let code = phase ~verbose ~bytes:String.length "read" (fun () -> read_file input) in
+      let bytes = String.length code in
+      let compress_phase = phase ~verbose ~bytes:(fun _ -> bytes) "compress" in
+      match
+        compress_phase (fun () ->
+            Image.compress ~jobs ~context_bits ~quantize ~prune_below ~algo ~isa ~block_size code)
+      with
+      | exception Invalid_argument e -> Error e
+      | image ->
+        let path = match output with Some p -> p | None -> input ^ ".secf" in
+        let written = Image.write image in
+        phase ~verbose ~bytes:(fun () -> String.length written) "write" (fun () ->
+            write_file path written);
+        Printf.printf "%s\n" (Image.describe image);
+        Printf.printf "wrote %s: %d bytes total (original %d)\n" path (String.length written)
+          (String.length code);
+        Ok ()
     in
-    let path = match output with Some p -> p | None -> input ^ ".secf" in
-    let written = Image.write image in
-    phase ~verbose ~bytes:(fun () -> String.length written) "write" (fun () ->
-        write_file path written);
-    Printf.printf "%s\n" (Image.describe image);
-    Printf.printf "wrote %s: %d bytes total (original %d)\n" path (String.length written)
-      (String.length code);
-    `Ok ()
+    match outcome with Error e -> uncompressible e | Ok () -> `Ok ()
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
   let term =
@@ -366,7 +378,8 @@ let info_cmd =
 let ratios_cmd =
   let run isa block_size input =
     let { Paper.lzw; gzip; huffman; samc; sadc } =
-      Paper.ratios ~block_size ~isa (read_file input)
+      try Paper.ratios ~block_size ~isa (read_file input)
+      with Invalid_argument e -> uncompressible e
     in
     Printf.printf "%-10s %8s %8s %8s %8s %8s\n" "file" "compress" "gzip" "huffman" "samc" "sadc";
     Printf.printf "%-10s %8.3f %8.3f %8.3f %8.3f %8.3f\n" (Filename.basename input) lzw gzip huffman

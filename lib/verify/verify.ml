@@ -243,26 +243,26 @@ let kernels (img : Image.t) =
     ]
 
 (* A codec's instance is its SECF image, built as the CLI and the
-   daemon build it, so the wire form under test is the shipped one. *)
-let make_image ~tag ~algo ~isa ~block_size code =
-  let build jobs =
-    let img = Image.compress ~jobs ~algo ~isa ~block_size code in
-    match tag with Some kind -> Image.with_block_crcs kind img | None -> img
-  in
-  let img = guard_build (fun () -> build 1) in
+   daemon build it, so the wire form under test is the shipped one.
+   [rebuild jobs] compresses the same code again over [jobs] domains. *)
+let image_instance ?rebuild img =
   let serialized = lazy (Image.write img) in
   {
     ci_serial = lazy (Image.decompress img);
     ci_parallel = Some (fun j -> Image.decompress ~jobs:j img);
     ci_kernels = kernels img;
     ci_serialize = serialized;
-    ci_compress_parallel = Some (fun j -> Image.write (build j));
+    ci_compress_parallel = Option.map (fun rebuild j -> Image.write (rebuild j)) rebuild;
     ci_reserialized =
       (fun () ->
         match Image.read (Lazy.force serialized) with
         | Ok img' -> Image.decompress img'
         | Error e -> failwith ("SECF image does not read back: " ^ e));
   }
+
+let make_image ~algo ~isa ~block_size code =
+  let build jobs = Image.compress ~jobs ~algo ~isa ~block_size code in
+  (guard_build (fun () -> build 1), build)
 
 let make_byte_huffman ~block_size code =
   let z = guard_build (fun () -> Byte_huffman.compress ~block_size code) in
@@ -299,10 +299,10 @@ let make_byte_huffman ~block_size code =
   }
 
 (* Several pairs interrogate the same compressed program; memoize
-   instances per (physical input, isa, block size) so one input is
-   compressed once per codec, not once per check. Shrink candidates are
-   fresh strings and correctly miss the cache. *)
-let memo_instance build =
+   per (physical input, isa, block size) so one input is compressed
+   once per codec, not once per check. Shrink candidates are fresh
+   strings and correctly miss the cache. *)
+let memo build =
   let cache = ref [] in
   fun ~isa ~block_size code ->
     match
@@ -314,29 +314,35 @@ let memo_instance build =
       cache := (code, isa, block_size, v) :: List.filteri (fun i _ -> i < 7) !cache;
       v
 
-let samc_instance = memo_instance (make_image ~tag:None ~algo:Samc)
+(* The SAMC image, shared by the samc and secf instances. *)
+let samc_image = memo (make_image ~algo:Samc)
 
-let sadc_instance = memo_instance (make_image ~tag:None ~algo:Sadc)
+let samc_instance =
+  memo (fun ~isa ~block_size code ->
+      let img, rebuild = samc_image ~isa ~block_size code in
+      image_instance ~rebuild img)
 
-let byte_huffman_instance = memo_instance (fun ~isa:_ ~block_size code -> make_byte_huffman ~block_size code)
+let sadc_instance =
+  memo (fun ~isa ~block_size code ->
+      let img, rebuild = make_image ~algo:Sadc ~isa ~block_size code in
+      image_instance ~rebuild img)
+
+let byte_huffman_instance = memo (fun ~isa:_ ~block_size code -> make_byte_huffman ~block_size code)
 
 (* The SAMC image again, tagged, so every SECF check also runs tag
    verification on clean input; its kernels and parallel compress are
    the samc instance's. *)
-let image_instance =
-  memo_instance (fun ~isa ~block_size code ->
-      {
-        (make_image ~tag:(Some Image.Crc8_tags) ~algo:Samc ~isa ~block_size code) with
-        ci_kernels = [];
-        ci_compress_parallel = None;
-      })
+let tagged_instance =
+  memo (fun ~isa ~block_size code ->
+      let img, _ = samc_image ~isa ~block_size code in
+      { (image_instance (Image.with_block_crcs Image.Crc8_tags img)) with ci_kernels = [] })
 
 let builders ~isa ~block_size =
   [
     ("samc", fun code -> samc_instance ~isa ~block_size code);
     ("sadc", fun code -> sadc_instance ~isa ~block_size code);
     ("byte-huffman", fun code -> byte_huffman_instance ~isa ~block_size code);
-    ("secf", fun code -> image_instance ~isa ~block_size code);
+    ("secf", fun code -> tagged_instance ~isa ~block_size code);
   ]
 
 (* --- the pair checks ----------------------------------------------------- *)

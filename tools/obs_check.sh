@@ -23,6 +23,8 @@
 #   7. `ccomp ratios --isa x86` on code that is not a whole number of
 #      4-byte words prints five ratios, each under 1; `--isa bogus` is a
 #      command-line error (exit 124).
+#   8. `compress` (either algorithm) and `ratios` with `--isa mips` on
+#      that x86 code exit 1 with a `ccomp: cannot compress:` line.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: obs_check.sh CCOMP_EXE" >&2; exit 2; }
@@ -104,4 +106,15 @@ status=0
 "$ccomp" ratios --isa bogus "$dir/x86.bin" > /dev/null 2>&1 || status=$?
 [ "$status" -eq 124 ] || fail "ratios --isa bogus: exit $status, want 124"
 
-echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image, ratios)"
+# -- 8: code that does not suit the ISA exits 1 and names the error -----
+for cmd in "compress --algo samc -o $dir/unsuited.secf" "compress --algo sadc -o $dir/unsuited.secf" \
+           "ratios"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$ccomp" $cmd --isa mips "$dir/x86.bin" > /dev/null 2> "$dir/unsuited.err" || status=$?
+  [ "$status" -eq 1 ] || fail "$cmd --isa mips on x86 code: exit $status, want 1"
+  grep -q '^ccomp: cannot compress: ' "$dir/unsuited.err" \
+    || fail "$cmd --isa mips on x86 code: no 'cannot compress' line: $(cat "$dir/unsuited.err")"
+done
+
+echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image, ratios, unsuited code)"

@@ -102,6 +102,8 @@ let timing_tests () =
   Test.make_grouped ~name:"codec" ~fmt:"%s/%s"
     [
       Test.make ~name:"samc-compress" (Staged.stage (fun () -> Samc.compress samc_cfg code));
+      Test.make ~name:"sadc-compress"
+        (Staged.stage (fun () -> Sadc.Mips.compress_image (Sadc.default_config ()) code));
       Test.make ~name:"samc-decompress-block"
         (Staged.stage (fun () ->
              Samc.decompress_block samc_cfg samc.Samc.model ~original_bytes:32 samc_block));

@@ -62,7 +62,7 @@ let grow_ints a n =
 module Gain_heap = struct
   type t = { mutable gain : int array; mutable key : int array; mutable size : int }
 
-  let create () = { gain = Array.make 1024 0; key = Array.make 1024 0; size = 0 }
+  let create n = { gain = Array.make (max 1 n) 0; key = Array.make (max 1 n) 0; size = 0 }
 
   let is_empty h = h.size = 0
 
@@ -446,39 +446,42 @@ module Make (I : Sadc_isa.S) = struct
 
   let key_mask = hot_bit - 1
 
-  (* Sized so the table never grows on realistic corpora: distinct keys
-     stay under ~1.9 per token (pairs + triples + specialisations,
-     measured on the generated suites), so four slots per token keeps
-     the final load factor under the 75% grow threshold. [grow] still
-     handles adversarial key densities. *)
+  (* Sized so that, on the generated suites, neither the table nor the
+     node pool grows on programs of 2,000 tokens or more (both still
+     grow on other inputs): a build ends with 1.6-3.0 distinct keys per
+     token there (pairs, triples and specialisations; smaller programs
+     reach 4, under the 8,192-slot floor), so four slots per token stay
+     under the 75% grow threshold, and it appends 7-8 occurrence nodes
+     per token. The table is the largest block a build allocates, and
+     major-heap work grows with it, so its capacity is not rounded up to
+     a power of two. *)
   let counts_create tokens =
-    let cap = ref 4096 in
-    while !cap < 4 * tokens do
-      cap := !cap * 2
-    done;
+    let cap = max 8192 (4 * tokens) and nodes = max 1024 (8 * tokens) in
     {
-      cap = !cap;
-      slots = Array.make (4 * !cap) 0;
+      cap;
+      slots = Array.make (4 * cap) 0;
       size = 0;
-      occ_blk = Array.make (max 1024 tokens) 0;
-      occ_next = Array.make (max 1024 tokens) 0;
+      occ_blk = Array.make nodes 0;
+      occ_next = Array.make nodes 0;
       nocc = 0;
       touched = Array.make 1024 0;
       ntouched = 0;
     }
 
-  (* [key]'s slot, or the empty slot where it would go. Slots are
-     provably in [0, cap): unsafe accesses avoid bounds checks on the
-     hottest loop of the build. *)
+  (* [key]'s slot, or the empty slot where it would go: linear probing
+     from the top 31 bits of a multiplicative hash scaled to [cap] (cap
+     stays under 2^31). Slots are provably in [0, cap): unsafe accesses
+     avoid bounds checks on the hottest loop of the build. *)
   let probe c key =
-    let h = key * 0x9E3779B97F4A7C1 in
-    let slots = c.slots and mask = c.cap - 1 in
-    let i = ref ((h lxor (h lsr 31)) land mask) in
+    let h = (key * 0x9E3779B97F4A7C1) land max_int in
+    let slots = c.slots and cap = c.cap in
+    let i = ref (((h lsr 31) * cap) lsr 31) in
     while
       let k = Array.unsafe_get slots (!i * 4) land key_mask in
       k <> 0 && k <> key
     do
-      i := (!i + 1) land mask
+      incr i;
+      if !i = cap then i := 0
     done;
     !i
 
@@ -879,7 +882,7 @@ module Make (I : Sadc_isa.S) = struct
            true
          end
     in
-    let heap = Gain_heap.create () in
+    let heap = Gain_heap.create (Array.length bld.tok) in
     let refresh_heap () =
       for k = 0 to c.ntouched - 1 do
         let i = c.touched.(k) in
@@ -968,11 +971,17 @@ module Make (I : Sadc_isa.S) = struct
     let prog = bld.prog in
     let nblocks = Array.length bld.blen in
     let eoff = Array.make (nblocks + 1) 0 in
-    let elems = ref (Array.make (max 1024 (4 * Array.length bld.tok)) 0) in
+    (* Room for every token and every chunk of every item, absorbed or
+       not, so the array never grows. *)
+    let capacity = ref (Array.fold_left ( + ) 0 bld.blen) in
+    for s = 0 to I.stream_count - 1 do
+      let items = prog.ioff.(s).(Array.length prog.syms) in
+      capacity := !capacity + (items * Array.length chunk_shift.(s))
+    done;
+    let elems = Array.make !capacity 0 in
     let len = ref 0 in
     let add x =
-      if !len = Array.length !elems then elems := grow_ints !elems !len;
-      Array.unsafe_set !elems !len x;
+      elems.(!len) <- x;
       incr len
     in
     for b = 0 to nblocks - 1 do
@@ -1002,7 +1011,7 @@ module Make (I : Sadc_isa.S) = struct
       done
     done;
     eoff.(nblocks) <- !len;
-    (!elems, eoff)
+    (elems, eoff)
 
   (* The token code, the chunk codes per (stream, width), and every code
      by alphabet number for the encoder. *)
@@ -1080,7 +1089,7 @@ module Make (I : Sadc_isa.S) = struct
           end;
           (payload, original))
     in
-    let original_size = prog.boff.(Array.length instrs) in
+    let original_size = prog.boff.(Array.length prog.syms) in
     { config; dict; token_code; chunk_codes; blocks; original_size; rounds }
 
   let compress_image ?jobs config image =

@@ -356,13 +356,6 @@ module Make (I : Sadc_isa.S) = struct
     | [] -> false
     | (s', p', _) :: tl -> (s' = s && p' = p) || is_fixed tl s p
 
-  (* Candidate occurrences are reported as [emit b key d]: [key]'s count
-     in block [b] moves by [d]. Blocks count independently: the
-     non-overlap bookkeeping for self-overlapping n-grams like (a, a) is
-     block-local (a pattern never straddles two blocks), so the global
-     count of every candidate is the sum of its per-block counts — the
-     invariant the incremental builder rests on. *)
-
   (* Last counted end index per n-gram key within one block: a tiny
      generation-stamped open-addressing map, reset O(1) per block by
      bumping the generation — a block holds at most [block_size] tokens,
@@ -546,8 +539,12 @@ module Make (I : Sadc_isa.S) = struct
       done
     end
 
-  (* Count block [b]'s candidate occurrences into [c]. [le] is the
-     caller's scratch. *)
+  (* Count block [b]'s candidate occurrences into [c]; [le] is the
+     caller's scratch. Blocks count independently: the non-overlap
+     bookkeeping for self-overlapping n-grams like (a, a) is block-local
+     (a pattern never straddles two blocks), so the global count of every
+     candidate is the sum of its per-block counts — the invariant the
+     incremental builder rests on. *)
   let count_block le bld c b =
     let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
     le_reset le n;

@@ -273,9 +273,8 @@ let minor_bytes_per_input_byte compress code =
   (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8)
   /. float_of_int (String.length code)
 
-(* The bounds are 1.5x what the flat-array compressor measures on gcc at
-   scale 0.25: 40 bytes per input byte on MIPS and 112 on x86. The list-
-   and record-based compressor it replaced allocated 765 and 877. *)
+(* The bounds are 1.5x what the compressor measures on gcc at scale
+   0.25: 40 bytes per input byte on MIPS and 113 on x86. *)
 let test_compress_allocation () =
   let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
   let mips c = ignore (Sadc.Mips.compress_image cfg c)

@@ -574,17 +574,6 @@ module Make (I : Sadc_isa.S) = struct
     done;
     c
 
-  (* Gains in bytes saved, following §4.1: a group of n opcodes replacing
-     f occurrences saves f*(occupied tokens - 1) opcode bytes and costs n
-     dictionary bytes; absorbing an operand of b bits saves f*b/8. *)
-  let gain bld cand count =
-    let f = float_of_int count in
-    match cand with
-    | Pair (a, b) -> f -. float_of_int (entry_cost bld a + entry_cost bld b)
-    | Triple (a, b, c) ->
-      (2.0 *. f) -. float_of_int (entry_cost bld a + entry_cost bld b + entry_cost bld c)
-    | Spec (_, s, _, _) -> (f *. float_of_int I.stream_bits.(s) /. 8.0) -. 1.0
-
   let new_entry bld cand =
     let prims e = bld.dict_entries.(e).prims in
     match cand with
@@ -607,9 +596,7 @@ module Make (I : Sadc_isa.S) = struct
   }
 
   let reparse_scratch bld =
-    let longest = ref 1 in
-    Array.iter (fun n -> longest := max !longest n) bld.blen;
-    let buf () = Array.make !longest 0 in
+    let buf () = Array.make (Array.fold_left max 1 bld.blen) 0 in
     { new_tok = buf (); old_sites = buf (); new_sites = buf (); nsites = 0; nout = 0 }
 
   let keep r t =
@@ -681,6 +668,20 @@ module Make (I : Sadc_isa.S) = struct
     Array.blit r.new_tok 0 bld.tok bld.seg.(b) r.nout;
     bld.blen.(b) <- r.nout
 
+  (* Cost of the entry packed at bit [shift] of an n-gram key. *)
+  let field_cost bld key shift = entry_cost bld ((key lsr shift) land entry_mask)
+
+  (* Gain of [key] at count [n] in eighths of a byte saved, following
+     §4.1: a group of k opcodes replacing n occurrences saves n*(occupied
+     tokens - 1) opcode bytes and costs k dictionary bytes; absorbing an
+     operand of b bits saves n*b/8 and costs one byte. In eighths, every
+     gain is an exact int. *)
+  let gain_at bld key n =
+    match key lsr 60 with
+    | 1 -> 8 * (n - field_cost bld key 20 - field_cost bld key 0)
+    | 2 -> 8 * ((2 * n) - field_cost bld key 40 - field_cost bld key 20 - field_cost bld key 0)
+    | _ -> (I.stream_bits.((key lsr 36) land 15) * n) - 8
+
   (* Canonical selection: largest gain, ties broken toward the smallest
      packed key. (The seed's tie-break was Hashtbl iteration order, which
      an incremental builder cannot reproduce; both builders now share
@@ -690,8 +691,8 @@ module Make (I : Sadc_isa.S) = struct
     for i = 0 to c.cap - 1 do
       let key = c.slots.(i * 4) land key_mask and count = c.slots.((i * 4) + 1) in
       if count > 0 then begin
-        let g = gain bld (cand_of_key key) count in
-        if g > 0.0 then
+        let g = gain_at bld key count in
+        if g > 0 then
           match !best with
           | Some (g', k') when g' > g || (g' = g && k' < key) -> ()
           | _ -> best := Some (g, key)
@@ -753,18 +754,6 @@ module Make (I : Sadc_isa.S) = struct
       done
     end;
     !count
-
-  (* Cost of the entry packed at bit [shift] of an n-gram key. *)
-  let field_cost bld key shift = entry_cost bld ((key lsr shift) land entry_mask)
-
-  (* [gain] of [key] at count [n], scaled by 8 to be exact in ints.
-     Scaling by a positive constant keeps the order and the ties of
-     [gain]'s exact multiples of 1/8. *)
-  let gain_at bld key n =
-    match key lsr 60 with
-    | 1 -> 8 * (n - field_cost bld key 20 - field_cost bld key 0)
-    | 2 -> 8 * ((2 * n) - field_cost bld key 40 - field_cost bld key 20 - field_cost bld key 0)
-    | _ -> (I.stream_bits.((key lsr 36) land 15) * n) - 8
 
   (* Queue slot [i]'s live gain when it tops every gain the key already
      has queued. *)

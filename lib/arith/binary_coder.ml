@@ -123,7 +123,7 @@ end
 
 module Decoder = struct
   type t = {
-    data : string;
+    mutable data : string;
     mutable pos : int;
     mutable code : int; (* 24-bit window of the encoded value *)
     mutable range : int;
@@ -134,12 +134,22 @@ module Decoder = struct
     d.pos <- d.pos + 1;
     b
 
-  let create ?(pos = 0) data =
-    let d = { data; pos; code = 0; range = top_value } in
+  let prime d =
     for _ = 1 to 3 do
       d.code <- (d.code lsl 8) lor next_byte d
-    done;
+    done
+
+  let create ?(pos = 0) data =
+    let d = { data; pos; code = 0; range = top_value } in
+    prime d;
     d
+
+  let reset d data =
+    d.data <- data;
+    d.pos <- 0;
+    d.code <- 0;
+    d.range <- top_value;
+    prime d
 
   let decode d ~p0 =
     let bound = bound_of ~range:d.range ~p0 in

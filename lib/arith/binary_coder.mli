@@ -53,6 +53,11 @@ module Decoder : sig
   (** [create data] starts decoding at byte offset [pos] (default 0). Bytes
       past the end of [data] read as zero. *)
 
+  val reset : t -> string -> unit
+  (** [reset d data] restarts [d] on [data] at offset 0, as [create data]
+      would, without allocating — the per-domain decoder of a whole-image
+      decode serves every block it draws. *)
+
   val decode : t -> p0:int -> int
   (** Decodes the next bit under prediction [p0]; must be called with the
       same sequence of predictions the encoder used. *)

@@ -4,22 +4,12 @@ module Bit_writer = Ccomp_bitio.Bit_writer
 module Bit_reader = Ccomp_bitio.Bit_reader
 module Obs = Ccomp_obs.Obs
 
-(* Observability (guarded, never alters coded bits): per-block latency
-   and size for the byte-Huffman baseline, plus the bit-I/O
-   refill/flush counts of its coding loops. *)
-let m_c_blocks = Obs.Counter.make "huffman.compress.blocks"
+(* Observability (guarded, never alters coded bits): the per-block
+   family ([Blocks.metrics]) for the byte-Huffman baseline, plus the
+   bit-I/O refill/flush counts of its coding loops. *)
+let m_compress = Ccomp_par.Blocks.metrics "huffman.compress"
 
-let m_c_bytes_in = Obs.Counter.make "huffman.compress.bytes_in"
-
-let m_c_bytes_out = Obs.Counter.make "huffman.compress.bytes_out"
-
-let m_c_block_us = Obs.Histogram.make "huffman.compress.block_us"
-
-let m_d_blocks = Obs.Counter.make "huffman.decompress.blocks"
-
-let m_d_bytes_out = Obs.Counter.make "huffman.decompress.bytes_out"
-
-let m_d_block_us = Obs.Histogram.make "huffman.decompress.block_us"
+let m_decompress = Ccomp_par.Blocks.metrics "huffman.decompress"
 
 let m_reader_refills = Obs.Counter.make "bitio.reader.refills"
 
@@ -32,85 +22,63 @@ type compressed = {
   original_size : int;
 }
 
-let compress ?(block_size = 32) ?(jobs = 1) input =
-  Obs.with_span ~cat:"huffman" "huffman.compress" @@ fun () ->
-  if String.length input = 0 then invalid_arg "Byte_huffman.compress: empty input";
-  let code = Huffman.build (Freq.of_string input) in
-  let n = String.length input in
-  let nblocks = (n + block_size - 1) / block_size in
-  let instrument = Obs.metrics_enabled () in
-  (* The code table is global but fixed before any block encodes, so
-     blocks fan out over the pool with byte-identical assembly. Each
-     domain reuses one bit writer across all its blocks. *)
-  let blocks =
-    Ccomp_par.Pool.init_local ~jobs nblocks
-      ~local:(fun () -> Bit_writer.create ())
-      (fun w b ->
-        let start = b * block_size in
-        let len = min block_size (n - start) in
-        let t0 = if instrument then Obs.now_us () else 0.0 in
-        Bit_writer.reset w;
-        for i = start to start + len - 1 do
-          Huffman.encode_symbol code w (Char.code input.[i])
-        done;
-        let blk = Bit_writer.contents w in
-        if instrument then begin
-          Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
-          Obs.Counter.incr m_c_blocks;
-          Obs.Counter.add m_c_bytes_in len;
-          Obs.Counter.add m_c_bytes_out (String.length blk);
-          Obs.Counter.add m_writer_flushes (Bit_writer.flushes w)
-        end;
-        blk)
-  in
-  { code; blocks; block_size; original_size = n }
-
 let block_length t b =
   let start = b * t.block_size in
   min t.block_size (t.original_size - start)
 
-let decompress_block t b =
-  let r = Bit_reader.create t.blocks.(b) in
-  let len = block_length t b in
-  let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set out i (Char.chr (Huffman.decode_symbol t.code r))
-  done;
-  if Obs.metrics_enabled () then Obs.Counter.add m_reader_refills (Bit_reader.refills r);
-  Bytes.to_string out
+let compress ?(block_size = 32) ?jobs input =
+  Obs.with_span ~cat:"huffman" "huffman.compress" @@ fun () ->
+  if block_size < 1 || block_size > 65535 then
+    invalid_arg "Byte_huffman.compress: block_size must be in 1..65535 (a u16 header field)";
+  if String.length input = 0 then invalid_arg "Byte_huffman.compress: empty input";
+  let code = Huffman.build (Freq.of_string input) in
+  let t = { code; blocks = [||]; block_size; original_size = String.length input } in
+  (* The code table is global but fixed before any block encodes, so
+     blocks fan out with byte-identical assembly. Each domain reuses one
+     bit writer across all its blocks. *)
+  let blocks =
+    Ccomp_par.Blocks.encode ?jobs m_compress ~local:Bit_writer.create ~bytes_in:(block_length t)
+      ((t.original_size + block_size - 1) / block_size)
+      (fun w b ->
+        let start = b * block_size in
+        Bit_writer.reset w;
+        for i = start to start + block_length t b - 1 do
+          Huffman.encode_symbol code w (Char.code input.[i])
+        done;
+        if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
+        Bit_writer.contents w)
+  in
+  { t with blocks }
 
-let decompress ?(jobs = 1) ?max_output t =
+let block_decoder t =
+  let r = Bit_reader.create "" in
+  fun b out pos ->
+    let len = block_length t b in
+    let refills0 = Bit_reader.refills r in
+    Bit_reader.reset r t.blocks.(b);
+    for i = pos to pos + len - 1 do
+      Bytes.set out i (Char.chr (Huffman.decode_symbol t.code r))
+    done;
+    if Obs.metrics_enabled () then
+      Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0);
+    len
+
+let decompress_block t b =
+  let out = Bytes.create (block_length t b) in
+  ignore (block_decoder t b out 0);
+  Bytes.unsafe_to_string out
+
+let decompress ?jobs ?max_output t =
   Obs.with_span ~cat:"huffman" "huffman.decompress" @@ fun () ->
   (match max_output with
   | Some limit when t.original_size > limit ->
     Ccomp_util.Decode_error.fail
       (Length_overflow { section = "byte-huffman"; declared = t.original_size; limit })
   | Some _ | None -> ());
-  let instrument = Obs.metrics_enabled () in
-  (* Blocks decode straight into disjoint slices of one shared output
-     buffer (block [b] covers [b * block_size ..)), so the parallel path
-     does no per-block string allocation and no final concat. Each
-     domain reuses one bit reader across its blocks. *)
-  let out = Bytes.create t.original_size in
-  Ccomp_par.Pool.iter_n ~jobs
-    ~local:(fun () -> Bit_reader.create "")
-    (Array.length t.blocks)
-    (fun r b ->
-      let start = b * t.block_size in
-      let len = min t.block_size (t.original_size - start) in
-      let t0 = if instrument then Obs.now_us () else 0.0 in
-      let refills0 = Bit_reader.refills r in
-      Bit_reader.reset r t.blocks.(b);
-      for i = start to start + len - 1 do
-        Bytes.set out i (Char.chr (Huffman.decode_symbol t.code r))
-      done;
-      if instrument then begin
-        Obs.Histogram.observe m_d_block_us (Obs.now_us () -. t0);
-        Obs.Counter.incr m_d_blocks;
-        Obs.Counter.add m_d_bytes_out len;
-        Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0)
-      end);
-  Bytes.unsafe_to_string out
+  Ccomp_par.Blocks.decode ?jobs m_decompress
+    ~sizes:(Array.init (Array.length t.blocks) (block_length t))
+    ~payload_bytes:(fun b -> String.length t.blocks.(b))
+    (fun () -> block_decoder t)
 
 (* Wire form (the ROM image of the Kozuch–Wolfe scheme): block size and
    original size, the shared length table, then length-prefixed block

@@ -17,13 +17,22 @@ type compressed = {
 val compress : ?block_size:int -> ?jobs:int -> string -> compressed
 (** [compress code] with 32-byte blocks by default. [jobs] (default 1)
     fans per-block encoding over that many domains with byte-identical
-    output. *)
+    output.
+    @raise Invalid_argument on empty input or a [block_size] outside
+    1..65535 (the wire form's u16 field). *)
+
+val block_decoder : compressed -> int -> Bytes.t -> int -> int
+(** [block_decoder t] builds one block decoder around a reused bit
+    reader: [decode b out pos] writes block [b]'s bytes at [out.(pos)]
+    and returns their count. Build one per domain. *)
 
 val decompress_block : compressed -> int -> string
+(** One block through {!block_decoder}. *)
 
 val decompress : ?jobs:int -> ?max_output:int -> compressed -> string
-(** [decompress t] rebuilds the original bytes. [jobs] (default 1) fans
-    per-block decoding over that many domains; blocks land in disjoint
+(** [decompress t] rebuilds the original bytes: {!block_decoder} over
+    every block through {!Ccomp_par.Blocks.decode}. [jobs] (default 1)
+    fans the blocks over that many domains; blocks land in disjoint
     slices of one shared buffer, so output is byte-identical.
     [max_output] bounds the declared original size before allocation.
     @raise Ccomp_util.Decode_error.Error ([Length_overflow]) past the cap. *)

@@ -5,27 +5,13 @@ module Bit_reader = Ccomp_bitio.Bit_reader
 module Obs = Ccomp_obs.Obs
 
 (* Observability, shared by every ISA instantiation (the fuzz campaign
-   runs several in one process): per-block compress/decompress latency
-   and size, dictionary shape, and the bit-I/O refill/flush counts of
-   the Huffman coding layer. Guarded by [Obs.metrics_enabled]; never
-   alters coded bits. *)
-let m_c_blocks = Obs.Counter.make "sadc.compress.blocks"
+   runs several in one process): the per-block family
+   ([Blocks.metrics]), dictionary shape, and the bit-I/O refill/flush
+   counts of the Huffman coding layer. Guarded by [Obs.metrics_enabled];
+   never alters coded bits. *)
+let m_compress = Ccomp_par.Blocks.metrics "sadc.compress"
 
-let m_c_bytes_in = Obs.Counter.make "sadc.compress.bytes_in"
-
-let m_c_bytes_out = Obs.Counter.make "sadc.compress.bytes_out"
-
-let m_c_block_us = Obs.Histogram.make "sadc.compress.block_us"
-
-let m_c_block_ratio = Obs.Histogram.make "sadc.compress.block_ratio"
-
-let m_d_blocks = Obs.Counter.make "sadc.decompress.blocks"
-
-let m_d_bytes_in = Obs.Counter.make "sadc.decompress.bytes_in"
-
-let m_d_bytes_out = Obs.Counter.make "sadc.decompress.bytes_out"
-
-let m_d_block_us = Obs.Histogram.make "sadc.decompress.block_us"
+let m_decompress = Ccomp_par.Blocks.metrics "sadc.decompress"
 
 let m_reader_refills = Obs.Counter.make "bitio.reader.refills"
 
@@ -39,6 +25,11 @@ type config = { block_size : int; max_entries : int; max_rounds : int }
 
 let default_config ?(block_size = 32) ?(max_entries = 256) ?(max_rounds = 512) () =
   { block_size; max_entries; max_rounds }
+
+let validate_config c =
+  if c.block_size < 1 || c.block_size > 65535 then
+    Error "block_size must be in 1..65535 (a u16 header field)"
+  else Ok ()
 
 type dict_stats = {
   entries : int;
@@ -127,7 +118,8 @@ module Make (I : Sadc_isa.S) = struct
     token_code : Huffman.code;
     chunk_codes : Huffman.code option array array;
         (* per stream, per distinct chunk width (see [stream_widths]) *)
-    blocks : (string * int) array;
+    blocks : string array;  (** per-block payloads *)
+    sizes : int array;  (** per-block original bytes *)
     original_size : int;
     rounds : int;
   }
@@ -1036,8 +1028,9 @@ module Make (I : Sadc_isa.S) = struct
     if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
     Bit_writer.contents w
 
-  let compress ?(jobs = 1) config instr_list =
+  let compress ?jobs config instr_list =
     Obs.with_span ~cat:"sadc" ("sadc." ^ I.name ^ ".compress") @@ fun () ->
+    (match validate_config config with Ok () -> () | Error e -> invalid_arg ("Sadc.compress: " ^ e));
     let instrs = Array.of_list instr_list in
     if Array.length instrs = 0 then invalid_arg "Sadc.compress: empty program";
     let prog = program_of instrs in
@@ -1052,31 +1045,23 @@ module Make (I : Sadc_isa.S) = struct
     in
     let dict = Array.sub bld.dict_entries 0 bld.dict_n in
     let elems, eoff = coded_elements bld dict in
-    let token_code, chunk_codes, by_alpha = build_codes dict elems eoff.(Array.length bld.blen) in
-    let instrument = Obs.metrics_enabled () in
-    if instrument then begin
+    let nblocks = Array.length bld.blen in
+    let token_code, chunk_codes, by_alpha = build_codes dict elems eoff.(nblocks) in
+    if Obs.metrics_enabled () then begin
       Obs.Gauge.set g_dict_entries (float_of_int (Array.length dict));
       Obs.Gauge.set g_dict_rounds (float_of_int rounds)
     end;
+    let sizes =
+      Array.init nblocks (fun b -> prog.boff.(bld.seg.(b + 1)) - prog.boff.(bld.seg.(b)))
+    in
     let blocks =
       Obs.with_span ~cat:"sadc" "sadc.encode" @@ fun () ->
-      Ccomp_par.Pool.init_local ~jobs ~local:Bit_writer.create (Array.length bld.blen) (fun w b ->
-          let t0 = if instrument then Obs.now_us () else 0.0 in
-          let payload = encode_block w by_alpha elems eoff.(b) eoff.(b + 1) in
-          let original = prog.boff.(bld.seg.(b + 1)) - prog.boff.(bld.seg.(b)) in
-          if instrument then begin
-            Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
-            Obs.Counter.incr m_c_blocks;
-            Obs.Counter.add m_c_bytes_in original;
-            Obs.Counter.add m_c_bytes_out (String.length payload);
-            if original > 0 then
-              Obs.Histogram.observe m_c_block_ratio
-                (float_of_int (String.length payload) /. float_of_int original)
-          end;
-          (payload, original))
+      Ccomp_par.Blocks.encode ?jobs m_compress ~local:Bit_writer.create ~bytes_in:(Array.get sizes)
+        nblocks
+        (fun w b -> encode_block w by_alpha elems eoff.(b) eoff.(b + 1))
     in
     let original_size = prog.boff.(Array.length prog.syms) in
-    { config; dict; token_code; chunk_codes; blocks; original_size; rounds }
+    { config; dict; token_code; chunk_codes; blocks; sizes; original_size; rounds }
 
   let compress_image ?jobs config image =
     match I.parse image with
@@ -1085,15 +1070,14 @@ module Make (I : Sadc_isa.S) = struct
 
   let block_count c = Array.length c.blocks
 
-  let block_original_bytes c b = snd c.blocks.(b)
+  let block_original_bytes c b = c.sizes.(b)
 
-  let block_payload_bytes c b = String.length (fst c.blocks.(b))
+  let block_payload_bytes c b = String.length c.blocks.(b)
 
-  (* Decode one block through a caller-owned reader — per-domain scratch
-     of the parallel pipeline; [decompress_block] wraps it with a fresh
-     reader for the public one-shot API. *)
+  (* The reference list walk through [I.read] (Fig. 6), on a caller-owned
+     reader; [decompress_block] wraps it with a fresh one. *)
   let decompress_block_with r c b =
-    let payload, original = c.blocks.(b) in
+    let payload = c.blocks.(b) and original = c.sizes.(b) in
     let refills0 = Bit_reader.refills r in
     Bit_reader.reset r payload;
     let decode_chunks s =
@@ -1149,26 +1133,28 @@ module Make (I : Sadc_isa.S) = struct
      [decompress_block_with], but every instruction's bytes land
      straight in the output buffer via [I.read_into] — no instruction
      list, no intermediate string and (for fixed-width ISAs) no
-     per-instruction allocation at all. The reader, pull scratch and
-     decode closures are built once per domain and reused for every
-     block it draws, so a block decode allocates nothing — domains that
-     do not touch the minor heap do not meet at GC synchronisation
-     barriers, which is what makes jobs=2 pay on few-core hosts.
-     The returned [decode b out pos] writes block [b]'s bytes at
-     [out.(pos)] and returns the count, which the declared block size
-     is enforced to equal. *)
-  let make_block_decoder c =
+     per-instruction allocation at all. The reader, pull scratch, chunk
+     tables and decode closures are built once per domain and reused for
+     every block it draws, so a block decode allocates nothing — domains
+     that do not touch the minor heap do not meet at GC synchronisation
+     barriers, which is what makes jobs=2 pay on few-core hosts. *)
+  let block_decoder c =
     let r = Bit_reader.create "" in
-    let rec chunks s acc = function
-      | [] -> acc
-      | w :: tl ->
-        let code =
-          match c.chunk_codes.(s).(width_index s w) with
-          | Some code -> code
-          | None -> failwith "Sadc.decompress_block: missing chunk code"
-        in
-        let v = Huffman.decode_symbol code r in
-        chunks s ((acc lsl w) lor v) tl
+    (* Each stream's chunk widths and codes, most significant chunk
+       first, resolved here once instead of per decoded chunk. *)
+    let widths = Array.map Array.of_list stream_chunks in
+    let codes =
+      Array.mapi (fun s ws -> Array.map (fun w -> c.chunk_codes.(s).(width_index s w)) ws) widths
+    in
+    let chunks s =
+      let ws = widths.(s) and cs = codes.(s) in
+      let acc = ref 0 in
+      for k = 0 to Array.length ws - 1 do
+        match cs.(k) with
+        | Some code -> acc := (!acc lsl ws.(k)) lor Huffman.decode_symbol code r
+        | None -> failwith "Sadc.decompress_block: missing chunk code"
+      done;
+      !acc
     in
     (* Per-block scratch shared by every instruction: pull counters and
        the current primitive's absorbed operands. Item values are
@@ -1183,12 +1169,12 @@ module Make (I : Sadc_isa.S) = struct
       let p = counters.(s) in
       counters.(s) <- p + 1;
       let v = fixed_at s p !cur_fixed in
-      if v >= 0 then v else chunks s 0 stream_chunks.(s)
+      if v >= 0 then v else chunks s
     in
     fun b out pos ->
-      let payload, original = c.blocks.(b) in
+      let original = c.sizes.(b) in
       let refills0 = Bit_reader.refills r in
-      Bit_reader.reset r payload;
+      Bit_reader.reset r c.blocks.(b);
       let produced = ref 0 in
       let steps = ref 0 in
       while !produced < original do
@@ -1207,42 +1193,17 @@ module Make (I : Sadc_isa.S) = struct
           produced := !produced + I.read_into ~symbol:prim.sym ~next out (pos + !produced)
         done
       done;
-      if !produced <> original then failwith "Sadc.decompress_block: length mismatch";
       if Obs.metrics_enabled () then
         Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0);
-      original
+      !produced
 
-  let decompress ?(jobs = 1) c =
+  let decompress ?jobs c =
     Obs.with_span ~cat:"sadc" ("sadc." ^ I.name ^ ".decompress") @@ fun () ->
-    let instrument = Obs.metrics_enabled () in
-    let nblocks = Array.length c.blocks in
-    (* Prefix-sum the declared block sizes so every block decodes
-       directly into its own slice of one shared output buffer — no
-       per-block result strings to concatenate. The decoder enforces
-       decoded bytes = declared bytes, so slices cannot overlap in a
-       returned result even on corrupt input (writes are bounds-checked,
-       and [Decode_error.protect] folds any failure into a typed
-       error). *)
-    let offs = Array.make (nblocks + 1) 0 in
-    for b = 0 to nblocks - 1 do
-      offs.(b + 1) <- offs.(b) + snd c.blocks.(b)
-    done;
-    let out = Bytes.create offs.(nblocks) in
-    Ccomp_par.Pool.iter_n ~jobs
-      ~local:(fun () -> make_block_decoder c)
-      nblocks
-      (fun decode b ->
-        let t0 = if instrument then Obs.now_us () else 0.0 in
-        let n = decode b out offs.(b) in
-        if instrument then begin
-          Obs.Histogram.observe m_d_block_us (Obs.now_us () -. t0);
-          Obs.Counter.incr m_d_blocks;
-          Obs.Counter.add m_d_bytes_in (String.length (fst c.blocks.(b)));
-          Obs.Counter.add m_d_bytes_out n
-        end);
-    Bytes.unsafe_to_string out
+    Ccomp_par.Blocks.decode ?jobs m_decompress ~sizes:c.sizes
+      ~payload_bytes:(fun b -> String.length c.blocks.(b))
+      (fun () -> block_decoder c)
 
-  let block_payload c b = fst c.blocks.(b)
+  let block_payload c b = c.blocks.(b)
 
   let dictionary c = Array.copy c.dict
 
@@ -1265,7 +1226,7 @@ module Make (I : Sadc_isa.S) = struct
       rounds = c.rounds;
     }
 
-  let code_bytes c = Array.fold_left (fun acc (payload, _) -> acc + String.length payload) 0 c.blocks
+  let code_bytes c = Array.fold_left (fun acc payload -> acc + String.length payload) 0 c.blocks
 
   (* Dictionary wire format: count, then per entry the primitive list with
      absorbed operands (stream, position, 32-bit value). *)
@@ -1333,10 +1294,10 @@ module Make (I : Sadc_isa.S) = struct
            | None -> Buffer.add_char b '\x00'))
       c.chunk_codes;
     add_u32 b (Array.length c.blocks);
-    Array.iter
-      (fun (payload, original) ->
+    Array.iteri
+      (fun i payload ->
         add_u16 b (String.length payload);
-        add_u16 b original;
+        add_u16 b c.sizes.(i);
         Buffer.add_string b payload)
       c.blocks;
     Buffer.contents b
@@ -1363,7 +1324,7 @@ module Make (I : Sadc_isa.S) = struct
     let tables_off, tables_len = tables_span c in
     let off = ref (tables_off + tables_len + 4) in
     Array.map
-      (fun (payload, _) ->
+      (fun payload ->
         off := !off + 4;
         let o = !off in
         off := o + String.length payload;
@@ -1439,18 +1400,19 @@ module Make (I : Sadc_isa.S) = struct
     (* Each block costs at least its 4-byte prefix; a count the remaining
        bytes cannot hold must fail before sizing an array by it. *)
     if nblocks > (String.length s - !p) / 4 then fail ();
+    let sizes = Array.make nblocks 0 in
     let blocks =
-      Array.init nblocks (fun _ ->
+      Array.init nblocks (fun i ->
           let len = u16 () in
-          let original = u16 () in
-          (take len, original))
+          sizes.(i) <- u16 ();
+          take len)
     in
     (* [decompress] allocates the sum of the block sizes, so the header's
        size — the one the image's cap sees — must be that sum. *)
-    if Array.fold_left (fun acc (_, original) -> acc + original) 0 blocks <> original_size then
+    if Array.fold_left ( + ) 0 sizes <> original_size then
       Ccomp_util.Decode_error.fail (Malformed "Sadc.deserialize: block sizes disagree with header");
     let config = { block_size; max_entries; max_rounds } in
-    ({ config; dict; token_code; chunk_codes; blocks; original_size; rounds }, !p)
+    ({ config; dict; token_code; chunk_codes; blocks; sizes; original_size; rounds }, !p)
 
   (* --- test hooks ---------------------------------------------------- *)
 

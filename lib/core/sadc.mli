@@ -18,6 +18,10 @@ type config = {
 
 val default_config : ?block_size:int -> ?max_entries:int -> ?max_rounds:int -> unit -> config
 
+val validate_config : config -> (unit, string) result
+(** [block_size] must be in 1..65535, the range of its u16 wire-header
+    field. *)
+
 type dict_stats = {
   entries : int;  (** dictionary entries in use *)
   base_entries : int;  (** plain single opcodes *)
@@ -41,7 +45,9 @@ module Make (I : Sadc_isa.S) : sig
   (** Build the dictionary and encode the program. Dictionary and table
       construction are global and run serially; [jobs] (default 1) fans
       the per-block entropy coding over that many domains with
-      byte-identical output. *)
+      byte-identical output.
+      @raise Invalid_argument on a config {!validate_config} refuses or
+      an empty program. *)
 
   val compress_image : ?jobs:int -> config -> string -> compressed
   (** Parse a byte image with [I.parse] first.
@@ -58,9 +64,18 @@ module Make (I : Sadc_isa.S) : sig
   (** Decode one block from only its own payload (dictionary and Huffman
       tables are program-global, like the hardware's dictionary memory). *)
 
+  val block_decoder : compressed -> int -> Bytes.t -> int -> int
+  (** [block_decoder t] builds one production block decoder with its own
+      bit reader and scratch: [decode b out pos] writes block [b]'s bytes
+      at [out.(pos)] through [I.read_into] and returns their count, which
+      can exceed the declared size only on a corrupt payload. Not safe to
+      share between domains; build one per domain. *)
+
   val decompress : ?jobs:int -> compressed -> string
-  (** Whole-image reconstruction; equals the original image. [jobs]
-      (default 1) fans per-block decoding over that many domains. *)
+  (** Whole-image reconstruction; equals the original image.
+      {!block_decoder} runs over every block through
+      {!Ccomp_par.Blocks.decode}; [jobs] (default 1) fans the blocks over
+      that many domains. *)
 
   val dictionary : compressed -> entry array
 

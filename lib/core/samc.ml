@@ -1,29 +1,15 @@
 module Coder = Ccomp_arith.Binary_coder
 module Obs = Ccomp_obs.Obs
 
-(* Observability: per-block compress/decompress latency and size
-   metrics, and the per-stream bits-in/bits-out split behind the paper's
-   Tables 1-3 (each stream's share of the instruction word vs the
-   arithmetic-coded bits it costs under the trained model). All
-   observation is guarded by [Obs.metrics_enabled] and never touches the
-   coded bits: output is byte-identical with metrics on or off. *)
-let m_c_blocks = Obs.Counter.make "samc.compress.blocks"
+(* Observability: the per-block family ([Blocks.metrics]) and the
+   per-stream bits-in/bits-out split behind the paper's Tables 1-3 (each
+   stream's share of the instruction word vs the arithmetic-coded bits
+   it costs under the trained model). All observation is guarded by
+   [Obs.metrics_enabled] and never touches the coded bits: output is
+   byte-identical with metrics on or off. *)
+let m_compress = Ccomp_par.Blocks.metrics "samc.compress"
 
-let m_c_bytes_in = Obs.Counter.make "samc.compress.bytes_in"
-
-let m_c_bytes_out = Obs.Counter.make "samc.compress.bytes_out"
-
-let m_c_block_us = Obs.Histogram.make "samc.compress.block_us"
-
-let m_c_block_ratio = Obs.Histogram.make "samc.compress.block_ratio"
-
-let m_d_blocks = Obs.Counter.make "samc.decompress.blocks"
-
-let m_d_bytes_in = Obs.Counter.make "samc.decompress.bytes_in"
-
-let m_d_bytes_out = Obs.Counter.make "samc.decompress.bytes_out"
-
-let m_d_block_us = Obs.Histogram.make "samc.decompress.block_us"
+let m_decompress = Ccomp_par.Blocks.metrics "samc.decompress"
 
 type config = {
   word_bits : int;
@@ -54,7 +40,9 @@ let byte_config ?(block_size = 32) ?(context_bits = 2) ?(quantize = false) ?(pru
 let validate_config c =
   if c.word_bits mod 8 <> 0 || c.word_bits <= 0 || c.word_bits > 64 then
     Error "word_bits must be a positive multiple of 8, at most 64"
-  else if c.block_size <= 0 || c.block_size * 8 mod c.word_bits <> 0 then
+  else if c.block_size < 1 || c.block_size > 65535 then
+    Error "block_size must be in 1..65535 (a u16 header field)"
+  else if c.block_size * 8 mod c.word_bits <> 0 then
     Error "block_size must hold a whole number of words"
   else if c.prune_below < 0 then Error "prune_below must be non-negative"
   else if Array.exists (fun s -> Array.length s > 16) c.streams then
@@ -181,22 +169,22 @@ let encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words =
   done;
   Coder.Encoder.finish encoder
 
-let compress ?(jobs = 1) c code =
+(* Words in block [b] of a program of [words] words. *)
+let block_words c ~words b =
+  let wpb = words_per_block c in
+  min wpb (words - (b * wpb))
+
+let compress ?jobs c code =
   Obs.with_span ~cat:"samc" "samc.compress" @@ fun () ->
   (match validate_config c with Ok () -> () | Error e -> invalid_arg ("Samc.compress: " ^ e));
   if String.length code mod word_bytes c <> 0 then
     invalid_arg "Samc.compress: code size is not a multiple of the word size";
   let model = Obs.with_span ~cat:"samc" "samc.train" (fun () -> train c code) in
-  let instrument = Obs.metrics_enabled () in
-  if instrument then note_stream_costs c model code;
+  if Obs.metrics_enabled () then note_stream_costs c model code;
   let words = String.length code / word_bytes c in
-  let wpb = words_per_block c in
-  let wb = word_bytes c in
-  let nblocks = block_count c ~code_bytes:(String.length code) in
-  (* Blocks restart the coder and context, so each encodes independently;
-     the pool reassembles in block order, keeping the output
-     byte-identical to a serial run. The per-image tables are hoisted
-     out of the block loop and each domain reuses one encoder. *)
+  (* Blocks restart the coder and context, so each encodes independently.
+     The per-image tables are hoisted out of the block loop and each
+     domain reuses one encoder. *)
   let flat = Markov_model.flat_probs model in
   let base =
     Array.init (Array.length c.streams) (fun s -> Markov_model.tree_offset model ~stream:s ~ctx:0)
@@ -204,23 +192,12 @@ let compress ?(jobs = 1) c code =
   let widths = Array.map Array.length c.streams in
   let blocks =
     Obs.with_span ~cat:"samc" "samc.encode" @@ fun () ->
-    Ccomp_par.Pool.init_local ~jobs nblocks
-      ~local:(fun () -> Coder.Encoder.create ())
+    Ccomp_par.Blocks.encode ?jobs m_compress ~local:Coder.Encoder.create
+      ~bytes_in:(fun b -> block_words c ~words b * word_bytes c)
+      (block_count c ~code_bytes:(String.length code))
       (fun encoder b ->
-        let first_word = b * wpb in
-        let n_words = min wpb (words - first_word) in
-        if not instrument then encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words
-        else begin
-          let t0 = Obs.now_us () in
-          let blk = encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words in
-          Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
-          Obs.Counter.incr m_c_blocks;
-          Obs.Counter.add m_c_bytes_in (n_words * wb);
-          Obs.Counter.add m_c_bytes_out (String.length blk);
-          Obs.Histogram.observe m_c_block_ratio
-            (float_of_int (String.length blk) /. float_of_int (n_words * wb));
-          blk
-        end)
+        encode_block_with encoder c ~flat ~base ~widths code
+          ~first_word:(b * words_per_block c) ~n_words:(block_words c ~words b))
   in
   { config = c; model; blocks; original_size = String.length code }
 
@@ -269,13 +246,13 @@ let decode_plan c model =
     p_low_shift = low_shift;
   }
 
-(* Decode one block's words into [out] starting at byte [pos] — the
-   zero-copy kernel: the full-image path points every block at its slice
-   of one shared buffer instead of allocating per-block strings and
-   concatenating. [pos] must leave room for [n_words] words. *)
-let decompress_block_planned_into p out ~pos ~n_words data =
+(* Decode one block's words from [decoder], primed on the block's
+   payload, into [out] starting at byte [pos] — the zero-copy kernel: the
+   full-image path points every block at its slice of one shared buffer
+   instead of allocating per-block strings and concatenating. [pos] must
+   leave room for [n_words] words. *)
+let decompress_block_planned_into p decoder out ~pos ~n_words =
   let wb = p.p_wb in
-  let decoder = Coder.Decoder.create data in
   let flat = p.p_flat in
   let n_streams = Array.length p.p_widths in
   let ctx_mask = p.p_ctx_mask in
@@ -305,16 +282,14 @@ let decompress_block_planned_into p out ~pos ~n_words data =
     done
   done
 
-let decompress_block_planned p ~original_bytes data =
-  let wb = p.p_wb in
-  if original_bytes mod wb <> 0 then
+let decompress_block c model ~original_bytes data =
+  let p = decode_plan c model in
+  if original_bytes mod p.p_wb <> 0 then
     invalid_arg "Samc.decompress_block: size not a multiple of the word size";
   let out = Bytes.create original_bytes in
-  decompress_block_planned_into p out ~pos:0 ~n_words:(original_bytes / wb) data;
+  decompress_block_planned_into p (Coder.Decoder.create data) out ~pos:0
+    ~n_words:(original_bytes / p.p_wb);
   Bytes.unsafe_to_string out
-
-let decompress_block c model ~original_bytes data =
-  decompress_block_planned (decode_plan c model) ~original_bytes data
 
 (* The original pointer-chasing kernel, kept as the reference
    implementation: equivalence tests pin the fast path to it, and the
@@ -396,35 +371,27 @@ let decompress_block_parallel c model ~original_bytes data =
   done;
   (Bytes.to_string out, Ccomp_arith.Nibble_decoder.midpoint_evaluations engine)
 
-let decompress ?(jobs = 1) t =
-  Obs.with_span ~cat:"samc" "samc.decompress" @@ fun () ->
+let block_decoder t =
   let c = t.config in
-  let wpb = words_per_block c in
-  let wb = word_bytes c in
+  let plan = decode_plan c t.model in
+  let decoder = Coder.Decoder.create "" in
+  let words = t.original_size / plan.p_wb in
+  fun b out pos ->
+    let n_words = block_words c ~words b in
+    Coder.Decoder.reset decoder t.blocks.(b);
+    decompress_block_planned_into plan decoder out ~pos ~n_words;
+    n_words * plan.p_wb
+
+let decompress ?jobs t =
+  Obs.with_span ~cat:"samc" "samc.decompress" @@ fun () ->
+  let wb = word_bytes t.config in
   if t.original_size mod wb <> 0 then
     invalid_arg "Samc.decompress: size not a multiple of the word size";
   let words = t.original_size / wb in
-  let plan = decode_plan c t.model in
-  let instrument = Obs.metrics_enabled () in
-  (* Every block decodes into its disjoint slice of one shared output
-     buffer — no per-block strings, no final concat. *)
-  let out = Bytes.create t.original_size in
-  Ccomp_par.Pool.iteri_local ~jobs
-    ~local:(fun () -> ())
-    (fun () b data ->
-      let n_words = min wpb (words - (b * wpb)) in
-      let pos = b * wpb * wb in
-      if not instrument then decompress_block_planned_into plan out ~pos ~n_words data
-      else begin
-        let t0 = Obs.now_us () in
-        decompress_block_planned_into plan out ~pos ~n_words data;
-        Obs.Histogram.observe m_d_block_us (Obs.now_us () -. t0);
-        Obs.Counter.incr m_d_blocks;
-        Obs.Counter.add m_d_bytes_in (String.length data);
-        Obs.Counter.add m_d_bytes_out (n_words * wb)
-      end)
-    t.blocks;
-  Bytes.unsafe_to_string out
+  let sizes = Array.init (Array.length t.blocks) (fun b -> block_words t.config ~words b * wb) in
+  Ccomp_par.Blocks.decode ?jobs m_decompress ~sizes
+    ~payload_bytes:(fun b -> String.length t.blocks.(b))
+    (fun () -> block_decoder t)
 
 let code_bytes t = Array.fold_left (fun acc b -> acc + String.length b) 0 t.blocks
 

@@ -40,7 +40,7 @@ val compress : ?jobs:int -> config -> string -> compressed
 (** [compress config code] trains the model on [code] and encodes it
     block by block. [String.length code] must be a multiple of the word
     size in bytes. [jobs] (default 1) fans per-block encoding over that
-    many domains ({!Ccomp_par.Pool}); the output is byte-identical for
+    many domains ({!Ccomp_par.Blocks}); the output is byte-identical for
     every [jobs] value because blocks are independent and reassembled in
     order.
     @raise Invalid_argument on a bad config or size. *)
@@ -58,9 +58,17 @@ val decompress_block_ref : config -> Markov_model.t -> original_bytes:int -> str
     equivalence tests and as the pre-optimisation baseline the benchmark
     harness reports against. *)
 
+val block_decoder : compressed -> int -> Bytes.t -> int -> int
+(** [block_decoder t] hoists the image's decode plan (flat probabilities,
+    tree offsets, stream placement) and one arithmetic decoder, and
+    returns the production block decoder: [decode b out pos] writes block
+    [b]'s bytes at [out.(pos)] and returns their count. Not safe to share
+    between domains; build one per domain. Output is byte-identical to
+    {!decompress_block}. *)
+
 val decompress : ?jobs:int -> compressed -> string
-(** Full image reconstruction (concatenation of block decodes), optionally
-    fanned over [jobs] domains. *)
+(** Full image reconstruction: {!block_decoder} run over every block by
+    {!Ccomp_par.Blocks.decode}, optionally fanned over [jobs] domains. *)
 
 val decompress_block_parallel :
   config -> Markov_model.t -> original_bytes:int -> string -> string * int

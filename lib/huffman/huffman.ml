@@ -162,18 +162,18 @@ let encode_symbol c w sym =
   if len = 0 then invalid_arg "Huffman.encode_symbol: absent symbol";
   Bit_writer.put_bits w ~value:c.codewords.(sym) ~width:len
 
-let decode_symbol_tree c r =
-  let rec go code len =
-    if len > c.max_len then
-      Ccomp_util.Decode_error.invalid_code "Huffman.decode_symbol: invalid bit stream"
-    else
-      let code = (code lsl 1) lor Bit_reader.get_bit r in
-      let len = len + 1 in
-      let offset = code - c.first_code.(len) in
-      if offset >= 0 && offset < c.count_len.(len) then c.ordered.(c.first_index.(len) + offset)
-      else go code len
-  in
-  go 0 0
+(* Top level, not a closure over [c] and [r], so it allocates nothing. *)
+let rec decode_tree_from c r code len =
+  if len > c.max_len then
+    Ccomp_util.Decode_error.invalid_code "Huffman.decode_symbol: invalid bit stream"
+  else
+    let code = (code lsl 1) lor Bit_reader.get_bit r in
+    let len = len + 1 in
+    let offset = code - c.first_code.(len) in
+    if offset >= 0 && offset < c.count_len.(len) then c.ordered.(c.first_index.(len) + offset)
+    else decode_tree_from c r code len
+
+let decode_symbol_tree c r = decode_tree_from c r 0 0
 
 let decode_symbol c r =
   let e = c.lut.(Bit_reader.peek_bits r c.lut_bits) in

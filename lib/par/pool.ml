@@ -4,10 +4,11 @@
    decompresses independently — makes block work embarrassingly
    parallel. Worker domains are spawned once (lazily, sized by the
    largest [jobs] ever requested) and parked on a condition variable
-   between dispatches; each [mapi]/[init] call is an *epoch* fanned over
-   the shared index queue. Results land in a per-index slot, so assembly
-   is deterministic and order-preserving no matter which domain finished
-   first: output is byte-identical to a serial run.
+   between dispatches; each [map]/[init_local]/[iter_n] call is an
+   *epoch* fanned over the shared index queue. Results land in a
+   per-index slot, so assembly is deterministic and order-preserving no
+   matter which domain finished first: output is byte-identical to a
+   serial run.
 
    The previous pool paid [jobs - 1] Domain.spawn + join per dispatch,
    which is why small-block workloads lost to serial; an epoch here
@@ -308,44 +309,17 @@ let run_epoch ~jobs ~n ~local ~run =
     end
   end
 
-let no_scratch () = ()
-
-let mapi_local ?jobs ~local f a =
-  let n = Array.length a in
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    run_epoch ~jobs ~n ~local ~run:(fun l i -> results.(i) <- Some (f l i a.(i)));
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let mapi ?jobs f a = mapi_local ?jobs ~local:no_scratch (fun () i x -> f i x) a
-
-let map ?jobs f a = mapi ?jobs (fun _ x -> f x) a
-
-let init_local ?jobs ~local n f =
-  if n < 0 then invalid_arg "Pool.init: negative length"
-  else if n = 0 then [||]
-  else begin
-    let jobs = match jobs with Some j -> j | None -> default_jobs () in
-    let results = Array.make n None in
-    run_epoch ~jobs ~n ~local ~run:(fun l i -> results.(i) <- Some (f l i));
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let init ?jobs n f = init_local ?jobs ~local:no_scratch n (fun () i -> f i)
-
-let iteri_local ?jobs ~local f a =
-  let n = Array.length a in
-  if n > 0 then begin
-    let jobs = match jobs with Some j -> j | None -> default_jobs () in
-    run_epoch ~jobs ~n ~local ~run:(fun l i -> f l i a.(i))
-  end
-
 let iter_n ?jobs ~local n f =
   if n < 0 then invalid_arg "Pool.iter_n: negative length"
   else if n > 0 then begin
     let jobs = match jobs with Some j -> j | None -> default_jobs () in
     run_epoch ~jobs ~n ~local ~run:f
   end
+
+let init_local ?jobs ~local n f =
+  if n < 0 then invalid_arg "Pool.init_local: negative length";
+  let results = Array.make n None in
+  iter_n ?jobs ~local n (fun l i -> results.(i) <- Some (f l i));
+  Array.map Option.get results
+
+let map ?jobs f a = init_local ?jobs ~local:ignore (Array.length a) (fun () i -> f a.(i))

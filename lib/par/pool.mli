@@ -1,9 +1,13 @@
 (** Persistent domain pool for per-cache-block parallelism.
 
+    The block codecs reach it only through {!Blocks}, the one module that
+    runs a codec's per-block kernels over an image; the fault campaign
+    uses {!map} directly.
+
     Worker domains are spawned once — lazily, sized by the largest
     [jobs] ever requested — and parked on a condition variable between
-    dispatches. Each [mapi]/[init]/[iteri] call is an {e epoch}: work
-    items are drawn from a shared index queue by up to [jobs]
+    dispatches. Each {!map}/{!init_local}/{!iter_n} call is an {e epoch}:
+    work items are drawn from a shared index queue by up to [jobs]
     participating domains (the caller is one of them); each result is
     stored at its input index, so the assembled output is deterministic
     and order-preserving — byte-identical to a serial run regardless of
@@ -24,37 +28,23 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs 0] resolves to
     in the CLIs. *)
 
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** [mapi ~jobs f a] is [Array.mapi f a] computed on up to [jobs]
-    domains (default {!default_jobs}). *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
-val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
-(** [init ~jobs n f] is [Array.init n f] with the calls distributed over
-    the pool. *)
-
-val mapi_local :
-  ?jobs:int -> local:(unit -> 'l) -> ('l -> int -> 'a -> 'b) -> 'a array -> 'b array
-(** [mapi_local ~local f a] is {!mapi} with per-domain reusable scratch:
-    [local ()] runs once per participating domain per epoch, and its
-    result threads through every [f] call that domain executes — the
-    hook for reusable bit-writer buffers and coder state, so the per-
-    block hot path allocates nothing. [local] must produce independent
-    values (they are used concurrently). *)
+(** [map ~jobs f a] is [Array.map f a] computed on up to [jobs] domains
+    (default {!default_jobs}). *)
 
 val init_local : ?jobs:int -> local:(unit -> 'l) -> int -> ('l -> int -> 'b) -> 'b array
-(** {!init} with per-domain scratch, as {!mapi_local}. *)
-
-val iteri_local : ?jobs:int -> local:(unit -> 'l) -> ('l -> int -> 'a -> unit) -> 'a array -> unit
-(** [iteri_local ~local f a] runs [f scratch i a.(i)] for every index,
-    discarding results — the zero-copy path: tasks write directly into
-    disjoint spans of one shared output buffer instead of returning
-    per-block strings for reassembly. *)
+(** [init_local ~local n f] is [Array.init n (f scratch)] with the calls
+    distributed over the pool and per-domain reusable scratch: [local ()]
+    runs once per participating domain per epoch, and its result threads
+    through every [f] call that domain executes — the hook for reusable
+    bit-writer buffers and coder state. [local] must produce independent
+    values (they are used concurrently). *)
 
 val iter_n : ?jobs:int -> local:(unit -> 'l) -> int -> ('l -> int -> unit) -> unit
-(** [iter_n ~local n f] is {!iteri_local} over the index range [0, n)
-    with no backing array. *)
+(** [iter_n ~local n f] runs [f scratch i] for every [i] in [0, n),
+    discarding results, with per-domain scratch as {!init_local} — the
+    zero-copy path: tasks write directly into disjoint spans of one
+    shared output buffer instead of returning per-block strings. *)
 
 val shutdown : unit -> unit
 (** Join every parked worker domain and empty the pool. Safe to call at

@@ -131,7 +131,13 @@ let test_bh_block_size () =
   let z = Byte_huffman.compress ~block_size:64 code in
   Alcotest.(check int) "block count" ((String.length code + 63) / 64)
     (Array.length z.Byte_huffman.blocks);
-  Alcotest.(check string) "roundtrip" code (Byte_huffman.decompress z)
+  Alcotest.(check string) "roundtrip" code (Byte_huffman.decompress z);
+  List.iter
+    (fun block_size ->
+      match Byte_huffman.compress ~block_size code with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "block size %d (not a u16 of at least 1) accepted" block_size)
+    [ 0; -8; 65536 ]
 
 let test_bh_table_accounting () =
   let z = Byte_huffman.compress (mips_code 10L) in

@@ -19,66 +19,94 @@ module P = Ccomp_progen
 
 (* --- pool semantics ---------------------------------------------------- *)
 
+(* [Array.init n f] through the pool's per-domain-scratch entry point. *)
+let init ~jobs n f = Pool.init_local ~jobs ~local:ignore n (fun () i -> f i)
+
 let test_pool_order () =
-  let a = Array.init 257 (fun i -> (i * 7) mod 64) in
-  let f i x = (i * 1000) + x in
-  Alcotest.(check (array int)) "mapi order-preserving" (Array.mapi f a) (Pool.mapi ~jobs:4 f a);
+  (* distinct values, so any reordering shows *)
+  let a = Array.init 257 (fun i -> (i * 7) mod 257) in
+  let f x = (x * 1000) + 1 in
+  Alcotest.(check (array int)) "map order-preserving" (Array.map f a) (Pool.map ~jobs:4 f a);
   Alcotest.(check (array int))
-    "init order-preserving"
+    "init_local order-preserving"
     (Array.init 100 (fun i -> i * i))
-    (Pool.init ~jobs:3 100 (fun i -> i * i))
+    (init ~jobs:3 100 (fun i -> i * i));
+  let seen = Array.make 100 (-1) in
+  Pool.iter_n ~jobs:3 ~local:ignore 100 (fun () i -> seen.(i) <- i * i);
+  Alcotest.(check (array int)) "iter_n visits every index once" (Array.init 100 (fun i -> i * i)) seen
 
 let test_pool_degenerate () =
   Alcotest.(check (array int)) "jobs=1 serial" [| 2; 4 |] (Pool.map ~jobs:1 (fun x -> 2 * x) [| 1; 2 |]);
-  Alcotest.(check (array int)) "empty input" [||] (Pool.mapi ~jobs:4 (fun _ x -> x) [||]);
+  Alcotest.(check (array int)) "empty input" [||] (Pool.map ~jobs:4 (fun x -> x) [||]);
+  Alcotest.(check (array int)) "empty init_local" [||] (init ~jobs:4 0 (fun i -> i));
+  Pool.iter_n ~jobs:4 ~local:ignore 0 (fun () _ -> Alcotest.fail "iter_n ran on an empty range");
   Alcotest.(check (array int))
     "more jobs than items" [| 10 |]
     (Pool.map ~jobs:8 (fun x -> 10 * x) [| 1 |])
 
 let test_pool_exception () =
   Alcotest.check_raises "worker exception reaches the caller" (Failure "boom") (fun () ->
-      ignore (Pool.init ~jobs:4 64 (fun i -> if i = 41 then failwith "boom" else i)))
+      ignore (init ~jobs:4 64 (fun i -> if i = 41 then failwith "boom" else i)))
 
 (* --- pool lifecycle (PR7: domains persist across dispatches) ----------- *)
 
 let test_pool_persistent () =
-  ignore (Pool.init ~jobs:3 64 (fun i -> i));
+  ignore (init ~jobs:3 64 (fun i -> i));
   let resident = Pool.pool_domains () in
   Alcotest.(check bool) "workers resident after a dispatch" true (resident >= 1);
   for _ = 1 to 5 do
-    ignore (Pool.init ~jobs:3 64 (fun i -> i))
+    ignore (init ~jobs:3 64 (fun i -> i))
   done;
   Alcotest.(check int) "no respawn across dispatches" resident (Pool.pool_domains ())
 
 let test_pool_survives_exception () =
-  ignore (Pool.init ~jobs:3 16 (fun i -> i));
+  ignore (init ~jobs:3 16 (fun i -> i));
   let resident = Pool.pool_domains () in
-  (try ignore (Pool.init ~jobs:3 64 (fun i -> if i = 7 then failwith "kaboom" else i))
+  (try Pool.iter_n ~jobs:3 ~local:ignore 64 (fun () i -> if i = 7 then failwith "kaboom")
    with Failure _ -> ());
   Alcotest.(check int) "workers survive a task exception" resident (Pool.pool_domains ());
   Alcotest.(check (array int))
     "next dispatch is clean"
     (Array.init 64 (fun i -> 2 * i))
-    (Pool.init ~jobs:3 64 (fun i -> 2 * i))
+    (init ~jobs:3 64 (fun i -> 2 * i))
 
 let test_pool_shutdown_respawn () =
-  ignore (Pool.init ~jobs:2 16 (fun i -> i));
+  ignore (init ~jobs:2 16 (fun i -> i));
   Pool.shutdown ();
   Alcotest.(check int) "shutdown empties the pool" 0 (Pool.pool_domains ());
   Alcotest.(check (array int))
     "pool respawns lazily"
     (Array.init 32 (fun i -> i + 1))
-    (Pool.init ~jobs:2 32 (fun i -> i + 1));
+    (init ~jobs:2 32 (fun i -> i + 1));
   Alcotest.(check bool) "workers resident again" true (Pool.pool_domains () >= 1)
 
 let test_pool_nested_rejected () =
   let saw = ref false in
-  (try ignore (Pool.init ~jobs:2 8 (fun _ -> ignore (Pool.init ~jobs:2 8 (fun j -> j))))
+  (try ignore (Pool.map ~jobs:2 (fun _ -> ignore (init ~jobs:2 8 (fun j -> j))) (Array.make 8 0))
    with Invalid_argument _ -> saw := true);
   Alcotest.(check bool) "nested dispatch rejected with Invalid_argument" true !saw;
   Alcotest.(check (array int))
     "pool usable after a rejected nested dispatch" [| 0; 1; 2; 3 |]
-    (Pool.init ~jobs:2 4 (fun i -> i))
+    (init ~jobs:2 4 (fun i -> i))
+
+(* --- Blocks: whole-image runs of the block kernels ---------------------- *)
+
+let test_blocks_declared_sizes () =
+  let m = Ccomp_par.Blocks.metrics "test.blocks" in
+  (* writes two bytes of its block index *)
+  let two b out pos =
+    Bytes.fill out pos 2 (Char.chr b);
+    2
+  in
+  let decode ~jobs sizes =
+    Ccomp_par.Blocks.decode ~jobs m ~sizes ~payload_bytes:(fun _ -> 1) (fun () -> two)
+  in
+  Alcotest.(check string) "blocks land at their offsets" "\000\000\001\001\002\002"
+    (decode ~jobs:2 [| 2; 2; 2 |]);
+  Alcotest.(check string) "no blocks" "" (decode ~jobs:2 [||]);
+  match decode ~jobs:1 [| 2; 3 |] with
+  | exception Ccomp_util.Decode_error.Error (Malformed _) -> ()
+  | s -> Alcotest.failf "a block short of its declared size was accepted: %S" s
 
 (* --- serial vs parallel byte identity ---------------------------------- *)
 
@@ -261,6 +289,62 @@ let test_pool_runs_on_a_real_image () =
       at_least (name ^ " parallel decompress rate vs 0.5x serial") (0.5 *. serial) parallel)
     decoders
 
+(* --- the block decoders' allocation contract ------------------------------ *)
+
+let decode_all decoder ~blocks out =
+  let pos = ref 0 in
+  for b = 0 to blocks - 1 do
+    pos := !pos + decoder b out !pos
+  done;
+  !pos
+
+(* Minor-heap bytes per output byte that decoding every block of [code]'s
+   image through one [decoder] allocates, after a warm-up pass, with
+   metrics off. The output buffer is allocated outside the measurement. *)
+let minor_bytes_per_output_byte (blocks, decoder) code =
+  let metrics = Obs.metrics_enabled () in
+  Obs.set_metrics false;
+  Fun.protect ~finally:(fun () -> Obs.set_metrics metrics) @@ fun () ->
+  let out = Bytes.create (String.length code) in
+  ignore (decode_all decoder ~blocks out);
+  let before = Gc.minor_words () in
+  let n = decode_all decoder ~blocks out in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the block decoders rebuild the image" true (Bytes.to_string out = code);
+  words *. float_of_int (Sys.word_size / 8) /. float_of_int n
+
+(* On gcc at scale 0.25, every production block decoder allocates nothing
+   once built, except SADC x86's: its [read_into] still rebuilds an
+   [X86.t] and encodes it to a string per instruction. That bound is 1.5x
+   the 108.6 bytes per output byte it measures. *)
+let test_block_decoder_allocation () =
+  let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
+  let mips = Ccomp_paper.Paper.mips_code gcc and x86 = Ccomp_paper.Paper.x86_code gcc in
+  let samc cfg code =
+    let z = Samc.compress cfg code in
+    (Array.length z.Samc.blocks, Samc.block_decoder z)
+  in
+  let cfg = Sadc.default_config () in
+  let sadc_mips = Sadc.Mips.compress_image cfg mips and sadc_x86 = Sadc.X86.compress_image cfg x86 in
+  let huffman code =
+    let z = Byte_huffman.compress code in
+    (Array.length z.Byte_huffman.blocks, Byte_huffman.block_decoder z)
+  in
+  List.iter
+    (fun (name, decoder, code, bound) ->
+      let per_byte = minor_bytes_per_output_byte decoder code in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor bytes per output byte <= %g" name per_byte bound)
+        true (per_byte <= bound))
+    [
+      ("samc mips", samc (Samc.mips_config ()) mips, mips, 0.0);
+      ("samc byte mode", samc (Samc.byte_config ()) x86, x86, 0.0);
+      ("sadc mips", (Sadc.Mips.block_count sadc_mips, Sadc.Mips.block_decoder sadc_mips), mips, 0.0);
+      ("sadc x86", (Sadc.X86.block_count sadc_x86, Sadc.X86.block_decoder sadc_x86), x86, 163.0);
+      ("byte huffman mips", huffman mips, mips, 0.0);
+      ("byte huffman x86", huffman x86, x86, 0.0);
+    ]
+
 (* --- widened bit I/O --------------------------------------------------- *)
 
 let mask_to w v = if w >= 63 then v else v land ((1 lsl w) - 1)
@@ -353,4 +437,7 @@ let suite =
     Alcotest.test_case "decoded-block cache counters" `Quick test_decode_cache_counters;
     Alcotest.test_case "pool runs on a real image at jobs=2" `Quick
       test_pool_runs_on_a_real_image;
+    Alcotest.test_case "Blocks.decode enforces declared sizes" `Quick test_blocks_declared_sizes;
+    Alcotest.test_case "block decoders allocate nothing (sadc x86 bounded)" `Quick
+      test_block_decoder_allocation;
   ]

@@ -175,6 +175,24 @@ let test_undecodable_image_rejected () =
     (Invalid_argument "Sadc.compress_image: image does not decode") (fun () ->
       ignore (Sadc.X86.compress_image cfg "\xf4\xf4\xf4"))
 
+(* The block size is a u16 header field: 0 used to write a one-instruction-
+   per-block image, and -8 or 65536 died in the serializer. *)
+let test_block_size_range () =
+  let code = mips_code 13L in
+  List.iter
+    (fun block_size ->
+      let cfg = Sadc.default_config ~block_size () in
+      Alcotest.(check bool)
+        (Printf.sprintf "block size %d refused" block_size)
+        true
+        (Sadc.validate_config cfg <> Ok ());
+      match Sadc.Mips.compress_image cfg code with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "compress accepted block size %d" block_size)
+    [ 0; -8; 65536 ];
+  Alcotest.(check bool) "block size 65535 accepted" true
+    (Sadc.validate_config (Sadc.default_config ~block_size:65535 ()) = Ok ())
+
 let test_serialization_roundtrip () =
   let code = mips_code 13L in
   let z = Sadc.Mips.compress_image cfg code in
@@ -306,6 +324,7 @@ let suite =
     Alcotest.test_case "block size variants" `Quick test_block_size_variants;
     Alcotest.test_case "x86 block isolation" `Quick test_x86_block_isolation;
     Alcotest.test_case "undecodable image rejected" `Quick test_undecodable_image_rejected;
+    Alcotest.test_case "block sizes outside 1..65535 refused" `Quick test_block_size_range;
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "ratio accounting" `Quick test_ratio_better_than_tokens_alone;
     Alcotest.test_case "incremental counts verified per round" `Quick

@@ -1,6 +1,7 @@
 (* Property shared by every SADC ISA adapter: [read] pulls back exactly
    the items [iter_items] produced, in order, and reconstructs the same
-   instruction — the operand-length-unit contract of Fig. 6. *)
+   instruction — the operand-length-unit contract of Fig. 6 — and
+   [read_into], fed the same items, writes that instruction's bytes. *)
 
 module Sadc_isa = Ccomp_core.Sadc_isa
 module Mips = Ccomp_isa.Mips
@@ -13,10 +14,9 @@ module Check (I : Sadc_isa.S) = struct
     I.iter_items instr (fun s v -> items.(s) <- v :: items.(s));
     Array.map List.rev items
 
-  let roundtrip instr =
-    let items = items instr in
-    Alcotest.(check int) (I.name ^ ": stream arrays") I.stream_count (Array.length items);
-    (* feed items back through per-stream queues *)
+  (* Feed [items] back through per-stream queues to [read_one next], then
+     check every queue ran dry. *)
+  let replay items read_one =
     let queues = Array.map (fun l -> ref l) items in
     let next s =
       match !(queues.(s)) with
@@ -25,17 +25,28 @@ module Check (I : Sadc_isa.S) = struct
         v
       | [] -> Alcotest.failf "%s: stream %s over-pulled" I.name I.stream_names.(s)
     in
-    let back = I.read ~symbol:(I.symbol instr) ~next in
+    let result = read_one next in
     Array.iteri
       (fun s q ->
         Alcotest.(check int)
           (Printf.sprintf "%s: stream %s fully consumed" I.name I.stream_names.(s))
           0
-          (List.length !q);
-        ignore q)
+          (List.length !q))
       queues;
-    Alcotest.(check string) (I.name ^ ": same instruction")
-      (I.encode_list [ instr ]) (I.encode_list [ back ]);
+    result
+
+  let roundtrip instr =
+    let items = items instr in
+    Alcotest.(check int) (I.name ^ ": stream arrays") I.stream_count (Array.length items);
+    let symbol = I.symbol instr in
+    let back = replay items (fun next -> I.read ~symbol ~next) in
+    let encoded = I.encode_list [ instr ] in
+    Alcotest.(check string) (I.name ^ ": same instruction") encoded (I.encode_list [ back ]);
+    (* [read_into] writes at an offset into a larger buffer *)
+    let buf = Bytes.make (String.length encoded + 6) '\xAA' in
+    let n = replay items (fun next -> I.read_into ~symbol ~next buf 3) in
+    Alcotest.(check int) (I.name ^ ": read_into length") (I.byte_length instr) n;
+    Alcotest.(check string) (I.name ^ ": read_into bytes") encoded (Bytes.sub_string buf 3 n);
     (* item values respect their declared widths *)
     Array.iteri
       (fun s l ->

@@ -119,7 +119,19 @@ let test_invalid_configs_rejected () =
   (* 10 bytes = 2.5 words *)
   Alcotest.(check bool) "block not multiple of word" true (Samc.validate_config bad_block <> Ok ());
   let bad_streams = { (Samc.mips_config ()) with Samc.streams = [| [| 0; 1 |] |] } in
-  Alcotest.(check bool) "incomplete partition" true (Samc.validate_config bad_streams <> Ok ())
+  Alcotest.(check bool) "incomplete partition" true (Samc.validate_config bad_streams <> Ok ());
+  (* the block size is a u16 header field *)
+  List.iter
+    (fun block_size ->
+      let name = Printf.sprintf "block size %d refused" block_size in
+      Alcotest.(check bool) name true
+        (Samc.validate_config (Samc.byte_config ~block_size ()) <> Ok ());
+      match Samc.compress (Samc.byte_config ~block_size ()) "code" with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "compress accepted block size %d" block_size)
+    [ 0; -8; 65536 ];
+  Alcotest.(check bool) "block size 65535 accepted in byte mode" true
+    (Samc.validate_config (Samc.byte_config ~block_size:65535 ()) = Ok ())
 
 let test_misaligned_input_rejected () =
   Alcotest.check_raises "odd byte count"

@@ -24,7 +24,11 @@
 #      4-byte words prints five ratios, each under 1; `--isa bogus` is a
 #      command-line error (exit 124).
 #   8. `compress` (either algorithm) and `ratios` with `--isa mips` on
-#      that x86 code exit 1 with a `ccomp: cannot compress:` line.
+#      that x86 code exit 1 with a `ccomp: cannot compress:` line, and so
+#      do block sizes outside 1..65535 (the u16 header field).
+#   9. a SADC compress and decompress record the same per-block metric
+#      family as SAMC: sadc.{compress,decompress}.{blocks,bytes_in,
+#      bytes_out,block_us}.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: obs_check.sh CCOMP_EXE" >&2; exit 2; }
@@ -117,4 +121,30 @@ for cmd in "compress --algo samc -o $dir/unsuited.secf" "compress --algo sadc -o
     || fail "$cmd --isa mips on x86 code: no 'cannot compress' line: $(cat "$dir/unsuited.err")"
 done
 
-echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image, ratios, unsuited code)"
+for cmd in "compress --algo sadc --block-size 0 -o $dir/bad.secf" \
+           "compress --algo sadc --block-size=-8 -o $dir/bad.secf" \
+           "compress --algo sadc --block-size 65536 -o $dir/bad.secf" \
+           "compress --algo samc --block-size 65536 -o $dir/bad.secf" \
+           "ratios --block-size 0"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$ccomp" $cmd "$dir/code.bin" > /dev/null 2> "$dir/badsize.err" || status=$?
+  [ "$status" -eq 1 ] || fail "$cmd: exit $status, want 1"
+  grep -q '^ccomp: cannot compress: ' "$dir/badsize.err" \
+    || fail "$cmd: no 'cannot compress' line: $(cat "$dir/badsize.err")"
+done
+
+# -- 9: the SADC per-block metric family --------------------------------
+"$ccomp" compress --algo sadc --metrics "$dir/sadc-compress.json" "$dir/code.bin" \
+  -o "$dir/sadc.secf" >/dev/null
+"$ccomp" decompress --metrics "$dir/sadc-decompress.json" "$dir/sadc.secf" \
+  -o "$dir/sadc.out" >/dev/null
+cmp -s "$dir/code.bin" "$dir/sadc.out" || fail "instrumented SADC decompress did not round-trip"
+for direction in compress decompress; do
+  for key in blocks bytes_in bytes_out block_us; do
+    grep -q "\"sadc.$direction.$key\":" "$dir/sadc-$direction.json" \
+      || fail "sadc-$direction.json: missing sadc.$direction.$key"
+  done
+done
+
+echo "obs_check: OK (metrics schema, trace shape, byte-identity, stats round-trip, unreadable image, ratios, unsuited code, block sizes, sadc metrics)"

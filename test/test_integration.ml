@@ -206,6 +206,72 @@ let test_sadc_images_pinned () =
   Alcotest.(check (list string)) "sadc images (name, md5, rounds, entries)"
     (List.map show committed_sadc_images) (List.map show actual)
 
+(* --- SAMC images pinned byte for byte --------------------------------- *)
+
+(* MD5 of [Image.write] of every SAMC image of the reduced suite (MIPS
+   config on MIPS code, byte mode on x86), with the coded block bytes and
+   the model bytes. Any change to a byte SAMC emits shows here; a faster
+   compressor must reproduce these exactly. *)
+let committed_samc_images =
+  [
+    ("applu/mips", "02d15e800d94aff8191c4cee74d406ed", 9252, 6127);
+    ("applu/x86", "75c74b72e562495d9f7207a212b3e940", 9854, 1534);
+    ("apsi/mips", "7cad3491d57dd0f1e8bd2a9ab0355dfd", 11151, 6127);
+    ("apsi/x86", "906fdb68bb2c08f4d524418b9c20b08f", 11596, 1534);
+    ("compress/mips", "aaab6dbb9d2ff6b8c70957f5604cb4a2", 1691, 6127);
+    ("compress/x86", "a6dd98a0b0a19e9b321b3bef764f030f", 1821, 1534);
+    ("fpppp/mips", "d94586474490dc39e1571e7d2a64d721", 14204, 6127);
+    ("fpppp/x86", "3eacd06851961a817e4ba0b920560484", 14880, 1534);
+    ("gcc/mips", "1fee1dcc54744bb06fd48316baffceac", 42687, 6127);
+    ("gcc/x86", "cc6593a6579d376a7a05e198683db59f", 44190, 1534);
+    ("go/mips", "d2f4b0982150691cf8254e125fccc372", 18107, 6127);
+    ("go/x86", "e7912ee97c00c9d11fafb93f4650944b", 19149, 1534);
+    ("hydro2d/mips", "da27f1d2ccd22ec01fc171f5e4cdc224", 9348, 6127);
+    ("hydro2d/x86", "94f1d3eb4f6abbe36fafca807b5a8274", 10204, 1534);
+    ("ijpeg/mips", "339cc6ecbb36f6b7dca582442cd6aec1", 10374, 6127);
+    ("ijpeg/x86", "1c6f41b242333950d66a6256b600d273", 11126, 1534);
+    ("m88ksim/mips", "8b6215d981d0b97ec7a80fcc42642c5a", 7649, 6127);
+    ("m88ksim/x86", "9af16e61cda50344f20ff2b1f6bfb9f0", 8195, 1534);
+    ("mgrid/mips", "40220ff72feb6194273b7d3d6ddf87e8", 4777, 6127);
+    ("mgrid/x86", "c9f5f351ccd32c6398700ddaefeeb81e", 5151, 1534);
+    ("perl/mips", "b67140081156730418ded3119b1115db", 16443, 6127);
+    ("perl/x86", "60d752472b9aac983cd0c31602e0604f", 17481, 1534);
+    ("su2cor/mips", "5ec69421b5439f915e60467455682360", 8703, 6127);
+    ("su2cor/x86", "eae566d179822a018c8dbc6b882d927f", 9484, 1534);
+    ("swim/mips", "06e0a7515efda7e73274a3c0ea856171", 2306, 6127);
+    ("swim/x86", "da11cb635f5de63bd93a651d0a4b4c00", 2448, 1534);
+    ("tomcatv/mips", "0ea88f2f5a7f18216eeb270c30769442", 3022, 6127);
+    ("tomcatv/x86", "abbf542a17f779b3a3d50093afddefab", 3283, 1534);
+    ("turb3d/mips", "7faeb143ffc46629b070287eaec8388e", 8484, 6127);
+    ("turb3d/x86", "601eb1167c907c4ca7e83451c9855722", 9234, 1534);
+    ("vortex/mips", "776f17041e71d99b98fc8ba65e389b03", 26326, 6127);
+    ("vortex/x86", "f0980eed161692ef4586c65327d218c6", 27433, 1534);
+    ("wave5/mips", "5ea9e9835a255b01aff5f2fb4acda987", 11445, 6127);
+    ("wave5/x86", "13632b24ff1606299eabd03431a96ef5", 12308, 1534);
+    ("xlisp/mips", "d64e679e1ab459fb81bf62b4e76f5426", 5408, 6127);
+    ("xlisp/x86", "26206b144454b4915d9fcaac1d294b67", 5339, 1534);
+  ]
+
+let test_samc_images_pinned () =
+  let actual =
+    List.concat_map
+      (fun (w : Paper.prepared) ->
+        List.map
+          (fun isa ->
+            let code = match isa with Image.Mips -> Paper.mips_code w | X86 -> Paper.x86_code w in
+            let img = Image.compress ~algo:Image.Samc ~isa ~block_size:32 code in
+            let z = match img.Image.payload with Image.Samc z -> z | _ -> Alcotest.fail "payload kind" in
+            ( Printf.sprintf "%s/%s" w.name (Image.isa_name isa),
+              Digest.to_hex (Digest.string (Image.write img)),
+              Samc.code_bytes z,
+              Samc.model_bytes z ))
+          [ Image.Mips; Image.X86 ])
+      (Lazy.force reduced_suite)
+  in
+  let show (name, digest, code, model) = Printf.sprintf "(%S, %S, %d, %d);" name digest code model in
+  Alcotest.(check (list string)) "samc images (name, md5, code_bytes, model_bytes)"
+    (List.map show committed_samc_images) (List.map show actual)
+
 let suite =
   [
     Alcotest.test_case "samc pipeline on mips" `Quick test_full_samc_pipeline_mips;
@@ -214,4 +280,5 @@ let suite =
     Alcotest.test_case "both backends consistent" `Quick test_same_ir_both_backends_compress_consistently;
     Alcotest.test_case "paper ordering (reduced)" `Quick test_paper_ratios_and_orderings;
     Alcotest.test_case "sadc images pinned (reduced)" `Quick test_sadc_images_pinned;
+    Alcotest.test_case "samc images pinned (reduced)" `Quick test_samc_images_pinned;
   ]

@@ -1028,10 +1028,9 @@ module Make (I : Sadc_isa.S) = struct
     if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
     Bit_writer.contents w
 
-  let compress ?jobs config instr_list =
+  let compress ?jobs config instrs =
     Obs.with_span ~cat:"sadc" ("sadc." ^ I.name ^ ".compress") @@ fun () ->
     (match validate_config config with Ok () -> () | Error e -> invalid_arg ("Sadc.compress: " ^ e));
-    let instrs = Array.of_list instr_list in
     if Array.length instrs = 0 then invalid_arg "Sadc.compress: empty program";
     let prog = program_of instrs in
     let bld = builder prog (segments prog.boff config.block_size) in

@@ -41,7 +41,7 @@ module Make (I : Sadc_isa.S) : sig
 
   type compressed
 
-  val compress : ?jobs:int -> config -> I.instr list -> compressed
+  val compress : ?jobs:int -> config -> I.instr array -> compressed
   (** Build the dictionary and encode the program. Dictionary and table
       construction are global and run serially; [jobs] (default 1) fans
       the per-block entropy coding over that many domains with

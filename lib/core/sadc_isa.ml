@@ -12,7 +12,7 @@ module type S = sig
   val read : symbol:int -> next:(int -> int) -> instr
   val read_into : symbol:int -> next:(int -> int) -> Bytes.t -> int -> int
   val encode_list : instr list -> string
-  val parse : string -> instr list option
+  val parse : string -> instr array option
 end
 
 module Mips_streams = struct
@@ -138,8 +138,7 @@ module Mips_streams = struct
     if String.length code mod 4 <> 0 then None
     else
       let decoded = M.decode_program code in
-      let ok = Array.for_all Option.is_some decoded in
-      if ok then Some (Array.to_list (Array.map Option.get decoded)) else None
+      if Array.for_all Option.is_some decoded then Some (Array.map Option.get decoded) else None
 end
 
 module X86_streams = struct
@@ -194,7 +193,7 @@ module X86_streams = struct
 
   let encode_list = X.encode_program
 
-  let parse = X.decode_program
+  let parse code = Option.map Array.of_list (X.decode_program code)
 end
 
 module X86_field_streams = struct
@@ -262,5 +261,5 @@ module X86_field_streams = struct
 
   let encode_list = X.encode_program
 
-  let parse = X.decode_program
+  let parse code = Option.map Array.of_list (X.decode_program code)
 end

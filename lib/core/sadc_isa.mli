@@ -48,7 +48,7 @@ module type S = sig
 
   val encode_list : instr list -> string
 
-  val parse : string -> instr list option
+  val parse : string -> instr array option
 end
 
 module Mips_streams : S with type instr = Ccomp_isa.Mips.t

@@ -95,7 +95,7 @@ let test_groups_learned_on_repetitive_code () =
     ]
   in
   let program = List.concat (List.init 200 (fun _ -> idiom)) in
-  let z = Sadc.Mips.compress (Sadc.default_config ()) program in
+  let z = Sadc.Mips.compress (Sadc.default_config ()) (Array.of_list program) in
   let st = Sadc.Mips.stats z in
   Alcotest.(check bool) "found groups" true (st.Sadc.group_entries > 0);
   Alcotest.(check bool)
@@ -123,7 +123,7 @@ let test_specialization_learned () =
   let program =
     List.concat (List.init 300 (fun i -> [ filler i; Mips.make (spec "jr") ~rs:31 () ]))
   in
-  let z = Sadc.Mips.compress (Sadc.default_config ()) program in
+  let z = Sadc.Mips.compress (Sadc.default_config ()) (Array.of_list program) in
   let has_jr31 =
     Array.exists
       (fun e ->

@@ -63,10 +63,10 @@ module Check (I : Sadc_isa.S) = struct
     match I.parse code with
     | None -> Alcotest.failf "%s: program does not parse" I.name
     | Some instrs ->
-      List.iter roundtrip instrs;
+      Array.iter roundtrip instrs;
       Alcotest.(check int) (I.name ^ ": byte_length sums to image")
         (String.length code)
-        (List.fold_left (fun a i -> a + I.byte_length i) 0 instrs)
+        (Array.fold_left (fun a i -> a + I.byte_length i) 0 instrs)
 end
 
 let program seed =

@@ -13,9 +13,9 @@ let table =
 let update crc s =
   let table = Lazy.force table in
   let c = ref (crc land 0xffff) in
-  String.iter
-    (fun ch -> c := ((!c lsl 8) land 0xffff) lxor table.(((!c lsr 8) lxor Char.code ch) land 0xff))
-    s;
+  for i = 0 to String.length s - 1 do
+    c := ((!c lsl 8) land 0xffff) lxor table.(((!c lsr 8) lxor Char.code (String.unsafe_get s i)) land 0xff)
+  done;
   !c
 
 let of_string s = update 0xffff s

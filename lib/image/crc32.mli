@@ -3,5 +3,10 @@
 
 val of_string : string -> int32
 
+val of_substring : string -> pos:int -> len:int -> int32
+(** [of_substring s ~pos ~len = of_string (String.sub s pos len)] without
+    the copy.
+    @raise Invalid_argument if the range is outside [s]. *)
+
 val update : int32 -> string -> int32
 (** Incremental form: [of_string (a ^ b) = update (of_string a) b]. *)

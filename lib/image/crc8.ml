@@ -13,7 +13,9 @@ let table =
 let update crc s =
   let table = Lazy.force table in
   let c = ref (crc land 0xff) in
-  String.iter (fun ch -> c := table.(!c lxor Char.code ch)) s;
+  for i = 0 to String.length s - 1 do
+    c := table.(!c lxor Char.code (String.unsafe_get s i))
+  done;
   !c
 
 let of_string s = update 0 s

@@ -133,35 +133,35 @@ let serialize_payload t =
   | Sadc_mips z -> Sadc.Mips.serialize z
   | Sadc_x86 z -> Sadc.X86.serialize z
 
+(* The image is header, LAT, payload and tag table, then the CRC-32 of
+   all four. The CRC runs over the parts in place, so the body is copied
+   once, into the result. *)
 let write t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
+  let head = Buffer.create 8 in
+  Buffer.add_string head magic;
   (match t.block_crcs with
-  | None -> Buffer.add_char b (Char.chr version)
-  | Some _ -> Buffer.add_char b (Char.chr version_block_crc));
-  Buffer.add_char b (Char.chr (isa_tag t.isa));
-  Buffer.add_char b (Char.chr (payload_tag t.payload));
+  | None -> Buffer.add_char head (Char.chr version)
+  | Some _ -> Buffer.add_char head (Char.chr version_block_crc));
+  Buffer.add_char head (Char.chr (isa_tag t.isa));
+  Buffer.add_char head (Char.chr (payload_tag t.payload));
   (match t.block_crcs with
   | None -> ()
-  | Some (kind, _) -> Buffer.add_char b (Char.chr (crc_kind_tag kind)));
-  Buffer.add_string b (Lat.serialize t.lat);
-  Buffer.add_string b (serialize_payload t);
+  | Some (kind, _) -> Buffer.add_char head (Char.chr (crc_kind_tag kind)));
+  let tags = Buffer.create 64 in
   (match t.block_crcs with
   | None -> ()
   | Some (kind, crcs) ->
     Array.iter
       (fun crc ->
-        if kind = Crc16_tags then Buffer.add_char b (Char.chr ((crc lsr 8) land 0xff));
-        Buffer.add_char b (Char.chr (crc land 0xff)))
+        if kind = Crc16_tags then Buffer.add_char tags (Char.chr ((crc lsr 8) land 0xff));
+        Buffer.add_char tags (Char.chr (crc land 0xff)))
       crcs);
-  let body = Buffer.contents b in
-  let crc = Crc32.of_string body in
+  let parts =
+    [ Buffer.contents head; Lat.serialize t.lat; serialize_payload t; Buffer.contents tags ]
+  in
   let tail = Bytes.create 4 in
-  Bytes.set tail 0 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff));
-  Bytes.set tail 1 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff));
-  Bytes.set tail 2 (Char.chr (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff));
-  Bytes.set tail 3 (Char.chr (Int32.to_int crc land 0xff));
-  body ^ Bytes.to_string tail
+  Bytes.set_int32_be tail 0 (List.fold_left Crc32.update 0l parts);
+  String.concat "" (parts @ [ Bytes.to_string tail ])
 
 let read_checked ?(verify_crc = true) s =
   let ( let* ) = Result.bind in
@@ -175,15 +175,8 @@ let read_checked ?(verify_crc = true) s =
       let* () =
         if not verify_crc then Ok ()
         else begin
-          let body = String.sub s 0 (len - 4) in
-          let crc = Crc32.of_string body in
-          let stored =
-            Int32.logor
-              (Int32.shift_left (Int32.of_int (Char.code s.[len - 4])) 24)
-              (Int32.of_int
-                 ((Char.code s.[len - 3] lsl 16) lor (Char.code s.[len - 2] lsl 8)
-                 lor Char.code s.[len - 1]))
-          in
+          let crc = Crc32.of_substring s ~pos:0 ~len:(len - 4) in
+          let stored = String.get_int32_be s (len - 4) in
           if crc <> stored then begin
             Events.error ~fields:[ ("section", "image") ] "image.crc_mismatch";
             Error

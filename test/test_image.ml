@@ -1,4 +1,6 @@
 module Crc32 = Ccomp_image.Crc32
+module Crc16 = Ccomp_image.Crc16
+module Crc8 = Ccomp_image.Crc8
 module Image = Ccomp_image.Image
 module Samc = Ccomp_core.Samc
 module Sadc = Ccomp_core.Sadc
@@ -11,10 +13,27 @@ let test_crc32_known_vectors () =
   Alcotest.(check int32) "crc(empty)" 0l (Crc32.of_string "");
   Alcotest.(check int32) "crc(a)" 0xE8B7BE43l (Crc32.of_string "a")
 
+(* The catalogue check values of the two block-tag CRCs. *)
+let test_crc16_crc8_known_vectors () =
+  Alcotest.(check int) "crc16/ccitt-false(123456789)" 0x29B1 (Crc16.of_string "123456789");
+  Alcotest.(check int) "crc8 poly 0x07 (123456789)" 0xF4 (Crc8.of_string "123456789")
+
 let test_crc32_incremental () =
   let a = "hello " and b = "world" in
   Alcotest.(check int32) "incremental equals whole" (Crc32.of_string (a ^ b))
-    (Crc32.update (Crc32.of_string a) b)
+    (Crc32.update (Crc32.of_string a) b);
+  (* every split point, so the running state passes through values with
+     the top bit set *)
+  let s = "123456789" in
+  for i = 0 to String.length s do
+    let a = String.sub s 0 i and b = String.sub s i (String.length s - i) in
+    Alcotest.(check int32) (Printf.sprintf "split at %d" i) 0xCBF43926l
+      (Crc32.update (Crc32.of_string a) b);
+    Alcotest.(check int32) (Printf.sprintf "of_substring prefix %d" i)
+      (Crc32.of_string a) (Crc32.of_substring ("xx" ^ s) ~pos:2 ~len:i)
+  done;
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Crc32.of_substring")
+    (fun () -> ignore (Crc32.of_substring s ~pos:5 ~len:5))
 
 let test_crc32_detects_change () =
   Alcotest.(check bool) "different strings differ" true
@@ -123,6 +142,7 @@ let suite =
   [
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    Alcotest.test_case "crc16 and crc8 known vectors" `Quick test_crc16_crc8_known_vectors;
     Alcotest.test_case "crc32 detects change" `Quick test_crc32_detects_change;
     Alcotest.test_case "samc image roundtrip" `Quick test_samc_image_roundtrip;
     Alcotest.test_case "sadc image roundtrip" `Quick test_sadc_image_roundtrip;

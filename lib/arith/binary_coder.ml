@@ -92,6 +92,44 @@ module Encoder = struct
       e.range <- e.range lsl 8
     done
 
+  (* The stream loop of [encode_tree], one bit per tail call with the
+     interval in arguments. Renormalisation is a tail call into
+     [renormalize_then], so the common path makes no call and keeps its
+     state in registers. *)
+  let rec encode_bits e probs tree node k value low range =
+    if k < 0 then begin
+      e.low <- low;
+      e.range <- range;
+      node
+    end
+    else begin
+      let bit = (value lsr k) land 1 in
+      let p0 = probs.(tree + node) in
+      if p0 < 1 || p0 >= scale then
+        raise (Invalid_argument "Binary_coder.encode_tree: p0 outside [1, scale)");
+      let bound = (range lsr scale_bits) * p0 in
+      let mask = -bit in
+      let low = low + (bound land mask) in
+      let range = bound + ((range - bound - bound) land mask) in
+      if range >= renorm_limit then encode_bits e probs tree ((2 * node) + bit) (k - 1) value low range
+      else renormalize_then e probs tree ((2 * node) + bit) (k - 1) value low range
+    end
+
+  and renormalize_then e probs tree node k value low range =
+    e.low <- low;
+    e.range <- range;
+    while e.range < renorm_limit do
+      shift_low e;
+      e.range <- e.range lsl 8
+    done;
+    encode_bits e probs tree node k value e.low e.range
+
+  (* The encode mirror of [Decoder.decode_tree]: code [value]'s [width]
+     bits MSB-first down one prediction tree. The bit selects the
+     interval half through an all-ones/all-zeros mask instead of a
+     branch. *)
+  let encode_tree e probs ~tree ~width value = encode_bits e probs tree 1 (width - 1) value e.low e.range
+
   let finish e =
     (* Choose the value in [low, low+range) with the most trailing zero
        bits; its trailing zero bytes need not be stored because the decoder
@@ -113,12 +151,11 @@ module Encoder = struct
     for _ = 1 to e.pending do
       Buffer.add_char e.buf '\xff'
     done;
-    let s = Buffer.contents e.buf in
-    let n = ref (String.length s) in
-    while !n > 0 && s.[!n - 1] = '\x00' do
+    let n = ref (Buffer.length e.buf) in
+    while !n > 0 && Buffer.nth e.buf (!n - 1) = '\x00' do
       decr n
     done;
-    String.sub s 0 !n
+    Buffer.sub e.buf 0 !n
 end
 
 module Decoder = struct

@@ -41,6 +41,17 @@ module Encoder : sig
   val encode : t -> p0:int -> int -> unit
   (** [encode e ~p0 bit] codes [bit] (0 or 1) under prediction [p0]. *)
 
+  val encode_tree : t -> int array -> tree:int -> width:int -> int -> int
+  (** [encode_tree e probs ~tree ~width value] codes the low [width] bits
+      of [value], MSB-first, down one implicit-heap prediction tree: from
+      node 1, each bit is coded under [probs.(tree + node)] and the node
+      moves to [2*node + bit]. Returns the final node,
+      [2^width + (value land (2^width - 1))]. Produces exactly the bytes
+      of [width] calls of {!encode}; the mirror of {!Decoder.decode_tree}
+      and the hot kernel of the SAMC block encoder.
+      @raise Invalid_argument if a visited prediction is outside
+      \[1, scale-1\] or indexes outside [probs]. *)
+
   val finish : t -> string
   (** Terminates the stream and returns the encoded bytes (trailing zero
       bytes removed). The encoder must not be reused afterwards. *)

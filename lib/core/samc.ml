@@ -69,162 +69,22 @@ let block_count c ~code_bytes =
   let wpb = words_per_block c in
   (words + wpb - 1) / wpb
 
-let get_word c code word_index =
-  let wb = word_bytes c in
+let get_word ~wb code word_index =
   let base = word_index * wb in
-  let rec go acc i = if i = wb then acc else go ((acc lsl 8) lor Char.code code.[base + i]) (i + 1) in
-  go 0 0
-
-(* Walk one word through the model, calling [visit stream ctx node bit]
-   for every coded bit; returns the context for the next word. *)
-let walk_word c word ~ctx visit =
-  let ctx_mask = (1 lsl c.context_bits) - 1 in
-  let current_ctx = ref ctx in
-  Array.iteri
-    (fun s positions ->
-      let node = ref 1 in
-      let value = ref 0 in
-      Array.iter
-        (fun pos ->
-          let bit = (word lsr (c.word_bits - 1 - pos)) land 1 in
-          visit s !current_ctx !node bit;
-          node := (2 * !node) + bit;
-          value := (!value lsl 1) lor bit)
-        positions;
-      current_ctx := !value land ctx_mask)
-    c.streams;
-  !current_ctx
-
-let train c code =
-  let trainer = Markov_model.Trainer.create ~widths:(Stream_split.widths c.streams) ~context_bits:c.context_bits in
-  let words = String.length code / word_bytes c in
-  let wpb = words_per_block c in
-  let ctx = ref 0 in
-  for wi = 0 to words - 1 do
-    if wi mod wpb = 0 then ctx := 0;
-    ctx :=
-      walk_word c (get_word c code wi) ~ctx:!ctx (fun stream ctx node bit ->
-          Markov_model.Trainer.note trainer ~stream ~ctx ~node bit)
+  let w = ref 0 in
+  for i = 0 to wb - 1 do
+    w := (!w lsl 8) lor Char.code code.[base + i]
   done;
-  Markov_model.Trainer.finalize ~quantize:c.quantize ~prune_below:c.prune_below trainer
+  !w
 
-(* Per-stream cost accounting under the trained model (metrics-only
-   pass, so the encode hot loop stays untouched): bits_in counts the
-   stream's raw bits, bits_out the ideal arithmetic-code length
-   [sum -log2 p(bit)] — the per-stream in/out split of Tables 1-3. The
-   ideal length differs from the shipped size only by per-block coder
-   flush rounding. *)
-let note_stream_costs c model code =
-  let words = String.length code / word_bytes c in
-  let wpb = words_per_block c in
-  let n_streams = Array.length c.streams in
-  let bits_in = Array.make n_streams 0 in
-  let bits_out = Array.make n_streams 0.0 in
-  let fscale = float_of_int Coder.scale in
-  let ctx = ref 0 in
-  for wi = 0 to words - 1 do
-    if wi mod wpb = 0 then ctx := 0;
-    ctx :=
-      walk_word c (get_word c code wi) ~ctx:!ctx (fun s ctx node bit ->
-          let p0 = Markov_model.p0 model ~stream:s ~ctx ~node in
-          let p = if bit = 0 then p0 else Coder.scale - p0 in
-          bits_in.(s) <- bits_in.(s) + 1;
-          bits_out.(s) <- bits_out.(s) -. Float.log2 (float_of_int p /. fscale))
-  done;
-  for s = 0 to n_streams - 1 do
-    Obs.Counter.add (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_in" s)) bits_in.(s);
-    Obs.Counter.add
-      (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_out" s))
-      (int_of_float (Float.round bits_out.(s)));
-    if bits_in.(s) > 0 then
-      Obs.Gauge.set
-        (Obs.Gauge.make (Printf.sprintf "samc.stream%d.ratio" s))
-        (bits_out.(s) /. float_of_int bits_in.(s))
-  done
+(* Where each stream's bits sit in a word: [shifts.(s).(k)] is the right
+   shift that brings the stream's k-th bit (MSB-first) to bit 0. A
+   stream whose positions are consecutive (every default config) is one
+   shift and mask, [low_shift.(s)]; [-1] marks the general scatter case. *)
+type placement = { widths : int array; shifts : int array array; low_shift : int array }
 
-(* Encode one block through a caller-owned encoder with the per-image
-   tables already hoisted — the parallel path reuses one encoder per
-   domain and builds the tables once per image, not per 32-byte block. *)
-let encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words =
-  Coder.Encoder.reset encoder;
-  let n_streams = Array.length c.streams in
-  let ctx_mask = (1 lsl c.context_bits) - 1 in
-  let ctx = ref 0 in
-  for wi = first_word to first_word + n_words - 1 do
-    let word = get_word c code wi in
-    for s = 0 to n_streams - 1 do
-      let positions = Array.unsafe_get c.streams s in
-      let w = Array.unsafe_get widths s in
-      let tree = Array.unsafe_get base s + (!ctx lsl w) in
-      let node = ref 1 in
-      for k = 0 to w - 1 do
-        let bit = (word lsr (c.word_bits - 1 - Array.unsafe_get positions k)) land 1 in
-        Coder.Encoder.encode encoder ~p0:(Array.unsafe_get flat (tree + !node)) bit;
-        node := (2 * !node) + bit
-      done;
-      (* After w steps the heap index is 2^w + value, so the decoded
-         stream value needs no separate accumulator. *)
-      ctx := (!node - (1 lsl w)) land ctx_mask
-    done
-  done;
-  Coder.Encoder.finish encoder
-
-(* Words in block [b] of a program of [words] words. *)
-let block_words c ~words b =
-  let wpb = words_per_block c in
-  min wpb (words - (b * wpb))
-
-let compress ?jobs c code =
-  Obs.with_span ~cat:"samc" "samc.compress" @@ fun () ->
-  (match validate_config c with Ok () -> () | Error e -> invalid_arg ("Samc.compress: " ^ e));
-  if String.length code mod word_bytes c <> 0 then
-    invalid_arg "Samc.compress: code size is not a multiple of the word size";
-  let model = Obs.with_span ~cat:"samc" "samc.train" (fun () -> train c code) in
-  if Obs.metrics_enabled () then note_stream_costs c model code;
-  let words = String.length code / word_bytes c in
-  (* Blocks restart the coder and context, so each encodes independently.
-     The per-image tables are hoisted out of the block loop and each
-     domain reuses one encoder. *)
-  let flat = Markov_model.flat_probs model in
-  let base =
-    Array.init (Array.length c.streams) (fun s -> Markov_model.tree_offset model ~stream:s ~ctx:0)
-  in
-  let widths = Array.map Array.length c.streams in
-  let blocks =
-    Obs.with_span ~cat:"samc" "samc.encode" @@ fun () ->
-    Ccomp_par.Blocks.encode ?jobs m_compress ~local:Coder.Encoder.create
-      ~bytes_in:(fun b -> block_words c ~words b * word_bytes c)
-      (block_count c ~code_bytes:(String.length code))
-      (fun encoder b ->
-        encode_block_with encoder c ~flat ~base ~widths code
-          ~first_word:(b * words_per_block c) ~n_words:(block_words c ~words b))
-  in
-  { config = c; model; blocks; original_size = String.length code }
-
-(* Decode hot loop: the model is read through its flat probability array
-   (one load per bit instead of three pointer chases), and each stream's
-   bits are decoded by one {!Coder.Decoder.decode_tree} descent — the
-   interval registers stay local for the whole stream instead of a call
-   per bit, and the stream's value falls out of the final heap index.
-   The per-image tables (tree offsets, shift translations) are hoisted
-   into a plan so the full-image path builds them once, not per 32-byte
-   block. *)
-type decode_plan = {
-  p_wb : int;
-  p_ctx_mask : int;
-  p_flat : int array;
-  p_base : int array;
-  p_widths : int array;
-  p_shifts : int array array;
-  p_low_shift : int array;  (** single-shift placement, -1 = scatter *)
-}
-
-let decode_plan c model =
-  let n_streams = Array.length c.streams in
+let placement c =
   let shifts = Array.map (Array.map (fun pos -> c.word_bits - 1 - pos)) c.streams in
-  (* A stream whose positions are consecutive (every default config)
-     lands in the word with a single shift of its value; [-1] marks the
-     general scatter case. *)
   let low_shift =
     Array.map
       (fun shift_s ->
@@ -236,38 +96,187 @@ let decode_plan c model =
         if !contiguous then shift_s.(w - 1) else -1)
       shifts
   in
+  { widths = Array.map Array.length c.streams; shifts; low_shift }
+
+(* Stream [s]'s bits of [word], MSB-first, as an int. *)
+let stream_value pl s word =
+  let w = Array.unsafe_get pl.widths s in
+  let lo = Array.unsafe_get pl.low_shift s in
+  if lo >= 0 then (word lsr lo) land ((1 lsl w) - 1)
+  else begin
+    let shift_s = Array.unsafe_get pl.shifts s in
+    let v = ref 0 in
+    for k = 0 to w - 1 do
+      v := (!v lsl 1) lor ((word lsr Array.unsafe_get shift_s k) land 1)
+    done;
+    !v
+  end
+
+(* Words in block [b] of a program of [words] words. *)
+let block_words c ~words b =
+  let wpb = words_per_block c in
+  min wpb (words - (b * wpb))
+
+(* The semiadaptive first pass: count every stream value of [code] in
+   its context into the trainer's flat [values] array, walking words and
+   streams in the encoder's order (the context restarts at each block).
+   [finalize] folds the value counts into per-node bit counts. *)
+let count c pl code =
+  let trainer = Markov_model.Trainer.create ~widths:pl.widths ~context_bits:c.context_bits in
+  let values = Markov_model.Trainer.values trainer in
+  let n_streams = Array.length pl.widths in
+  let base =
+    Array.init n_streams (fun s -> Markov_model.Trainer.tree_offset trainer ~stream:s ~ctx:0)
+  in
+  let ctx_mask = (1 lsl c.context_bits) - 1 in
+  let wb = word_bytes c in
+  let words = String.length code / wb in
+  let wpb = words_per_block c in
+  for b = 0 to block_count c ~code_bytes:(String.length code) - 1 do
+    let ctx = ref 0 in
+    for wi = b * wpb to (b * wpb) + block_words c ~words b - 1 do
+      let word = get_word ~wb code wi in
+      for s = 0 to n_streams - 1 do
+        let value = stream_value pl s word in
+        let i = Array.unsafe_get base s + (!ctx lsl Array.unsafe_get pl.widths s) + value in
+        values.(i) <- values.(i) + 1;
+        ctx := value land ctx_mask
+      done
+    done
+  done;
+  trainer
+
+(* Per-stream cost accounting under the trained model (metrics only):
+   bits_in counts the stream's raw bits, bits_out the ideal arithmetic-
+   code length [sum -log2 p(bit)] — the per-stream in/out split of
+   Tables 1-3. Every bit counted at a node is coded under that node's
+   final p0, so both sums are priced from the counts in closed form:
+   zeros·-log2(p0) + ones·-log2(1-p0) per node. The ideal length differs
+   from the shipped size only by per-block coder flush rounding. *)
+let note_stream_costs c trainer model =
+  let zeros = Markov_model.Trainer.zeros trainer in
+  let totals = Markov_model.Trainer.totals trainer in
+  let flat = Markov_model.flat_probs model in
+  let fscale = float_of_int Coder.scale in
+  Array.iteri
+    (fun s positions ->
+      let bits_in = ref 0 and bits_out = ref 0.0 in
+      for ctx = 0 to (1 lsl c.context_bits) - 1 do
+        let tree = Markov_model.Trainer.tree_offset trainer ~stream:s ~ctx in
+        for node = 1 to (1 lsl Array.length positions) - 1 do
+          let i = tree + node in
+          let total = totals.(i) in
+          if total > 0 then begin
+            let z = zeros.(i) and p0 = flat.(i) in
+            bits_in := !bits_in + total;
+            bits_out :=
+              !bits_out
+              -. (float_of_int z *. Float.log2 (float_of_int p0 /. fscale))
+              -. (float_of_int (total - z) *. Float.log2 (float_of_int (Coder.scale - p0) /. fscale))
+          end
+        done
+      done;
+      Obs.Counter.add (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_in" s)) !bits_in;
+      Obs.Counter.add
+        (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_out" s))
+        (int_of_float (Float.round !bits_out));
+      if !bits_in > 0 then
+        Obs.Gauge.set
+          (Obs.Gauge.make (Printf.sprintf "samc.stream%d.ratio" s))
+          (!bits_out /. float_of_int !bits_in))
+    c.streams
+
+(* The per-image tables of both coding directions, built once per image
+   rather than per 32-byte block: the model's flat probability array
+   (one load per bit), each stream's tree base and its placement in the
+   word. *)
+type plan = {
+  p_wb : int;
+  p_ctx_mask : int;
+  p_flat : int array;
+  p_base : int array;
+  p_pl : placement;
+}
+
+let plan c model =
   {
     p_wb = word_bytes c;
     p_ctx_mask = (1 lsl c.context_bits) - 1;
     p_flat = Markov_model.flat_probs model;
-    p_base = Array.init n_streams (fun s -> Markov_model.tree_offset model ~stream:s ~ctx:0);
-    p_widths = Array.map Array.length c.streams;
-    p_shifts = shifts;
-    p_low_shift = low_shift;
+    p_base =
+      Array.init (Array.length c.streams) (fun s -> Markov_model.tree_offset model ~stream:s ~ctx:0);
+    p_pl = placement c;
   }
+
+(* Encode one block through a caller-owned encoder — the parallel path
+   reuses one encoder per domain. Each stream is one
+   {!Coder.Encoder.encode_tree} descent. *)
+let encode_block_with encoder p code ~first_word ~n_words =
+  Coder.Encoder.reset encoder;
+  let pl = p.p_pl in
+  let ctx = ref 0 in
+  for wi = first_word to first_word + n_words - 1 do
+    let word = get_word ~wb:p.p_wb code wi in
+    for s = 0 to Array.length pl.widths - 1 do
+      let w = Array.unsafe_get pl.widths s in
+      let value = stream_value pl s word in
+      let tree = Array.unsafe_get p.p_base s + (!ctx lsl w) in
+      ignore (Coder.Encoder.encode_tree encoder p.p_flat ~tree ~width:w value : int);
+      ctx := value land p.p_ctx_mask
+    done
+  done;
+  Coder.Encoder.finish encoder
+
+let compress ?jobs c code =
+  Obs.with_span ~cat:"samc" "samc.compress" @@ fun () ->
+  (match validate_config c with Ok () -> () | Error e -> invalid_arg ("Samc.compress: " ^ e));
+  if String.length code mod word_bytes c <> 0 then
+    invalid_arg "Samc.compress: code size is not a multiple of the word size";
+  let model, trainer =
+    Obs.with_span ~cat:"samc" "samc.train" @@ fun () ->
+    let trainer = count c (placement c) code in
+    (Markov_model.Trainer.finalize ~quantize:c.quantize ~prune_below:c.prune_below trainer, trainer)
+  in
+  if Obs.metrics_enabled () then note_stream_costs c trainer model;
+  let words = String.length code / word_bytes c in
+  (* Blocks restart the coder and context, so each encodes independently. *)
+  let p = plan c model in
+  let blocks =
+    Obs.with_span ~cat:"samc" "samc.encode" @@ fun () ->
+    Ccomp_par.Blocks.encode ?jobs m_compress ~local:Coder.Encoder.create
+      ~bytes_in:(fun b -> block_words c ~words b * word_bytes c)
+      (block_count c ~code_bytes:(String.length code))
+      (fun encoder b ->
+        encode_block_with encoder p code ~first_word:(b * words_per_block c)
+          ~n_words:(block_words c ~words b))
+  in
+  { config = c; model; blocks; original_size = String.length code }
 
 (* Decode one block's words from [decoder], primed on the block's
    payload, into [out] starting at byte [pos] — the zero-copy kernel: the
    full-image path points every block at its slice of one shared buffer
    instead of allocating per-block strings and concatenating. [pos] must
-   leave room for [n_words] words. *)
+   leave room for [n_words] words. Each stream is one
+   {!Coder.Decoder.decode_tree} descent: the interval stays in registers
+   for the whole stream and the value falls out of the final heap index. *)
 let decompress_block_planned_into p decoder out ~pos ~n_words =
   let wb = p.p_wb in
   let flat = p.p_flat in
-  let n_streams = Array.length p.p_widths in
+  let pl = p.p_pl in
+  let n_streams = Array.length pl.widths in
   let ctx_mask = p.p_ctx_mask in
   let ctx = ref 0 in
   for wi = 0 to n_words - 1 do
     let word = ref 0 in
     for s = 0 to n_streams - 1 do
-      let w = Array.unsafe_get p.p_widths s in
+      let w = Array.unsafe_get pl.widths s in
       let tree = Array.unsafe_get p.p_base s + (!ctx lsl w) in
       let node = Coder.Decoder.decode_tree decoder flat ~tree ~width:w in
       let value = node - (1 lsl w) in
-      let lo = Array.unsafe_get p.p_low_shift s in
+      let lo = Array.unsafe_get pl.low_shift s in
       if lo >= 0 then word := !word lor (value lsl lo)
       else begin
-        let shift_s = Array.unsafe_get p.p_shifts s in
+        let shift_s = Array.unsafe_get pl.shifts s in
         for k = 0 to w - 1 do
           if (value lsr (w - 1 - k)) land 1 = 1 then
             word := !word lor (1 lsl Array.unsafe_get shift_s k)
@@ -283,7 +292,7 @@ let decompress_block_planned_into p decoder out ~pos ~n_words =
   done
 
 let decompress_block c model ~original_bytes data =
-  let p = decode_plan c model in
+  let p = plan c model in
   if original_bytes mod p.p_wb <> 0 then
     invalid_arg "Samc.decompress_block: size not a multiple of the word size";
   let out = Bytes.create original_bytes in
@@ -373,14 +382,14 @@ let decompress_block_parallel c model ~original_bytes data =
 
 let block_decoder t =
   let c = t.config in
-  let plan = decode_plan c t.model in
+  let p = plan c t.model in
   let decoder = Coder.Decoder.create "" in
-  let words = t.original_size / plan.p_wb in
+  let words = t.original_size / p.p_wb in
   fun b out pos ->
     let n_words = block_words c ~words b in
     Coder.Decoder.reset decoder t.blocks.(b);
-    decompress_block_planned_into plan decoder out ~pos ~n_words;
-    n_words * plan.p_wb
+    decompress_block_planned_into p decoder out ~pos ~n_words;
+    n_words * p.p_wb
 
 let decompress ?jobs t =
   Obs.with_span ~cat:"samc" "samc.decompress" @@ fun () ->
@@ -416,7 +425,10 @@ let add_u32 b v =
 
 let serialize t =
   let c = t.config in
-  let b = Buffer.create (code_bytes t + model_bytes t + 64) in
+  let model = Markov_model.serialize t.model in
+  let b =
+    Buffer.create (code_bytes t + (2 * Array.length t.blocks) + String.length model + 64)
+  in
   Buffer.add_char b (Char.chr c.word_bits);
   Buffer.add_char b (Char.chr (Array.length c.streams));
   Array.iter
@@ -429,7 +441,6 @@ let serialize t =
   add_u16 b c.prune_below;
   add_u16 b c.block_size;
   add_u32 b t.original_size;
-  let model = Markov_model.serialize t.model in
   add_u32 b (String.length model);
   Buffer.add_string b model;
   add_u32 b (Array.length t.blocks);

@@ -194,4 +194,56 @@ let pruning_suite =
     Alcotest.test_case "samc with pruning" `Quick test_samc_with_pruning_roundtrips;
   ]
 
-let suite = suite @ pruning_suite
+(* Counting whole stream values and folding them gives the same node
+   counts, and so the same model, as noting each value's bits. *)
+let prop_fold_values_matches_note =
+  QCheck.Test.make ~name:"fold_values equals per-bit note" ~count:100
+    QCheck.(pair (int_bound 300) int)
+    (fun (n, seed) ->
+      let g = Ccomp_util.Prng.create (Int64.of_int seed) in
+      let widths = Array.init (1 + Ccomp_util.Prng.int g 3) (fun _ -> 1 + Ccomp_util.Prng.int g 9) in
+      let context_bits = Ccomp_util.Prng.int g 3 in
+      let by_value = Markov_model.Trainer.create ~widths ~context_bits in
+      let by_bit = Markov_model.Trainer.create ~widths ~context_bits in
+      for _ = 1 to n do
+        let stream = Ccomp_util.Prng.int g (Array.length widths) in
+        let w = widths.(stream) in
+        let ctx = Ccomp_util.Prng.int g (1 lsl context_bits) in
+        let v = Ccomp_util.Prng.int g (1 lsl w) in
+        let i = Markov_model.Trainer.tree_offset by_value ~stream ~ctx + v in
+        let values = Markov_model.Trainer.values by_value in
+        values.(i) <- values.(i) + 1;
+        let node = ref 1 in
+        for k = w - 1 downto 0 do
+          let bit = (v lsr k) land 1 in
+          Markov_model.Trainer.note by_bit ~stream ~ctx ~node:!node bit;
+          node := (2 * !node) + bit
+        done
+      done;
+      Markov_model.Trainer.fold_values by_value;
+      let same f = f by_value = f by_bit in
+      same Markov_model.Trainer.zeros && same Markov_model.Trainer.totals
+      && Array.for_all (( = ) 0) (Markov_model.Trainer.values by_value)
+      && Markov_model.serialize (Markov_model.Trainer.finalize ~prune_below:2 by_value)
+         = Markov_model.serialize (Markov_model.Trainer.finalize ~prune_below:2 by_bit))
+
+let test_positions_outside_the_tree () =
+  let t = Markov_model.Trainer.create ~widths:[| 3 |] ~context_bits:1 in
+  List.iter
+    (fun (ctx, node) ->
+      match Markov_model.Trainer.note t ~stream:0 ~ctx ~node 0 with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "note accepted ctx %d node %d" ctx node)
+    [ (2, 1); (-1, 1); (0, 0); (0, 8) ];
+  let m = Markov_model.Trainer.finalize t in
+  match Markov_model.p0 m ~stream:0 ~ctx:0 ~node:8 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "p0 read past the tree"
+
+let suite =
+  suite @ pruning_suite
+  @ [
+      Alcotest.test_case "positions outside the tree refused" `Quick
+        test_positions_outside_the_tree;
+      QCheck_alcotest.to_alcotest prop_fold_values_matches_note;
+    ]

@@ -1,4 +1,7 @@
 module Samc = Ccomp_core.Samc
+module Markov_model = Ccomp_core.Markov_model
+module Coder = Ccomp_arith.Binary_coder
+module Obs = Ccomp_obs.Obs
 module Stream_split = Ccomp_core.Stream_split
 module Prng = Ccomp_util.Prng
 module P = Ccomp_progen
@@ -153,6 +156,106 @@ let test_ratio_accounting () =
   Alcotest.(check int) "code_bytes is the block sum" sum (Samc.code_bytes z);
   Alcotest.(check bool) "with model is larger" true (Samc.ratio_with_model z > Samc.ratio z)
 
+(* The per-stream metrics are priced in closed form from the training
+   counts. Replay every coded bit through [Markov_model.p0] here (the
+   definition) and compare: bits_in exactly, bits_out within 1 bit. *)
+let replay_stream_costs (c : Samc.config) model code =
+  let wb = c.Samc.word_bits / 8 in
+  let words = String.length code / wb and wpb = c.Samc.block_size / wb in
+  let n = Array.length c.Samc.streams in
+  let bits_in = Array.make n 0 and bits_out = Array.make n 0.0 in
+  let ctx = ref 0 in
+  for wi = 0 to words - 1 do
+    if wi mod wpb = 0 then ctx := 0;
+    let word = ref 0 in
+    for i = 0 to wb - 1 do
+      word := (!word lsl 8) lor Char.code code.[(wi * wb) + i]
+    done;
+    Array.iteri
+      (fun s positions ->
+        let node = ref 1 in
+        Array.iter
+          (fun pos ->
+            let bit = (!word lsr (c.Samc.word_bits - 1 - pos)) land 1 in
+            let p0 = Markov_model.p0 model ~stream:s ~ctx:!ctx ~node:!node in
+            let p = if bit = 0 then p0 else Coder.scale - p0 in
+            bits_in.(s) <- bits_in.(s) + 1;
+            bits_out.(s) <- bits_out.(s) -. Float.log2 (float_of_int p /. float_of_int Coder.scale);
+            node := (2 * !node) + bit)
+          positions;
+        ctx := (!node - (1 lsl Array.length positions)) land ((1 lsl c.Samc.context_bits) - 1))
+      c.Samc.streams
+  done;
+  (bits_in, bits_out)
+
+let test_stream_costs_closed_form () =
+  let mips = mips_code 14L in
+  let g = Prng.create 15L in
+  let bytes = String.init 4096 (fun _ -> Char.chr (min 255 (Prng.geometric g 0.1 * 8))) in
+  (* a scattered split: stream s holds bits s, s+4, s+8, ... *)
+  let scattered = Array.init 4 (fun s -> Array.init 8 (fun k -> s + (4 * k))) in
+  let metrics = Obs.metrics_enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_metrics metrics) @@ fun () ->
+  Obs.set_metrics true;
+  List.iter
+    (fun (name, cfg, code) ->
+      Obs.reset ();
+      let z = Samc.compress cfg code in
+      let bits_in, bits_out = replay_stream_costs cfg z.Samc.model code in
+      Array.iteri
+        (fun s expected_in ->
+          let counter fmt = Obs.Counter.value (Obs.Counter.make (Printf.sprintf fmt s)) in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: stream %d bits_in" name s)
+            expected_in (counter "samc.stream%d.bits_in");
+          let out = counter "samc.stream%d.bits_out" in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: stream %d bits_out %d vs replay %.2f" name s out bits_out.(s))
+            true
+            (Float.abs (float_of_int out -. bits_out.(s)) <= 1.0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: stream %d ratio" name s)
+            true
+            (Float.abs
+               (Obs.Gauge.value (Obs.Gauge.make (Printf.sprintf "samc.stream%d.ratio" s))
+               -. (bits_out.(s) /. float_of_int expected_in))
+            < 1e-9))
+        bits_in)
+    [
+      ("mips 4x8", Samc.mips_config (), mips);
+      ("byte mode", Samc.byte_config (), bytes);
+      ("scattered", Samc.mips_config ~streams:scattered (), mips);
+      ("pruned", Samc.mips_config ~prune_below:6 (), mips);
+      ("pruned byte mode", Samc.byte_config ~prune_below:3 ~quantize:true (), bytes);
+    ]
+
+(* The bounds are 1.5x what compress measures on gcc at scale 0.25 with
+   metrics off: 2.80 bytes per input byte for the MIPS config and 3.02 in
+   byte mode. A per-bit closure or boxed value in the counting or coding
+   pass costs tens of bytes per input byte (the closure walk this
+   replaced allocated 178 and 357). *)
+let test_compress_allocation () =
+  let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
+  let metrics = Obs.metrics_enabled () in
+  Obs.set_metrics false;
+  Fun.protect ~finally:(fun () -> Obs.set_metrics metrics) @@ fun () ->
+  List.iter
+    (fun (name, cfg, code, bound) ->
+      ignore (Samc.compress cfg code);
+      let before = Gc.minor_words () in
+      ignore (Samc.compress cfg code);
+      let per_byte =
+        (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8)
+        /. float_of_int (String.length code)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor bytes per input byte <= %.1f" name per_byte bound)
+        true (per_byte <= bound))
+    [
+      ("mips", Samc.mips_config (), Ccomp_paper.Paper.mips_code gcc, 4.2);
+      ("byte mode", Samc.byte_config (), Ccomp_paper.Paper.x86_code gcc, 4.5);
+    ]
+
 let prop_roundtrip_random_words =
   QCheck.Test.make ~name:"samc round-trips arbitrary word streams" ~count:30
     QCheck.(pair small_int int)
@@ -181,5 +284,7 @@ let suite =
     Alcotest.test_case "misaligned input rejected" `Quick test_misaligned_input_rejected;
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "ratio accounting" `Quick test_ratio_accounting;
+    Alcotest.test_case "stream costs equal a per-bit replay" `Quick test_stream_costs_closed_form;
+    Alcotest.test_case "compress allocation per input byte" `Quick test_compress_allocation;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_words;
   ]

@@ -9,7 +9,9 @@
 # Checks:
 #   1. compress --metrics/--trace writes a ccomp-obs-v1 snapshot with the
 #      per-stream bits_in/bits_out counters and a per-block latency
-#      histogram carrying count/p50/p95/p99.
+#      histogram carrying count/p50/p95/p99. The four streams' bits_in
+#      (priced from the training counts) sum to exactly 8 x the input's
+#      bytes, and the stream0 ratio gauge is present.
 #   2. the trace file is a Chrome trace_event JSON array of "ph":"X"
 #      slices (loadable in chrome://tracing / Perfetto).
 #   3. instrumentation only observes: the .secf written with metrics and
@@ -54,6 +56,16 @@ for key in samc.compress.blocks samc.stream0.bits_in samc.stream0.bits_out \
            samc.stream3.bits_in samc.stream3.bits_out; do
   grep -q "\"$key\":" "$dir/m.json" || fail "m.json: missing counter $key"
 done
+bits=0
+for s in 0 1 2 3; do
+  v=$(sed -n "s/.*\"samc.stream$s.bits_in\": *\([0-9]*\).*/\1/p" "$dir/m.json")
+  [ -n "$v" ] || fail "m.json: samc.stream$s.bits_in is not a number"
+  bits=$((bits + v))
+done
+size=$(wc -c < "$dir/code.bin")
+[ "$bits" -eq $((8 * size)) ] \
+  || fail "m.json: stream bits_in sum to $bits, want 8 x $size input bytes"
+grep -q '"samc.stream0.ratio":' "$dir/m.json" || fail "m.json: missing gauge samc.stream0.ratio"
 hist=$(grep '"samc.compress.block_us":' "$dir/m.json") \
   || fail "m.json: missing histogram samc.compress.block_us"
 for field in count p50 p95 p99; do

@@ -212,7 +212,10 @@ module Decoder = struct
      heap from 1. Keeping the interval registers in locals for the whole
      descent (instead of a field round-trip per bit, which a non-flambda
      build will not optimise away) is what makes the SAMC word loop
-     decode-bound rather than call-bound. *)
+     decode-bound rather than call-bound. The bit is a comparison result,
+     not a branch: the interval updates through a mask on it, and the
+     next prediction is selected the same way from both children, so a
+     hard-to-predict bit costs no mispredicted branch. *)
   let decode_tree d probs ~tree ~width =
     let data = d.data in
     let len = String.length data in
@@ -220,20 +223,19 @@ module Decoder = struct
     let range = ref d.range in
     let pos = ref d.pos in
     let node = ref 1 in
-    for _ = 1 to width do
-      let p0 = Array.unsafe_get probs (tree + !node) in
-      let bound = (!range lsr scale_bits) * p0 in
-      let bit =
-        if !code < bound then begin
-          range := bound;
-          0
-        end
-        else begin
-          code := !code - bound;
-          range := !range - bound;
-          1
-        end
-      in
+    let p0 = ref (if width > 0 then Array.unsafe_get probs (tree + 1) else 0) in
+    for k = 1 to width do
+      let child = tree + (2 * !node) in
+      let bound = (!range lsr scale_bits) * !p0 in
+      let bit = Bool.to_int (!code >= bound) in
+      let mask = -bit in
+      code := !code - (bound land mask);
+      range := bound + ((!range - bound - bound) land mask);
+      if k < width then begin
+        let left = Array.unsafe_get probs child in
+        let right = Array.unsafe_get probs (child + 1) in
+        p0 := left + ((right - left) land mask)
+      end;
       while !range < renorm_limit do
         let b = if !pos < len then Char.code (String.unsafe_get data !pos) else 0 in
         incr pos;

@@ -142,32 +142,47 @@ let prop_adversarial_roundtrip =
       let bits = Array.init n (fun _ -> Prng.int g 2) in
       fst (roundtrip bits p0s))
 
-(* [Encoder.encode_tree] against its definition: the same descents coded
-   one [Encoder.encode] call per bit must give the same bytes and final
-   nodes, over random widths, trees and values in one stream. *)
-let prop_encode_tree_matches_encode =
-  QCheck.Test.make ~name:"encode_tree equals encode bit by bit" ~count:200
+(* The tree kernels against their definitions: [Encoder.encode_tree]
+   must give the bytes and final nodes of one [Encoder.encode] call per
+   bit, and [Decoder.decode_tree] must decode them back, over random
+   widths, trees and values in one stream. *)
+let prop_tree_kernels_match_per_bit =
+  QCheck.Test.make ~name:"encode_tree/decode_tree equal the per-bit coder" ~count:200
     QCheck.(pair (int_bound 60) int)
     (fun (n, seed) ->
       let g = Prng.create (Int64.of_int seed) in
       let tree_e = Coder.Encoder.create () and bit_e = Coder.Encoder.create () in
       let nodes_agree = ref true in
-      for _ = 1 to n do
-        let width = 1 + Prng.int g 16 in
-        (* a tree at a random offset, every slot a valid prediction *)
-        let tree = Prng.int g 8 in
-        let probs = Array.init (tree + (1 lsl width)) (fun _ -> 1 + Prng.int g (Coder.scale - 1)) in
-        let value = Prng.int g (1 lsl width) in
-        let node = Coder.Encoder.encode_tree tree_e probs ~tree ~width value in
-        let bit_node = ref 1 in
-        for k = width - 1 downto 0 do
-          let bit = (value lsr k) land 1 in
-          Coder.Encoder.encode bit_e ~p0:probs.(tree + !bit_node) bit;
-          bit_node := (2 * !bit_node) + bit
-        done;
-        if node <> !bit_node then nodes_agree := false
-      done;
-      !nodes_agree && String.equal (Coder.Encoder.finish tree_e) (Coder.Encoder.finish bit_e))
+      let descents =
+        List.init n (fun _ ->
+            let width = 1 + Prng.int g 16 in
+            (* a tree at a random offset, every slot a valid prediction *)
+            let tree = Prng.int g 8 in
+            let probs =
+              Array.init (tree + (1 lsl width)) (fun _ -> 1 + Prng.int g (Coder.scale - 1))
+            in
+            (probs, tree, width, Prng.int g (1 lsl width)))
+      in
+      List.iter
+        (fun (probs, tree, width, value) ->
+          let node = Coder.Encoder.encode_tree tree_e probs ~tree ~width value in
+          let bit_node = ref 1 in
+          for k = width - 1 downto 0 do
+            let bit = (value lsr k) land 1 in
+            Coder.Encoder.encode bit_e ~p0:probs.(tree + !bit_node) bit;
+            bit_node := (2 * !bit_node) + bit
+          done;
+          if node <> !bit_node then nodes_agree := false)
+        descents;
+      let bytes = Coder.Encoder.finish tree_e in
+      let d = Coder.Decoder.create bytes in
+      let decoded =
+        List.for_all
+          (fun (probs, tree, width, value) ->
+            Coder.Decoder.decode_tree d probs ~tree ~width = (1 lsl width) + value)
+          descents
+      in
+      !nodes_agree && String.equal bytes (Coder.Encoder.finish bit_e) && decoded)
 
 let test_encode_tree_rejects_bad_p0 () =
   List.iter
@@ -196,5 +211,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_adversarial_roundtrip;
     Alcotest.test_case "encode_tree rejects p0 outside [1, scale)" `Quick
       test_encode_tree_rejects_bad_p0;
-    QCheck_alcotest.to_alcotest prop_encode_tree_matches_encode;
+    QCheck_alcotest.to_alcotest prop_tree_kernels_match_per_bit;
   ]

@@ -182,14 +182,12 @@ module X86_streams = struct
     | Some i -> i
     | None -> invalid_arg "X86_streams.read: unknown opcode"
 
-  (* Variable-width ISA: rebuild the instruction, then blit its encoding.
-     (The allocation-free fast path only matters for the fixed-width
-     MIPS decoder; x86 keeps the simple composition.) *)
   let read_into ~symbol ~next buf pos =
-    let s = X.encode (read ~symbol ~next) in
-    let n = String.length s in
-    Bytes.blit_string s 0 buf pos n;
-    n
+    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_streams.read: bad symbol";
+    (* the streams are numbered as [X.read_streams_into] pulls them *)
+    match X.read_streams_into ~symbol ~pull:next buf pos with
+    | -1 -> invalid_arg "X86_streams.read: unknown opcode"
+    | n -> n
 
   let encode_list = X.encode_program
 
@@ -225,10 +223,9 @@ module X86_field_streams = struct
 
   (* Reassemble ModRM/SIB bytes from field pulls: the first modrm-sib byte
      the sequencer requests is the ModRM, the second (if any) the SIB. *)
-  let read ~symbol ~next =
-    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_field_streams.read: bad symbol";
+  let next_modrm_sib ~next =
     let ms_calls = ref 0 in
-    let next_modrm_sib () =
+    fun () ->
       incr ms_calls;
       (* bind pulls explicitly: operand evaluation order is unspecified *)
       if !ms_calls = 1 then begin
@@ -243,21 +240,25 @@ module X86_field_streams = struct
         let base = next 5 in
         (scale lsl 6) lor (index lsl 3) lor base
       end
-    in
+
+  let read ~symbol ~next =
+    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_field_streams.read: bad symbol";
     match
       X.read_streams
         ~opcode:(X86_streams.opcode_of_symbol symbol)
-        ~next_modrm_sib
+        ~next_modrm_sib:(next_modrm_sib ~next)
         ~next_imm_disp:(fun () -> next 6)
     with
     | Some i -> i
     | None -> invalid_arg "X86_field_streams.read: unknown opcode"
 
   let read_into ~symbol ~next buf pos =
-    let s = X.encode (read ~symbol ~next) in
-    let n = String.length s in
-    Bytes.blit_string s 0 buf pos n;
-    n
+    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_field_streams.read: bad symbol";
+    let next_modrm_sib = next_modrm_sib ~next in
+    let pull k = if k = 0 then next_modrm_sib () else next 6 in
+    match X.read_streams_into ~symbol ~pull buf pos with
+    | -1 -> invalid_arg "X86_field_streams.read: unknown opcode"
+    | n -> n
 
   let encode_list = X.encode_program
 

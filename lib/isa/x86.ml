@@ -47,24 +47,17 @@ let shape_of_opcode opcode =
     else if String.length opcode = 1 then shape_of_first b0
     else None
 
-(* Displacement size implied by ModRM (and SIB base), in bytes; also
-   whether a SIB byte is present. *)
-let modrm_layout modrm sib_base =
-  let md = modrm lsr 6 and rm = modrm land 7 in
-  if md = 3 then (false, 0)
-  else
-    let has_sib = rm = 4 in
-    let disp =
-      match md with
-      | 0 ->
-        if rm = 5 then 4
-        else if has_sib && sib_base = Some 5 then 4
-        else 0
-      | 1 -> 1
-      | 2 -> 4
-      | _ -> assert false
-    in
-    (has_sib, disp)
+(* Whether ModRM is followed by a SIB byte, and the displacement size it
+   implies (with the SIB's base field when there is one; [sib] is -1 when
+   there is none), in bytes. *)
+let has_sib modrm = modrm lsr 6 <> 3 && modrm land 7 = 4
+
+let disp_size modrm ~sib =
+  match modrm lsr 6 with
+  | 0 -> if modrm land 7 = 5 || (has_sib modrm && sib land 7 = 5) then 4 else 0
+  | 1 -> 1
+  | 2 -> 4
+  | _ -> 0
 
 let imm_len = function I0 -> 0 | I8 -> 1 | I32 -> 4
 
@@ -291,15 +284,14 @@ let decode bytes ~pos =
         else
           let modrm = Char.code bytes.[p] in
           let p = p + 1 in
-          let has_sib, _ = modrm_layout modrm None in
           let sib, p =
-            if has_sib then
+            if has_sib modrm then
               if p < len then (Some (Char.code bytes.[p]), p + 1) else (None, len + 1)
             else (None, p)
           in
           if p > len then None
           else
-            let _, disp_n = modrm_layout modrm (Option.map (fun s -> s land 7) sib) in
+            let disp_n = disp_size modrm ~sib:(Option.value sib ~default:(-1)) in
             (match take disp_n p with
             | None -> None
             | Some disp -> (
@@ -337,18 +329,66 @@ let rebuild ~opcode ~modrm_sib ~imm_disp =
     if String.length modrm_sib < 1 then None
     else
       let modrm = Char.code modrm_sib.[0] in
-      let has_sib, _ = modrm_layout modrm None in
-      let expected_ms = if has_sib then 2 else 1 in
+      let expected_ms = if has_sib modrm then 2 else 1 in
       if String.length modrm_sib <> expected_ms then None
       else
-        let sib = if has_sib then Some (Char.code modrm_sib.[1]) else None in
-        let _, disp_n = modrm_layout modrm (Option.map (fun s -> s land 7) sib) in
+        let sib = if has_sib modrm then Some (Char.code modrm_sib.[1]) else None in
+        let disp_n = disp_size modrm ~sib:(Option.value sib ~default:(-1)) in
         if String.length imm_disp <> disp_n + imm_len ik then None
         else
           Some
             { opcode; modrm = Some modrm; sib;
               disp = String.sub imm_disp 0 disp_n;
               imm = String.sub imm_disp disp_n (imm_len ik) }
+
+(* [read_streams] for the opcode of SADC symbol [symbol] (a byte below
+   256, [256 + b] for [0x0f b]), writing the instruction's bytes straight
+   into [buf] at [pos] instead of building a [t]: same pulls, same bytes
+   as [encode]. [pull 0] is the next ModRM/SIB byte and [pull 1] the next
+   displacement/immediate byte, so a caller whose streams are numbered
+   that way passes its pull function itself. Returns the length, or -1
+   for an unknown opcode. *)
+let pull_into pull buf n p =
+  for i = 0 to n - 1 do
+    Bytes.set buf (p + i) (Char.chr (pull 1))
+  done;
+  p + n
+
+let read_streams_into ~symbol ~pull buf pos =
+  let shape =
+    if symbol < 256 then if symbol = 0x0f then None else shape_of_first symbol
+    else shape_of_second (symbol - 256)
+  in
+  match shape with
+  | None -> -1
+  | Some shape -> (
+    let p =
+      if symbol < 256 then begin
+        Bytes.set buf pos (Char.chr symbol);
+        pos + 1
+      end
+      else begin
+        Bytes.set buf pos '\x0f';
+        Bytes.set buf (pos + 1) (Char.chr (symbol - 256));
+        pos + 2
+      end
+    in
+    match shape with
+    | Plain ik -> pull_into pull buf (imm_len ik) p - pos
+    | With_modrm ik ->
+      let modrm = pull 0 in
+      Bytes.set buf p (Char.chr modrm);
+      let has = has_sib modrm in
+      let sib = if has then pull 0 else -1 in
+      let p =
+        if has then begin
+          Bytes.set buf (p + 1) (Char.chr sib);
+          p + 2
+        end
+        else p + 1
+      in
+      let p = pull_into pull buf (disp_size modrm ~sib) p in
+      pull_into pull buf (imm_len ik) p - pos)
 
 (* Pull [n] bytes in order; explicit loop so the pull order is defined. *)
 let pull n next =
@@ -366,9 +406,8 @@ let read_streams ~opcode ~next_modrm_sib ~next_imm_disp =
     Some { opcode; modrm = None; sib = None; disp = ""; imm }
   | Some (With_modrm ik) ->
     let modrm = next_modrm_sib () in
-    let has_sib, _ = modrm_layout modrm None in
-    let sib = if has_sib then Some (next_modrm_sib ()) else None in
-    let _, disp_n = modrm_layout modrm (Option.map (fun s -> s land 7) sib) in
+    let sib = if has_sib modrm then Some (next_modrm_sib ()) else None in
+    let disp_n = disp_size modrm ~sib:(Option.value sib ~default:(-1)) in
     let disp = pull disp_n next_imm_disp in
     let imm = pull (imm_len ik) next_imm_disp in
     Some { opcode; modrm = Some modrm; sib; disp; imm }

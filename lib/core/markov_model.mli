@@ -32,9 +32,9 @@ module Trainer : sig
 
   val zeros : t -> int array
   (** Zero-bit counts, laid out like {!flat_probs}: the count for
-      (stream, ctx, node) is at [tree_offset t ~stream ~ctx + node].
-      This is the trainer's own storage; a counting loop may add to it
-      directly (slot 0 of each tree is unused). *)
+      (stream, ctx, node) is at [tree_offset t ~stream ~ctx + node]
+      (slot 0 of each tree is unused). This is the trainer's own
+      storage — do not mutate it. *)
 
   val totals : t -> int array
   (** All-bit counts in the same layout as {!zeros}. *)
@@ -43,20 +43,17 @@ module Trainer : sig
   (** Whole-value counts in the same layout: a [w]-bit stream value [v]
       seen in context [ctx] counts at [tree_offset t ~stream ~ctx + v],
       [v] in \[0, 2^w). A counting loop adds to it directly — one add
-      per stream value instead of one per bit. *)
-
-  val fold_values : t -> unit
-  (** Add the {!values} counts into {!zeros} and {!totals} — each value
-      counts as its [w] bits down the tree, exactly as [w] calls of
-      {!note} would — and clear them. {!finalize} folds first. *)
+      per stream value instead of one per bit. {!finalize} adds each
+      value into {!zeros} and {!totals} as its [w] bits down the tree,
+      exactly as [w] calls of {!note} would, and clears it. *)
 
   val tree_offset : t -> stream:int -> ctx:int -> int
-  (** Base index of one (stream, context) tree inside {!zeros} and
-      {!totals}; equal to the trained model's {!Markov_model.tree_offset}. *)
+  (** Base index of one (stream, context) tree inside {!zeros}, {!totals}
+      and {!values}; equal to the trained model's {!Markov_model.tree_offset}. *)
 
   val finalize : ?quantize:bool -> ?prune_below:int -> t -> model
-  (** {!fold_values}, then convert the node counts to 12-bit
-      probabilities. [quantize] (default false)
+  (** Fold the {!values} counts in, then convert the node counts to
+      12-bit probabilities. [quantize] (default false)
       constrains the less probable symbol to a power of 1/2 so the decoder
       needs only shifts (§3 end). [prune_below] (default 0) drops nodes
       observed fewer than that many times: a pruned node backs off to its

@@ -291,13 +291,35 @@ let decompress_block_planned_into p decoder out ~pos ~n_words =
     done
   done
 
+(* A refill engine calls [decompress_block] once per miss, mostly on
+   blocks of one image in a row, so each domain keeps the plan and the
+   arithmetic decoder of the last (config, model) pair it decoded instead
+   of rebuilding them per block. *)
+type refill_cache = {
+  r_config : config;
+  r_model : Markov_model.t;
+  r_plan : plan;
+  r_decoder : Coder.Decoder.t;
+}
+
+let refill_cache : refill_cache option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
 let decompress_block c model ~original_bytes data =
-  let p = plan c model in
+  let cache = Domain.DLS.get refill_cache in
+  let r =
+    match !cache with
+    | Some r when r.r_config == c && r.r_model == model -> r
+    | _ ->
+      let r = { r_config = c; r_model = model; r_plan = plan c model; r_decoder = Coder.Decoder.create "" } in
+      cache := Some r;
+      r
+  in
+  let p = r.r_plan in
   if original_bytes mod p.p_wb <> 0 then
     invalid_arg "Samc.decompress_block: size not a multiple of the word size";
   let out = Bytes.create original_bytes in
-  decompress_block_planned_into p (Coder.Decoder.create data) out ~pos:0
-    ~n_words:(original_bytes / p.p_wb);
+  Coder.Decoder.reset r.r_decoder data;
+  decompress_block_planned_into p r.r_decoder out ~pos:0 ~n_words:(original_bytes / p.p_wb);
   Bytes.unsafe_to_string out
 
 (* The original pointer-chasing kernel, kept as the reference

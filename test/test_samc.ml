@@ -62,6 +62,32 @@ let test_block_isolation () =
         line)
     order
 
+(* [decompress_block] keeps the last image's decode tables per domain:
+   interleaving blocks of images with different configs and models must
+   still decode each against its own. *)
+let test_decompress_block_interleaved () =
+  let mips = mips_code 16L in
+  let g = Prng.create 17L in
+  let bytes = String.init 2048 (fun _ -> Char.chr (Prng.int g 64)) in
+  let images =
+    [
+      (Samc.mips_config (), mips);
+      (Samc.byte_config (), bytes);
+      (Samc.mips_config ~context_bits:0 (), mips);
+    ]
+    |> List.map (fun (cfg, code) -> (cfg, code, Samc.compress cfg code))
+  in
+  for b = 0 to 40 do
+    List.iter
+      (fun (cfg, code, z) ->
+        let original_bytes = min 32 (String.length code - (b * 32)) in
+        Alcotest.(check string)
+          (Printf.sprintf "block %d" b)
+          (String.sub code (b * 32) original_bytes)
+          (Samc.decompress_block cfg z.Samc.model ~original_bytes z.Samc.blocks.(b)))
+      images
+  done
+
 let test_block_count () =
   let cfg = Samc.mips_config () in
   Alcotest.(check int) "exact blocks" 4 (Samc.block_count cfg ~code_bytes:128);
@@ -273,6 +299,7 @@ let suite =
     Alcotest.test_case "byte-mode roundtrip" `Quick test_roundtrip_bytes;
     Alcotest.test_case "compresses code, not noise" `Quick test_compression_beats_random;
     Alcotest.test_case "block isolation" `Quick test_block_isolation;
+    Alcotest.test_case "decompress_block across images" `Quick test_decompress_block_interleaved;
     Alcotest.test_case "block count" `Quick test_block_count;
     Alcotest.test_case "partial tail block" `Quick test_partial_tail_block;
     Alcotest.test_case "block size variants" `Quick test_block_size_variants;

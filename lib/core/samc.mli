@@ -51,7 +51,9 @@ val decompress_block : config -> Markov_model.t -> original_bytes:int -> string 
     refill engine's operation and needs only the block's own bytes.
     The kernel reads the model through its flat probability array
     ({!Markov_model.flat_probs}); output is byte-identical to
-    {!decompress_block_ref}. *)
+    {!decompress_block_ref}. Each domain keeps the decode tables and
+    arithmetic decoder of the last (config, model) pair it was called
+    with, so consecutive blocks of one image do not rebuild them. *)
 
 val decompress_block_ref : config -> Markov_model.t -> original_bytes:int -> string -> string
 (** The original pointer-chasing decode kernel, kept as the reference for

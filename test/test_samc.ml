@@ -258,8 +258,7 @@ let test_stream_costs_closed_form () =
 (* The bounds are 1.5x what compress measures on gcc at scale 0.25 with
    metrics off: 2.80 bytes per input byte for the MIPS config and 3.02 in
    byte mode. A per-bit closure or boxed value in the counting or coding
-   pass costs tens of bytes per input byte (the closure walk this
-   replaced allocated 178 and 357). *)
+   pass costs tens of bytes per input byte and fails it. *)
 let test_compress_allocation () =
   let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
   let metrics = Obs.metrics_enabled () in

@@ -40,72 +40,56 @@ type dict_stats = {
   rounds : int;
 }
 
+(* [n] ints from [src.(so)] to [dst.(d)]: typed int stores, where
+   [Array.blit] into a major-heap array takes the write barrier per
+   element. *)
+let copy_ints (src : int array) so (dst : int array) d n =
+  for k = 0 to n - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+(* Ints kept in [Bytes], eight bytes each: the GC neither initialises
+   nor scans their contents, where an [int array] is filled on
+   allocation and marked word by word while it lives. The dictionary
+   build keeps its largest tables here. *)
+module Ints = struct
+  type t = Bytes.t
+
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+  external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+  external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  (* [n] ints of unspecified value. *)
+  let create n = Bytes.create (8 * n)
+
+  let zeros n = Bytes.make (8 * n) '\000'
+
+  let length t = Bytes.length t / 8
+
+  let get t i = Int64.to_int (get64 t (8 * i))
+
+  let set t i v = set64 t (8 * i) (Int64.of_int v)
+
+  let unsafe_get t i = Int64.to_int (unsafe_get64 t (8 * i))
+
+  let unsafe_set t i v = unsafe_set64 t (8 * i) (Int64.of_int v)
+
+  (* The first [n] ints of [t] in a table of [m]. *)
+  let resize t n m =
+    let t' = create m in
+    Bytes.blit t 0 t' 0 (8 * n);
+    t'
+end
+
 (* [a]'s first [n] elements in an array twice as long. *)
 let grow_ints a n =
   let b = Array.make (2 * Array.length a) 0 in
-  Array.blit a 0 b 0 n;
+  copy_ints a 0 b 0 n;
   b
-
-(* Max-heap of candidate (gain, key) pairs on two parallel int arrays:
-   larger gain first, equal gains toward the smaller key. The dictionary
-   builder's queue; monomorphic, so a push or a pop compares unboxed
-   ints and allocates nothing between growths. *)
-module Gain_heap = struct
-  type t = { mutable gain : int array; mutable key : int array; mutable size : int }
-
-  let create n = { gain = Array.make (max 1 n) 0; key = Array.make (max 1 n) 0; size = 0 }
-
-  let is_empty h = h.size = 0
-
-  let top_gain h = h.gain.(0)
-
-  let top_key h = h.key.(0)
-
-  let before g k g' k' = g > g' || (g = g' && k < k')
-
-  let push h g k =
-    let n = h.size in
-    if n = Array.length h.gain then begin
-      h.gain <- grow_ints h.gain n;
-      h.key <- grow_ints h.key n
-    end;
-    h.size <- n + 1;
-    let i = ref n in
-    while !i > 0 && before g k h.gain.((!i - 1) / 2) h.key.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      h.gain.(!i) <- h.gain.(p);
-      h.key.(!i) <- h.key.(p);
-      i := p
-    done;
-    h.gain.(!i) <- g;
-    h.key.(!i) <- k
-
-  (* Remove the top element. *)
-  let drop h =
-    let n = h.size - 1 in
-    h.size <- n;
-    if n > 0 then begin
-      let g = h.gain.(n) and k = h.key.(n) in
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        if l >= n then sifting := false
-        else begin
-          let r = l + 1 in
-          let c = if r < n && before h.gain.(r) h.key.(r) h.gain.(l) h.key.(l) then r else l in
-          if before h.gain.(c) h.key.(c) g k then begin
-            h.gain.(!i) <- h.gain.(c);
-            h.key.(!i) <- h.key.(c);
-            i := c
-          end
-          else sifting := false
-        end
-      done;
-      h.gain.(!i) <- g;
-      h.key.(!i) <- k
-    end
-end
 
 module Make (I : Sadc_isa.S) = struct
   type primitive = { sym : int; fixed : (int * int * int) list }
@@ -193,41 +177,14 @@ module Make (I : Sadc_isa.S) = struct
 
   (* --- the program as flat arrays ------------------------------------ *)
 
-  (* Everything the compressor reads of the program, extracted once:
-     instruction [i] has base symbol [syms.(i)], occupies bytes
-     [boff.(i)] to [boff.(i + 1) - 1] of the image, and its items of
-     stream [s], in the order [I.read] pulls them, are [items.(s).(q)]
-     for [q] from [ioff.(s).(i)] to [ioff.(s).(i + 1) - 1]. *)
-  type program = {
+  (* Everything the compressor reads of the program, as [I.parse]
+     decodes it (see {!Sadc_isa.program}). *)
+  type program = Sadc_isa.program = {
     syms : int array;
     boff : int array;
-    items : int array array;
-    ioff : int array array;
+    items : int array;
+    ioff : int array;
   }
-
-  let program_of instrs =
-    let n = Array.length instrs in
-    let syms = Array.make n 0 and boff = Array.make (n + 1) 0 in
-    let items = Array.init I.stream_count (fun _ -> Array.make (max n 16) 0) in
-    let ioff = Array.init I.stream_count (fun _ -> Array.make (n + 1) 0) in
-    (* Items appended so far per stream. *)
-    let fill = Array.make I.stream_count 0 in
-    let add s v =
-      let q = fill.(s) in
-      if q = Array.length items.(s) then items.(s) <- grow_ints items.(s) q;
-      items.(s).(q) <- v;
-      fill.(s) <- q + 1
-    in
-    for i = 0 to n - 1 do
-      let instr = instrs.(i) in
-      syms.(i) <- I.symbol instr;
-      boff.(i + 1) <- boff.(i) + I.byte_length instr;
-      I.iter_items instr add;
-      for s = 0 to I.stream_count - 1 do
-        ioff.(s).(i + 1) <- fill.(s)
-      done
-    done;
-    { syms; boff; items; ioff }
 
   (* --- segmentation ------------------------------------------------- *)
 
@@ -272,13 +229,15 @@ module Make (I : Sadc_isa.S) = struct
   (* The dictionary under construction and the program's tokenisation.
      Block [b]'s tokens are [tok.(seg.(b))] to [tok.(seg.(b) + blen.(b)
      - 1)]: reparsing only ever merges tokens, so a block's tokens stay a
-     prefix of its own instruction range and are rewritten in place. *)
+     prefix of its own instruction range and are rewritten in place.
+     [cost.(e)] is entry [e]'s primitive count. *)
   type builder = {
     prog : program;
     seg : int array;
     tok : int array;
     blen : int array;
     mutable dict_entries : entry array;
+    mutable cost : int array;
     mutable dict_n : int;
   }
 
@@ -287,13 +246,13 @@ module Make (I : Sadc_isa.S) = struct
     if id = Array.length bld.dict_entries then begin
       let grown = Array.make (max 16 (2 * id)) e in
       Array.blit bld.dict_entries 0 grown 0 id;
-      bld.dict_entries <- grown
+      bld.dict_entries <- grown;
+      bld.cost <- grow_ints bld.cost id
     end;
     bld.dict_entries.(id) <- e;
+    bld.cost.(id) <- Array.length e.prims;
     bld.dict_n <- id + 1;
     id
-
-  let entry_cost bld e = Array.length bld.dict_entries.(e).prims
 
   (* Base dictionary (one entry per opcode symbol present, in order of
      first appearance, §4.1 step 2) and the base tokenization, one token
@@ -308,6 +267,7 @@ module Make (I : Sadc_isa.S) = struct
         tok = Array.make n 0;
         blen = Array.init nblocks (fun b -> seg.(b + 1) - seg.(b));
         dict_entries = [||];
+        cost = Array.make 8 0;
         dict_n = 0;
       }
     in
@@ -318,6 +278,9 @@ module Make (I : Sadc_isa.S) = struct
       bld.tok.(i) <- (i lsl entry_bits) lor base_id.(sym)
     done;
     bld
+
+  (* Items of block [b]'s instructions. *)
+  let block_items bld b = bld.prog.ioff.(bld.seg.(b + 1)) - bld.prog.ioff.(bld.seg.(b))
 
   type cand =
     | Pair of int * int
@@ -330,7 +293,9 @@ module Make (I : Sadc_isa.S) = struct
 
   let key_triple a b c = (2 lsl 60) lor (a lsl 40) lor (b lsl 20) lor c
 
-  let key_spec e s p v = (3 lsl 60) lor (e lsl 40) lor (s lsl 36) lor (p lsl 30) lor v
+  (* The specialisation of entry [e] to a packed item, whose stream,
+     position and value fill bits 0-39. *)
+  let key_item e it = (3 lsl 60) lor (e lsl 40) lor it
 
   let cand_of_key key =
     let field off width = (key lsr off) land ((1 lsl width) - 1) in
@@ -402,55 +367,103 @@ module Make (I : Sadc_isa.S) = struct
     else false
 
   (* Candidate counts: one flat open-addressing table over packed keys.
-     Slot [i] is four adjacent ints, so a bump touches one cache line:
-     - [slots.(4i)]: the key, with [hot_bit] set while its count has
-       risen since the last heap refresh (packed keys are nonzero and use
-       bits 0-61, so 0 marks an empty slot);
-     - [slots.(4i+1)]: the count;
-     - [slots.(4i+2)]: the head of the key's occurrence list, plus one
-       (0 for none);
-     - [slots.(4i+3)]: the highest gain queued for this key and not yet
-       popped, or 0 (queued gains are positive).
-     The occurrence lists run through the node pool
-     [occ_blk]/[occ_next] (newest first, -1 ends one) and name the
+     Slot [i] is three adjacent ints:
+     - [slots.(3i)]: the key (packed keys are nonzero, so 0 marks an
+       empty slot);
+     - [slots.(3i+1)]: the count in the low 32 bits; then [hot_bit], set
+       while the count has risen since the last queue refresh, or fallen
+       while the key is queued; then, from bit 33, the key's position in
+       the gain queue plus one (0 when not queued);
+     - [slots.(3i+2)]: the head of the key's occurrence list plus one (0
+       for none) in the low 32 bits, and the head's block above them.
+     Keys are never removed, so a slot index stays valid until the table
+     grows, and every window of the tokenisation has its slot recorded
+     beside its first token: [pslot.(t)] for the pair and [tslot.(t)]
+     for the triple starting at token [t], and [islot.(q)] for the
+     specialisation of item [q] while a one-primitive token covers its
+     instruction and does not absorb it (-1 otherwise). A count falls by
+     index, without a probe.
+     The occurrence lists run through the node pool [occ], one int per
+     node: the next node plus one in the low 32 bits (0 ends a list;
+     lists run newest first) and the block above them. They name the
      blocks that contributed to the key when last counted. They are
      append-only and allowed to go stale: the reparse scan re-validates
-     a block before any count changes. [touched] lists the hot slots. *)
+     a block before any count changes. [touched] lists the hot slots.
+     The gain queue [queue] is a binary max-heap of (gain, key, slot)
+     triples, three ints each, ordered by larger gain and then smaller
+     key: every key whose gain at its count reaches [floor], at that
+     gain. Keys below the floor wait in the table; when the queue runs
+     dry, one pass over the candidates lowers the floor. [least] is the
+     smallest count at which any key's gain can reach the floor: a
+     rising count turns a slot hot only from there. Until the first such
+     pass ([floor = max_int]) no slot is hot. *)
   type counts = {
     mutable cap : int;
-    mutable slots : int array;
+    mutable slots : Ints.t;
     mutable size : int;
-    mutable occ_blk : int array;
-    mutable occ_next : int array;
+    pslot : Ints.t;
+    tslot : Ints.t;
+    islot : Ints.t;
+    mutable occ : Ints.t;
     mutable nocc : int;
     mutable touched : int array;
     mutable ntouched : int;
+    mutable queue : int array;
+    mutable qsize : int;
+    mutable floor : int;
+    mutable least : int;
+    mutable live : int array;
+    mutable nlive : int;
+    mutable fresh : int array;
+    mutable nfresh : int;
   }
 
-  let hot_bit = 1 lsl 62
+  let low32 = (1 lsl 32) - 1
 
-  let key_mask = hot_bit - 1
+  let hot_bit = 1 lsl 32
 
-  (* Sized so that, on the generated suites, neither the table nor the
-     node pool grows on programs of 2,000 tokens or more (both still
-     grow on other inputs): a build ends with 1.6-3.0 distinct keys per
-     token there (pairs, triples and specialisations; smaller programs
-     reach 4, under the 8,192-slot floor), so four slots per token stay
-     under the 75% grow threshold, and it appends 7-8 occurrence nodes
-     per token. The table is the largest block a build allocates, and
-     major-heap work grows with it, so its capacity is not rounded up to
-     a power of two. *)
-  let counts_create tokens =
-    let cap = max 8192 (4 * tokens) and nodes = max 1024 (8 * tokens) in
+  let key_at c i = Ints.get c.slots (3 * i)
+
+  let count_at c i = Ints.get c.slots ((3 * i) + 1) land low32
+
+  (* Slot [i]'s position in the queue, or -1. *)
+  let qpos_at c i = (Ints.get c.slots ((3 * i) + 1) lsr 33) - 1
+
+  let set_qpos c i pos =
+    let w = Ints.get c.slots ((3 * i) + 1) in
+    Ints.set c.slots ((3 * i) + 1) ((w land (low32 lor hot_bit)) lor ((pos + 1) lsl 33))
+
+  (* On the generated suites a build ends with about 1.5 distinct keys
+     per token (pairs, triples and specialisations) plus a few thousand
+     that its rounds create, at most [max_entries] rounds of new windows
+     and specialisations: 1.6-4.8 keys per token in all, the most on the
+     smallest programs. It appends 6.8-9.0 occurrence nodes per token.
+     So the table starts at two slots per token and 32 per entry, and
+     doubles past 75% load; the pool starts at nine nodes per token and
+     grows by half. Neither is rounded up to a power of two: the table
+     and the pool are the largest blocks a build allocates. *)
+  let counts_create config prog =
+    let tokens = Array.length prog.syms in
+    let cap = (2 * tokens) + (32 * max 8 config.max_entries) in
     {
       cap;
-      slots = Array.make (4 * cap) 0;
+      slots = Ints.zeros (3 * cap);
       size = 0;
-      occ_blk = Array.make nodes 0;
-      occ_next = Array.make nodes 0;
+      pslot = Ints.create tokens;
+      tslot = Ints.create tokens;
+      islot = Ints.create prog.ioff.(tokens);
+      occ = Ints.create (max 256 (9 * tokens));
       nocc = 0;
-      touched = Array.make 1024 0;
+      touched = Array.make 256 0;
       ntouched = 0;
+      queue = Array.make 768 0;
+      qsize = 0;
+      floor = max_int;
+      least = max_int;
+      live = Array.make 1024 0;
+      nlive = 0;
+      fresh = Array.make 256 0;
+      nfresh = 0;
     }
 
   (* [key]'s slot, or the empty slot where it would go: linear probing
@@ -462,7 +475,7 @@ module Make (I : Sadc_isa.S) = struct
     let slots = c.slots and cap = c.cap in
     let i = ref (((h lsr 31) * cap) lsr 31) in
     while
-      let k = Array.unsafe_get slots (!i * 4) land key_mask in
+      let k = Ints.unsafe_get slots (!i * 3) in
       k <> 0 && k <> key
     do
       incr i;
@@ -470,96 +483,180 @@ module Make (I : Sadc_isa.S) = struct
     done;
     !i
 
-  let grow c =
+  (* Double the table and move every recorded slot index with its key:
+     the windows of [bld]'s blocks, every item's, the hot slots', the
+     queue's and the rebuild candidates'. *)
+  let grow bld c =
     let oslots = c.slots and ocap = c.cap in
     c.cap <- ocap * 2;
-    c.slots <- Array.make (4 * c.cap) 0;
+    c.slots <- Ints.zeros (3 * c.cap);
+    let moved = Array.make ocap 0 in
     for i = 0 to ocap - 1 do
-      let kv = oslots.(i * 4) in
-      if kv <> 0 then Array.blit oslots (i * 4) c.slots (probe c (kv land key_mask) * 4) 4
+      let key = Ints.get oslots (i * 3) in
+      if key <> 0 then begin
+        let j = probe c key in
+        for w = 0 to 2 do
+          Ints.set c.slots ((j * 3) + w) (Ints.get oslots ((i * 3) + w))
+        done;
+        moved.(i) <- j
+      end
     done;
-    for t = 0 to c.ntouched - 1 do
-      c.touched.(t) <- probe c (oslots.(c.touched.(t) * 4) land key_mask)
+    let remap t lo hi =
+      for x = lo to hi - 1 do
+        let k = Ints.get t x in
+        if k >= 0 then Ints.set t x moved.(k)
+      done
+    in
+    for b = 0 to Array.length bld.blen - 1 do
+      let off = bld.seg.(b) in
+      remap c.pslot off (off + bld.blen.(b) - 1);
+      remap c.tslot off (off + bld.blen.(b) - 2)
+    done;
+    remap c.islot 0 (Ints.length c.islot);
+    for x = 0 to c.ntouched - 1 do
+      c.touched.(x) <- moved.(c.touched.(x))
+    done;
+    for x = 0 to c.qsize - 1 do
+      c.queue.((3 * x) + 2) <- moved.(c.queue.((3 * x) + 2))
+    done;
+    for x = 0 to c.nlive - 1 do
+      let v = c.live.(x) in
+      c.live.(x) <- v land lnot low32 lor moved.(v land low32)
+    done;
+    for x = 0 to c.nfresh - 1 do
+      c.fresh.(x) <- moved.(c.fresh.(x))
     done
 
-  let count_of c key = c.slots.((probe c key * 4) + 1)
+  (* Room for [k] more keys under the 75% load bound. Called where no
+     slot index is held outside the table's own arrays. *)
+  let reserve bld c k =
+    while (c.size + k) * 4 >= c.cap * 3 do
+      grow bld c
+    done
 
-  (* [key]'s count in block [b] moves by [d]. *)
-  let bump c b key d =
-    if c.size * 4 >= c.cap * 3 then grow c;
+  (* [key]'s slot, inserted with count 0 if absent; listed in [fresh]
+     once the queue has a floor. *)
+  let insert c key =
     let i = probe c key in
-    let slots = c.slots in
-    let kv = Array.unsafe_get slots (i * 4) in
-    if kv = 0 then begin
+    if Ints.unsafe_get c.slots (i * 3) = 0 then begin
       c.size <- c.size + 1;
-      Array.unsafe_set slots (i * 4) key
-    end;
-    Array.unsafe_set slots ((i * 4) + 1) (Array.unsafe_get slots ((i * 4) + 1) + d);
-    if d > 0 then begin
-      if kv land hot_bit = 0 then begin
-        Array.unsafe_set slots (i * 4) (key lor hot_bit);
-        if c.ntouched = Array.length c.touched then c.touched <- grow_ints c.touched c.ntouched;
-        c.touched.(c.ntouched) <- i;
-        c.ntouched <- c.ntouched + 1
-      end;
-      let head = Array.unsafe_get slots ((i * 4) + 2) - 1 in
-      if head < 0 || c.occ_blk.(head) <> b then begin
-        if c.nocc = Array.length c.occ_blk then begin
-          c.occ_blk <- grow_ints c.occ_blk c.nocc;
-          c.occ_next <- grow_ints c.occ_next c.nocc
-        end;
-        c.occ_blk.(c.nocc) <- b;
-        c.occ_next.(c.nocc) <- head;
-        c.nocc <- c.nocc + 1;
-        Array.unsafe_set slots ((i * 4) + 2) c.nocc
+      Ints.unsafe_set c.slots (i * 3) key;
+      if c.floor < max_int then begin
+        if c.nfresh = Array.length c.fresh then c.fresh <- grow_ints c.fresh c.nfresh;
+        c.fresh.(c.nfresh) <- i;
+        c.nfresh <- c.nfresh + 1
       end
+    end;
+    i
+
+  let count_of c key = count_at c (probe c key)
+
+  (* Slot [i], its count word now [w], turns hot and joins [touched]. *)
+  let touch c i w =
+    Ints.unsafe_set c.slots ((i * 3) + 1) (w lor hot_bit);
+    if c.ntouched = Array.length c.touched then c.touched <- grow_ints c.touched c.ntouched;
+    c.touched.(c.ntouched) <- i;
+    c.ntouched <- c.ntouched + 1
+
+  (* Slot [i]'s count falls by [d]. That needs no refresh unless the key
+     is queued: its gain only falls. Slot indices come from [probe] or
+     are recorded ones, so they are in [0, cap). *)
+  let[@inline] fall c i d =
+    let w = Ints.unsafe_get c.slots ((i * 3) + 1) - d in
+    if w land hot_bit = 0 && w lsr 33 > 0 then touch c i w
+    else Ints.unsafe_set c.slots ((i * 3) + 1) w
+
+  (* Slot [i]'s count in block [b] rises by [d], and the slot turns hot
+     once the count could give a gain that reaches the floor. *)
+  let rise c b i d =
+    let slots = c.slots in
+    let w = Ints.unsafe_get slots ((i * 3) + 1) + d in
+    if w land hot_bit = 0 && w land low32 >= c.least then touch c i w
+    else Ints.unsafe_set slots ((i * 3) + 1) w;
+    let head = Ints.unsafe_get slots ((i * 3) + 2) in
+    if head = 0 || head lsr 32 <> b then begin
+      if c.nocc = Ints.length c.occ then c.occ <- Ints.resize c.occ c.nocc (c.nocc + (c.nocc / 2));
+      Ints.set c.occ c.nocc ((b lsl 32) lor (head land low32));
+      c.nocc <- c.nocc + 1;
+      Ints.unsafe_set slots ((i * 3) + 2) ((b lsl 32) lor c.nocc)
     end
 
-  (* Specialisation keys of token [t] when its entry is one primitive:
-     one per item that primitive does not already absorb. *)
-  let emit_specs bld c b d t =
-    let e = tok_entry t in
-    let prims = bld.dict_entries.(e).prims in
-    if Array.length prims = 1 then begin
-      let fixed = prims.(0).fixed and i = tok_start t in
-      for s = 0 to I.stream_count - 1 do
-        let ioff = bld.prog.ioff.(s) and items = bld.prog.items.(s) in
-        let base = ioff.(i) in
-        for q = base to ioff.(i + 1) - 1 do
-          if not (is_fixed fixed s (q - base)) then bump c b (key_spec e s (q - base) items.(q)) d
-        done
+  (* [key]'s count in block [b] rises by one; returns its slot. *)
+  let bump c b key =
+    let i = insert c key in
+    rise c b i 1;
+    i
+
+  (* Token [t]'s specialisation keys, when its entry is one primitive,
+     count once more in block [b]: one per item that primitive does not
+     already absorb. [islot] records them, and -1 for every other item
+     the token covers. *)
+  let add_specs bld c b t =
+    let e = tok_entry t and i = tok_start t in
+    let ioff = bld.prog.ioff in
+    if bld.cost.(e) = 1 then begin
+      let fixed = bld.dict_entries.(e).prims.(0).fixed and items = bld.prog.items in
+      for q = ioff.(i) to ioff.(i + 1) - 1 do
+        let it = items.(q) in
+        Ints.set c.islot q
+          (if fixed = [] || not (is_fixed fixed (Sadc_isa.item_stream it) (Sadc_isa.item_position it))
+           then bump c b (key_item e it)
+           else -1)
+      done
+    end
+    else
+      for q = ioff.(i) to ioff.(i + bld.cost.(e)) - 1 do
+        Ints.set c.islot q (-1)
+      done
+
+  (* Token [t]'s recorded specialisation keys count once less, and are
+     forgotten. *)
+  let drop_specs bld c t =
+    if bld.cost.(tok_entry t) = 1 then begin
+      let i = tok_start t in
+      for q = bld.prog.ioff.(i) to bld.prog.ioff.(i + 1) - 1 do
+        let k = Ints.get c.islot q in
+        if k >= 0 then begin
+          fall c k 1;
+          Ints.set c.islot q (-1)
+        end
       done
     end
 
-  (* Count block [b]'s candidate occurrences into [c]; [le] is the
-     caller's scratch. Blocks count independently: the non-overlap
-     bookkeeping for self-overlapping n-grams like (a, a) is block-local
-     (a pattern never straddles two blocks), so the global count of every
-     candidate is the sum of its per-block counts — the invariant the
-     incremental builder rests on. *)
+  (* Count block [b]'s candidate occurrences into [c], recording each
+     window's slot; [le] is the caller's scratch. Blocks count
+     independently: the non-overlap bookkeeping for self-overlapping
+     n-grams like (a, a) is block-local (a pattern never straddles two
+     blocks), so the global count of every candidate is the sum of its
+     per-block counts — the invariant the incremental builder rests
+     on. *)
   let count_block le bld c b =
     let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+    reserve bld c ((2 * n) + block_items bld b);
     le_reset le n;
     (* Only a pair (a, a) or a triple (a, _, a) can overlap itself, so
-       only those consult [le]. *)
+       only those consult [le]; an uncounted window's key was inserted by
+       the occurrence it overlaps. *)
     for i = 0 to n - 2 do
       let a = tok_entry tok.(off + i) and a' = tok_entry tok.(off + i + 1) in
       let key = key_pair a a' in
-      if a <> a' || le_counts le key i (i + 1) then bump c b key 1
+      Ints.set c.pslot (off + i)
+        (if a <> a' || le_counts le key i (i + 1) then bump c b key else probe c key)
     done;
     for i = 0 to n - 3 do
       let a = tok_entry tok.(off + i) and a'' = tok_entry tok.(off + i + 2) in
       let key = key_triple a (tok_entry tok.(off + i + 1)) a'' in
-      if a <> a'' || le_counts le key i (i + 2) then bump c b key 1
+      Ints.set c.tslot (off + i)
+        (if a <> a'' || le_counts le key i (i + 2) then bump c b key else probe c key)
     done;
     for i = 0 to n - 1 do
-      emit_specs bld c b 1 tok.(off + i)
+      add_specs bld c b tok.(off + i)
     done
 
   (* Full-rescan reference: global counts rebuilt from scratch. Kept as
      the specification the incremental builder is tested against. *)
-  let count_candidates bld =
-    let c = counts_create (Array.length bld.tok) in
+  let count_candidates config bld =
+    let c = counts_create config bld.prog in
     let le = le_create () in
     for b = 0 to Array.length bld.blen - 1 do
       count_block le bld c b
@@ -577,10 +674,14 @@ module Make (I : Sadc_isa.S) = struct
 
   (* One block's greedy reparse, written to [new_tok]: [old_sites] are
      the indices of each consumed occurrence in the block's tokens,
-     [new_sites] those of the inserted tokens in [new_tok]. Sized for
-     the longest block; reparsing never lengthens one. *)
+     [new_sites] those of the inserted tokens in [new_tok]. [new_pslot]
+     and [new_tslot] are the incremental builder's window slots for
+     [new_tok]. Sized for the longest block; reparsing never lengthens
+     one. *)
   type reparse = {
     new_tok : int array;
+    new_pslot : Ints.t;
+    new_tslot : Ints.t;
     old_sites : int array;
     new_sites : int array;
     mutable nsites : int;
@@ -589,7 +690,15 @@ module Make (I : Sadc_isa.S) = struct
 
   let reparse_scratch bld =
     let buf () = Array.make (Array.fold_left max 1 bld.blen) 0 in
-    { new_tok = buf (); old_sites = buf (); new_sites = buf (); nsites = 0; nout = 0 }
+    {
+      new_tok = buf ();
+      new_pslot = Ints.create (Array.length (buf ()));
+      new_tslot = Ints.create (Array.length (buf ()));
+      old_sites = buf ();
+      new_sites = buf ();
+      nsites = 0;
+      nout = 0;
+    }
 
   let keep r t =
     r.new_tok.(r.nout) <- t;
@@ -600,6 +709,9 @@ module Make (I : Sadc_isa.S) = struct
     r.new_sites.(r.nsites) <- r.nout;
     r.nsites <- r.nsites + 1;
     keep r (with_entry t nid)
+
+  (* Is [target] among [items.(q)] to [items.(last - 1)]? *)
+  let rec holds items target q last = q < last && (items.(q) = target || holds items target (q + 1) last)
 
   (* Reparse block [b], replacing each occurrence of [cand] with entry
      [nid]. False when the candidate no longer occurs there. *)
@@ -642,32 +754,28 @@ module Make (I : Sadc_isa.S) = struct
     | Spec (e, s, p, v) ->
       (* Same-symbol instructions can differ in operand count (x86 ModRM
          forms), so the item at (s, p) may be absent. *)
-      let ioff = bld.prog.ioff.(s) and items = bld.prog.items.(s) in
+      let ioff = bld.prog.ioff and items = bld.prog.items in
+      let target = Sadc_isa.item ~stream:s ~position:p v in
       for i = 0 to n - 1 do
         let t = tok.(off + i) in
-        if
-          tok_entry t = e
-          &&
-          let q = ioff.(tok_start t) + p in
-          q < ioff.(tok_start t + 1) && items.(q) = v
-        then replace r i t nid
+        if tok_entry t = e && holds items target ioff.(tok_start t) ioff.(tok_start t + 1) then
+          replace r i t nid
         else keep r t
       done);
     r.nsites > 0
 
   (* Write the reparsed block back in place. *)
   let commit bld r b =
-    Array.blit r.new_tok 0 bld.tok bld.seg.(b) r.nout;
+    copy_ints r.new_tok 0 bld.tok bld.seg.(b) r.nout;
     bld.blen.(b) <- r.nout
-
-  (* Cost of the entry packed at bit [shift] of an n-gram key. *)
-  let field_cost bld key shift = entry_cost bld ((key lsr shift) land entry_mask)
 
   (* Gain of [key] at count [n] in eighths of a byte saved, following
      §4.1: a group of k opcodes replacing n occurrences saves n*(occupied
      tokens - 1) opcode bytes and costs k dictionary bytes; absorbing an
      operand of b bits saves n*b/8 and costs one byte. In eighths, every
      gain is an exact int. *)
+  let field_cost bld key shift = bld.cost.((key lsr shift) land entry_mask)
+
   let gain_at bld key n =
     match key lsr 60 with
     | 1 -> 8 * (n - field_cost bld key 20 - field_cost bld key 0)
@@ -681,7 +789,7 @@ module Make (I : Sadc_isa.S) = struct
   let select_best bld c =
     let best = ref None in
     for i = 0 to c.cap - 1 do
-      let key = c.slots.(i * 4) land key_mask and count = c.slots.((i * 4) + 1) in
+      let key = key_at c i and count = count_at c i in
       if count > 0 then begin
         let g = gain_at bld key count in
         if g > 0 then
@@ -703,7 +811,7 @@ module Make (I : Sadc_isa.S) = struct
     let continue_ = ref true in
     while !continue_ && bld.dict_n < config.max_entries && !rounds < config.max_rounds do
       incr rounds;
-      match select_best bld (count_candidates bld) with
+      match select_best bld (count_candidates config bld) with
       | None -> continue_ := false
       | Some (_, key) ->
         let cand = cand_of_key key in
@@ -747,157 +855,372 @@ module Make (I : Sadc_isa.S) = struct
     end;
     !count
 
-  (* Queue slot [i]'s live gain when it tops every gain the key already
-     has queued. *)
-  let offer bld c heap i =
-    let n = c.slots.((i * 4) + 1) in
-    if n > 0 then begin
-      let key = c.slots.(i * 4) land key_mask in
-      let g = gain_at bld key n in
-      if g > 0 && g > c.slots.((i * 4) + 3) then begin
-        Gain_heap.push heap g key;
-        c.slots.((i * 4) + 3) <- g
+  let widest_stream = Array.fold_left max 0 I.stream_bits
+
+  (* The largest gain any key can have at count [n]: every entry costs at
+     least one byte. *)
+  let best_gain n = max ((widest_stream * n) - 8) (max ((16 * n) - 24) ((8 * n) - 16))
+
+  (* --- the gain queue: [c.queue] holds (gain, key, slot) at [3 * pos] *)
+
+  let before g k g' k' = g > g' || (g = g' && k < k')
+
+  let q_put c pos g k s =
+    let q = c.queue in
+    q.(3 * pos) <- g;
+    q.((3 * pos) + 1) <- k;
+    q.((3 * pos) + 2) <- s;
+    set_qpos c s pos
+
+  let q_up c pos g k s =
+    let q = c.queue and pos = ref pos in
+    while
+      !pos > 0
+      &&
+      let p = (!pos - 1) / 2 in
+      before g k q.(3 * p) q.((3 * p) + 1)
+    do
+      let p = (!pos - 1) / 2 in
+      q_put c !pos q.(3 * p) q.((3 * p) + 1) q.((3 * p) + 2);
+      pos := p
+    done;
+    q_put c !pos g k s
+
+  let q_down c pos g k s =
+    let q = c.queue and n = c.qsize and pos = ref pos and sifting = ref true in
+    while !sifting do
+      let l = (2 * !pos) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let ch = if r < n && before q.(3 * r) q.((3 * r) + 1) q.(3 * l) q.((3 * l) + 1) then r else l in
+        if before q.(3 * ch) q.((3 * ch) + 1) g k then begin
+          q_put c !pos q.(3 * ch) q.((3 * ch) + 1) q.((3 * ch) + 2);
+          pos := ch
+        end
+        else sifting := false
+      end
+    done;
+    q_put c !pos g k s
+
+  let q_remove c pos =
+    set_qpos c c.queue.((3 * pos) + 2) (-1);
+    let last = c.qsize - 1 in
+    c.qsize <- last;
+    if pos < last then begin
+      let q = c.queue in
+      let g = q.(3 * last) and k = q.((3 * last) + 1) and s = q.((3 * last) + 2) in
+      if pos > 0 && before g k q.(3 * ((pos - 1) / 2)) q.((3 * ((pos - 1) / 2)) + 1) then
+        q_up c pos g k s
+      else q_down c pos g k s
+    end
+
+  (* Slot [i]'s queued gain becomes its live one: queued while it
+     reaches the floor. *)
+  let q_refresh bld c i =
+    let key = key_at c i and n = count_at c i in
+    let g = if n > 0 then gain_at bld key n else 0 in
+    let pos = qpos_at c i in
+    if g >= c.floor then begin
+      if pos < 0 then begin
+        if 3 * c.qsize = Array.length c.queue then c.queue <- grow_ints c.queue (3 * c.qsize);
+        c.qsize <- c.qsize + 1;
+        q_up c (c.qsize - 1) g key i
+      end
+      else if g > c.queue.(3 * pos) then q_up c pos g key i
+      else q_down c pos g key i
+    end
+    else if pos >= 0 then q_remove c pos
+
+  (* The [k]-th largest of [a]'s first [n] ints (1 <= k <= n), by
+     quickselect; reorders them. *)
+  let kth_largest a n k =
+    let lo = ref 0 and hi = ref (n - 1) and target = k - 1 in
+    while !lo < !hi do
+      let pivot = a.((!lo + !hi) / 2) in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while a.(!i) > pivot do
+          incr i
+        done;
+        while a.(!j) < pivot do
+          decr j
+        done;
+        if !i <= !j then begin
+          let t = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- t;
+          incr i;
+          decr j
+        end
+      done;
+      if target <= !j then hi := !j else if target >= !i then lo := !i else lo := !hi
+    done;
+    a.(target)
+
+  (* Keys a lowered floor admits: the floor is the gain of the
+     [admit]-th best key, and every key that ties it comes in too. *)
+  let admit = 128
+
+  (* List slot [i] in [live], at the [!n]-th entry, if its gain is
+     positive. *)
+  let[@inline] consider bld c n i =
+    let count = Ints.unsafe_get c.slots ((3 * i) + 1) land low32 in
+    if count > 0 then begin
+      let g = gain_at bld (Ints.unsafe_get c.slots (3 * i)) count in
+      if g > 0 then begin
+        if !n = Array.length c.live then c.live <- grow_ints c.live !n;
+        c.live.(!n) <- (g lsl 32) lor i;
+        incr n
       end
     end
 
+  (* The queue is empty, so every key is below the floor: lower the
+     floor and queue every key that reaches it. The candidates are every
+     slot on the first pass; later, the slots [live] listed with a
+     positive gain at the last pass and those inserted since ([fresh]),
+     since a key's count only falls after the round that creates it.
+     [live] then lists each positive gain beside its slot. False when no
+     key has a positive gain. *)
+  let q_rebuild bld c =
+    let n = ref 0 in
+    if c.floor = max_int then
+      for i = 0 to c.cap - 1 do
+        consider bld c n i
+      done
+    else begin
+      (* Entry [x] is read before entry [!n <= x] is written. *)
+      for x = 0 to c.nlive - 1 do
+        consider bld c n (c.live.(x) land low32)
+      done;
+      for x = 0 to c.nfresh - 1 do
+        consider bld c n c.fresh.(x)
+      done
+    end;
+    c.nlive <- !n;
+    c.nfresh <- 0;
+    !n > 0
+    && begin
+         let a = c.live and n = !n in
+         c.floor <- (if n <= admit then 1 else kth_largest a n admit lsr 32);
+         c.least <- 1;
+         while best_gain c.least < c.floor do
+           c.least <- c.least + 1
+         done;
+         for x = 0 to n - 1 do
+           if a.(x) lsr 32 >= c.floor then q_refresh bld c (a.(x) land low32)
+         done;
+         true
+       end
+
   (* Incremental builder: global candidate counts are kept as the sum of
-     per-block contributions. Each round pops the best candidate from a
-     lazily-invalidated max-heap, reparses only the blocks listed in the
+     per-block contributions. Each round takes the best candidate from
+     the top of the gain queue, reparses only the blocks listed in the
      candidate's occurrence index, and patches counts surgically: only
      token windows overlapping a replacement site can change, so the
      matched blocks get a handful of +/-1 bumps instead of a full
-     recount. A heap element is [(gain, key)] frozen at push time. Every
-     key with positive gain keeps an element at or above its live gain:
-     a key is pushed when its count rises above its highest element, and
-     a popped element whose gain has fallen is pushed back at the live
-     gain. A pop is therefore valid exactly when its gain equals the gain
-     recomputed from the live count. Gains depend only on the live count
-     and on entry costs fixed at entry creation, so that test is exact.
-     [check] recomputes all counts by full rescan each round and raises
-     on any disagreement (the parity tests' hook). Returns the rounds
-     run; the dictionary and tokens are left in [bld]. *)
+     recount. A falling count is patched through the slot recorded
+     beside its window; only the new windows, all of which hold the new
+     entry, are hashed. Every key whose count changed in a round is
+     re-queued at its live gain before the next pop, so the top is
+     always exact. [check] recomputes all counts by full rescan each
+     round and raises on any disagreement (the parity tests' hook).
+     Returns the rounds run; the dictionary and tokens are left in
+     [bld]. *)
   let build_dictionary_incremental ?(check = false) config bld =
     let nblocks = Array.length bld.blen in
-    let c = counts_create (Array.length bld.tok) in
+    let c = counts_create config bld.prog in
     (* Self-overlapping keys needing a full re-walk this block, listed
-       once each; a block's windows number under four per token. *)
+       once each by slot; a block's windows number under four per
+       token. *)
     let recount = Array.make ((4 * Array.fold_left max 1 bld.blen) + 4) 0 in
     let nrecount = ref 0 in
-    let defer key =
+    let defer k =
       let r = ref 0 in
-      while !r < !nrecount && recount.(!r) <> key do
+      while !r < !nrecount && recount.(!r) <> k do
         incr r
       done;
       if !r = !nrecount then begin
-        recount.(!r) <- key;
+        recount.(!r) <- k;
         incr nrecount
       end
     in
-    (* Apply the windowed +/-[d]s for one side of a reparse, over [n]
-       tokens of [arr] from [off]: every pair and triple window that
-       overlaps a replacement site, visited once even when consecutive
-       sites' windows overlap (sites ascend, so a per-kind cursor
-       suffices). Only windows that overlap a site can change an n-gram
-       count — unmarked windows map one-to-one between the old and new
-       tokens with their keys intact, so their contributions cancel; a
-       marked window of a non-self-overlapping key contributes exactly
-       one match. Self-overlapping keys (pair with equal halves, triple
-       with first = third) are deferred to [recount]. *)
-    let windows b arr off n sites nsites width d =
+    (* Old chain counts of the keys deferred from the old side. *)
+    let old_chain = Array.make (Array.length recount) 0 in
+    let r = reparse_scratch bld in
+    (* The -1s of the old side of a reparse: every pair and triple window
+       of block [b] that overlaps a consumed occurrence, visited once
+       even when consecutive sites' windows overlap (sites ascend, so a
+       per-kind cursor suffices). Only windows that overlap a site can
+       change an n-gram count — unmarked windows map one-to-one between
+       the old and new tokens with their keys intact, so their
+       contributions cancel; a marked window of a non-self-overlapping
+       key contributes exactly one match. Self-overlapping keys (pair
+       with equal halves, triple with first = third) are deferred to
+       [recount], with their chain count over the old tokens. *)
+    let old_windows b width =
+      let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
       let nextp = ref 0 and nextt = ref 0 in
-      for si = 0 to nsites - 1 do
-        let s = sites.(si) in
+      for si = 0 to r.nsites - 1 do
+        let s = r.old_sites.(si) in
         let hi = s + width - 1 in
         for p = max !nextp (s - 1) to min (n - 2) hi do
-          let a = tok_entry arr.(off + p) and a' = tok_entry arr.(off + p + 1) in
-          let key = key_pair a a' in
-          if a = a' then defer key else bump c b key d
+          let k = Ints.get c.pslot (off + p) in
+          if tok_entry tok.(off + p) = tok_entry tok.(off + p + 1) then defer k
+          else fall c k 1
         done;
         nextp := hi + 1;
         for p = max !nextt (s - 2) to min (n - 3) hi do
-          let a = tok_entry arr.(off + p) and a'' = tok_entry arr.(off + p + 2) in
-          let key = key_triple a (tok_entry arr.(off + p + 1)) a'' in
-          if a = a'' then defer key else bump c b key d
+          let k = Ints.get c.tslot (off + p) in
+          if tok_entry tok.(off + p) = tok_entry tok.(off + p + 2) then defer k
+          else fall c k 1
         done;
         nextt := hi + 1
+      done;
+      for k = 0 to !nrecount - 1 do
+        old_chain.(k) <- chain_count tok off n (key_at c recount.(k))
       done
     in
-    let r = reparse_scratch bld in
-    (* Fused reparse + surgical count patch for one block. Returns false
-       (leaving the block untouched) when the candidate no longer occurs
-       — the reparse scan doubles as the stale-occurrence test. *)
-    let update_block b cand nid =
-      reparse bld r cand nid b
+    (* The +1s of the new side: the same walk over the [n] new tokens
+       [arr.(at)] onwards, around the inserted tokens at [sites],
+       recording the slot of the window at [p] in [pslot.(at + p)] or
+       [tslot.(at + p)]. Then every deferred key moves by its new chain
+       count less its old one. *)
+    let new_windows b arr at n sites pslot tslot =
+      let nold = !nrecount in
+      let nextp = ref 0 and nextt = ref 0 in
+      for si = 0 to r.nsites - 1 do
+        let s = sites.(si) in
+        for p = max !nextp (s - 1) to min (n - 2) s do
+          let a = tok_entry arr.(at + p) and a' = tok_entry arr.(at + p + 1) in
+          let key = key_pair a a' in
+          Ints.set pslot (at + p)
+            (if a = a' then begin
+               let k = insert c key in
+               defer k;
+               k
+             end
+             else bump c b key)
+        done;
+        nextp := s + 1;
+        for p = max !nextt (s - 2) to min (n - 3) s do
+          let a = tok_entry arr.(at + p) and a'' = tok_entry arr.(at + p + 2) in
+          let key = key_triple a (tok_entry arr.(at + p + 1)) a'' in
+          Ints.set tslot (at + p)
+            (if a = a'' then begin
+               let k = insert c key in
+               defer k;
+               k
+             end
+             else bump c b key)
+        done;
+        nextt := s + 1
+      done;
+      (* Keys deferred here hold the new entry, so their old count is 0. *)
+      for k = 0 to !nrecount - 1 do
+        let slot = recount.(k) in
+        let d = chain_count arr at n (key_at c slot) - if k < nold then old_chain.(k) else 0 in
+        if d > 0 then rise c b slot d else if d < 0 then fall c slot (-d)
+      done
+    in
+    (* Kept tokens carry their windows' slots: between two sites the
+       kept tokens are contiguous on both sides, and the windows among
+       them are the unmarked ones. *)
+    let carry_slots off n width =
+      let from = ref 0 and into = ref 0 in
+      for si = 0 to r.nsites do
+        let upto = if si < r.nsites then r.old_sites.(si) else n in
+        let len = upto - !from in
+        Bytes.blit c.pslot (8 * (off + !from)) r.new_pslot (8 * !into) (8 * len);
+        Bytes.blit c.tslot (8 * (off + !from)) r.new_tslot (8 * !into) (8 * len);
+        from := upto + width;
+        into := !into + len + 1
+      done
+    in
+    (* A specialisation rewrites block [b] in place: its sites are the
+       tokens of entry [e] that hold [target], and each becomes a token
+       of [nid] with the same instruction. *)
+    let update_spec b e target nid =
+      let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+      let ioff = bld.prog.ioff and items = bld.prog.items in
+      r.nsites <- 0;
+      for i = 0 to n - 1 do
+        let t = tok.(off + i) in
+        if tok_entry t = e && holds items target ioff.(tok_start t) ioff.(tok_start t + 1) then begin
+          r.old_sites.(r.nsites) <- i;
+          r.nsites <- r.nsites + 1
+        end
+      done;
+      r.nsites > 0
       && begin
-           let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
-           let width = cand_width cand in
+           reserve bld c ((2 * n) + block_items bld b);
            nrecount := 0;
-           windows b tok off n r.old_sites r.nsites width (-1);
-           windows b r.new_tok 0 r.nout r.new_sites r.nsites 1 1;
-           (* Self-overlapping keys surfaced from either side: replace the
-              windowed +/-1s they never received with a full old/new diff. *)
-           for k = 0 to !nrecount - 1 do
-             let key = recount.(k) in
-             let d = chain_count r.new_tok 0 r.nout key - chain_count tok off n key in
-             if d <> 0 then bump c b key d
-           done;
+           old_windows b 1;
            for si = 0 to r.nsites - 1 do
              let site = off + r.old_sites.(si) in
-             for j = 0 to width - 1 do
-               emit_specs bld c b (-1) tok.(site + j)
-             done
+             drop_specs bld c tok.(site);
+             tok.(site) <- with_entry tok.(site) nid
            done;
-           (* The inserted token's own spec keys: only a Spec candidate
-              yields a single-primitive token (Pair/Triple groups carry
-              no spec keys). *)
-           (match cand with
-           | Spec _ ->
-             for si = 0 to r.nsites - 1 do
-               emit_specs bld c b 1 r.new_tok.(r.new_sites.(si))
-             done
-           | Pair _ | Triple _ -> ());
-           commit bld r b;
+           new_windows b tok off n r.old_sites c.pslot c.tslot;
+           for si = 0 to r.nsites - 1 do
+             add_specs bld c b tok.(off + r.old_sites.(si))
+           done;
            true
          end
     in
-    let heap = Gain_heap.create (Array.length bld.tok) in
-    let refresh_heap () =
+    (* Fused reparse + surgical count patch for one block of a pair or
+       triple candidate. Returns false (leaving the block untouched) when
+       the candidate no longer occurs — the reparse scan doubles as the
+       stale-occurrence test. Groups carry no spec keys, so only the
+       consumed tokens' ones move. *)
+    let update_group b cand nid =
+      reparse bld r cand nid b
+      && begin
+           let tok = bld.tok and off = bld.seg.(b) and n = bld.blen.(b) in
+           reserve bld c ((2 * n) + block_items bld b);
+           let width = cand_width cand in
+           nrecount := 0;
+           old_windows b width;
+           carry_slots off n width;
+           new_windows b r.new_tok 0 r.nout r.new_sites r.new_pslot r.new_tslot;
+           for si = 0 to r.nsites - 1 do
+             let site = off + r.old_sites.(si) in
+             for j = 0 to width - 1 do
+               drop_specs bld c tok.(site + j)
+             done
+           done;
+           commit bld r b;
+           Bytes.blit r.new_pslot 0 c.pslot (8 * off) (8 * r.nout);
+           Bytes.blit r.new_tslot 0 c.tslot (8 * off) (8 * r.nout);
+           true
+         end
+    in
+    let update_block b cand nid =
+      match cand with
+      | Spec (e, s, p, v) -> update_spec b e (Sadc_isa.item ~stream:s ~position:p v) nid
+      | Pair _ | Triple _ -> update_group b cand nid
+    in
+    let refresh () =
       for k = 0 to c.ntouched - 1 do
         let i = c.touched.(k) in
-        c.slots.(i * 4) <- c.slots.(i * 4) land key_mask;
-        offer bld c heap i
+        Ints.set c.slots ((i * 3) + 1) (Ints.get c.slots ((i * 3) + 1) land lnot hot_bit);
+        q_refresh bld c i
       done;
       c.ntouched <- 0
     in
-    (* The best live key, or 0 when none has a positive gain. *)
-    let rec pop_best () =
-      if Gain_heap.is_empty heap then 0
-      else begin
-        let g = Gain_heap.top_gain heap and key = Gain_heap.top_key heap in
-        Gain_heap.drop heap;
-        let i = probe c key in
-        if c.slots.((i * 4) + 3) = g then c.slots.((i * 4) + 3) <- 0;
-        let n = c.slots.((i * 4) + 1) in
-        if n > 0 && gain_at bld key n = g then key
-        else begin
-          offer bld c heap i;
-          pop_best ()
-        end
-      end
-    in
     let check_counts () =
-      let reference = count_candidates bld in
+      let reference = count_candidates config bld in
       let differ what key live rescan =
         failwith
           (Printf.sprintf "Sadc incremental counts: key %d has %s %d, rescan says %d" key what live
              rescan)
       in
       for i = 0 to reference.cap - 1 do
-        let key = reference.slots.(i * 4) land key_mask and n = reference.slots.((i * 4) + 1) in
+        let key = key_at reference i and n = count_at reference i in
         if n > 0 && count_of c key <> n then differ "count" key (count_of c key) n
       done;
       for i = 0 to c.cap - 1 do
-        let key = c.slots.(i * 4) land key_mask and n = c.slots.((i * 4) + 1) in
+        let key = key_at c i and n = count_at c i in
         if key <> 0 && n <> 0 && count_of reference key = 0 then differ "stale count" key n 0
       done
     in
@@ -905,7 +1228,7 @@ module Make (I : Sadc_isa.S) = struct
     for b = 0 to nblocks - 1 do
       count_block le bld c b
     done;
-    refresh_heap ();
+    (* The first pop fills the queue from the table. *)
     (* The round in which each block was last reparsed — an occurrence
        list may name a block twice. *)
     let seen = Array.make (max nblocks 1) 0 in
@@ -914,21 +1237,23 @@ module Make (I : Sadc_isa.S) = struct
     while !continue_ && bld.dict_n < config.max_entries && !rounds < config.max_rounds do
       incr rounds;
       if check then check_counts ();
-      let key = pop_best () in
-      if key = 0 then continue_ := false
+      if c.qsize = 0 && not (q_rebuild bld c) then continue_ := false
       else begin
+        let key = c.queue.(1) and slot = c.queue.(2) in
+        q_remove c 0;
         let cand = cand_of_key key in
         let nid = push bld (new_entry bld cand) in
-        let node = ref (c.slots.((probe c key * 4) + 2) - 1) in
+        let node = ref ((Ints.get c.slots ((slot * 3) + 2) land low32) - 1) in
         while !node >= 0 do
-          let b = c.occ_blk.(!node) in
+          let v = Ints.get c.occ !node in
+          let b = v lsr 32 in
           if seen.(b) <> !rounds then begin
             seen.(b) <- !rounds;
             ignore (update_block b cand nid : bool)
           end;
-          node := c.occ_next.(!node)
+          node := (v land low32) - 1
         done;
-        refresh_heap ()
+        refresh ()
       end
     done;
     !rounds
@@ -952,38 +1277,33 @@ module Make (I : Sadc_isa.S) = struct
     (* Room for every token and every chunk of every item, absorbed or
        not, so the array never grows. *)
     let capacity = ref (Array.fold_left ( + ) 0 bld.blen) in
-    for s = 0 to I.stream_count - 1 do
-      let items = prog.ioff.(s).(Array.length prog.syms) in
-      capacity := !capacity + (items * Array.length chunk_shift.(s))
+    for q = 0 to prog.ioff.(Array.length prog.syms) - 1 do
+      capacity := !capacity + Array.length chunk_shift.(Sadc_isa.item_stream prog.items.(q))
     done;
     let elems = Array.make !capacity 0 in
     let len = ref 0 in
-    let add x =
-      elems.(!len) <- x;
-      incr len
-    in
     for b = 0 to nblocks - 1 do
       eoff.(b) <- !len;
       let off = bld.seg.(b) in
       for ti = off to off + bld.blen.(b) - 1 do
         let t = bld.tok.(ti) in
         let e = tok_entry t in
-        add (e lsl alpha_bits);
+        elems.(!len) <- e lsl alpha_bits;
+        incr len;
         let prims = dict.(e).prims in
         for j = 0 to Array.length prims - 1 do
           let i = tok_start t + j and fixed = prims.(j).fixed in
-          for s = 0 to I.stream_count - 1 do
-            let ioff = prog.ioff.(s) and items = prog.items.(s) in
-            let shift = chunk_shift.(s) and cmask = chunk_mask.(s) and alpha = chunk_alpha.(s) in
-            let base = ioff.(i) in
-            for q = base to ioff.(i + 1) - 1 do
-              if not (is_fixed fixed s (q - base)) then begin
-                let v = items.(q) in
-                for k = 0 to Array.length shift - 1 do
-                  add ((((v lsr shift.(k)) land cmask.(k)) lsl alpha_bits) lor alpha.(k))
-                done
-              end
-            done
+          for q = prog.ioff.(i) to prog.ioff.(i + 1) - 1 do
+            let it = prog.items.(q) in
+            let s = Sadc_isa.item_stream it in
+            if fixed = [] || not (is_fixed fixed s (Sadc_isa.item_position it)) then begin
+              let v = Sadc_isa.item_value it in
+              let shift = chunk_shift.(s) and cmask = chunk_mask.(s) and alpha = chunk_alpha.(s) in
+              for k = 0 to Array.length shift - 1 do
+                elems.(!len) <- (((v lsr shift.(k)) land cmask.(k)) lsl alpha_bits) lor alpha.(k);
+                incr len
+              done
+            end
           done
         done
       done
@@ -1028,11 +1348,17 @@ module Make (I : Sadc_isa.S) = struct
     if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
     Bit_writer.contents w
 
-  let compress ?jobs config instrs =
+  let compress_image ?jobs config image =
     Obs.with_span ~cat:"sadc" ("sadc." ^ I.name ^ ".compress") @@ fun () ->
-    (match validate_config config with Ok () -> () | Error e -> invalid_arg ("Sadc.compress: " ^ e));
-    if Array.length instrs = 0 then invalid_arg "Sadc.compress: empty program";
-    let prog = program_of instrs in
+    (match validate_config config with
+    | Ok () -> ()
+    | Error e -> invalid_arg ("Sadc.compress_image: " ^ e));
+    let prog =
+      match I.parse image with
+      | Some prog -> prog
+      | None -> invalid_arg "Sadc.compress_image: image does not decode"
+    in
+    if Array.length prog.syms = 0 then invalid_arg "Sadc.compress_image: empty program";
     let bld = builder prog (segments prog.boff config.block_size) in
     (* Dictionary construction and code building are global (they see
        every block), so they stay serial; the entropy-coding of each
@@ -1061,11 +1387,6 @@ module Make (I : Sadc_isa.S) = struct
     in
     let original_size = prog.boff.(Array.length prog.syms) in
     { config; dict; token_code; chunk_codes; blocks; sizes; original_size; rounds }
-
-  let compress_image ?jobs config image =
-    match I.parse image with
-    | Some instrs -> compress ?jobs config instrs
-    | None -> invalid_arg "Sadc.compress_image: image does not decode"
 
   let block_count c = Array.length c.blocks
 
@@ -1417,8 +1738,9 @@ module Make (I : Sadc_isa.S) = struct
 
   module For_tests = struct
     let prepare config instr_list =
-      let prog = program_of (Array.of_list instr_list) in
-      builder prog (segments prog.boff config.block_size)
+      match I.parse (I.encode_list instr_list) with
+      | Some prog -> builder prog (segments prog.boff config.block_size)
+      | None -> invalid_arg "Sadc.For_tests: program does not decode"
 
     let build_naive config instr_list =
       let bld = prepare config instr_list in

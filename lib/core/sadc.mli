@@ -41,17 +41,13 @@ module Make (I : Sadc_isa.S) : sig
 
   type compressed
 
-  val compress : ?jobs:int -> config -> I.instr array -> compressed
-  (** Build the dictionary and encode the program. Dictionary and table
-      construction are global and run serially; [jobs] (default 1) fans
-      the per-block entropy coding over that many domains with
-      byte-identical output.
-      @raise Invalid_argument on a config {!validate_config} refuses or
-      an empty program. *)
-
   val compress_image : ?jobs:int -> config -> string -> compressed
-  (** Parse a byte image with [I.parse] first.
-      @raise Invalid_argument if the image does not decode. *)
+  (** Parse a byte image with [I.parse], build the dictionary and encode
+      the program. Dictionary and table construction are global and run
+      serially; [jobs] (default 1) fans the per-block entropy coding over
+      that many domains with byte-identical output.
+      @raise Invalid_argument on a config {!validate_config} refuses, an
+      image that does not decode, or an empty program. *)
 
   val block_count : compressed -> int
 
@@ -123,7 +119,8 @@ module Make (I : Sadc_isa.S) : sig
   module For_tests : sig
     val build_naive : config -> I.instr list -> entry array * int
     (** Dictionary and round count from the full-rescan reference builder
-        (canonical largest-gain / smallest-key selection). *)
+        (canonical largest-gain / smallest-key selection). Both builders
+        take the program through [I.encode_list] and [I.parse]. *)
 
     val build_incremental : ?check:bool -> config -> I.instr list -> entry array * int
     (** Dictionary and round count from the production incremental

@@ -1,3 +1,21 @@
+(* An operand item as the program's flat arrays hold it: its stream, its
+   position among its instruction's items of that stream, and its value,
+   in one int. *)
+let item ~stream ~position value = (stream lsl 36) lor (position lsl 30) lor value
+
+let item_stream it = (it lsr 36) land 15
+
+let item_position it = (it lsr 30) land 63
+
+let item_value it = it land ((1 lsl 30) - 1)
+
+(* The program as SADC's compressor reads it, in flat arrays: instruction
+   [i] has base symbol [syms.(i)] and occupies bytes [boff.(i)] to
+   [boff.(i + 1) - 1] of the image; its items, in the order [read] pulls
+   them, are [items.(q)] for [q] from [ioff.(i)] to [ioff.(i + 1) - 1].
+   [items] may be longer than the items it holds. *)
+type program = { syms : int array; boff : int array; items : int array; ioff : int array }
+
 module type S = sig
   type instr
 
@@ -12,8 +30,89 @@ module type S = sig
   val read : symbol:int -> next:(int -> int) -> instr
   val read_into : symbol:int -> next:(int -> int) -> Bytes.t -> int -> int
   val encode_list : instr list -> string
-  val parse : string -> instr array option
+  val parse : string -> program option
 end
+
+(* A program under construction: each instruction appends its items,
+   then [finish] closes it with its symbol and byte length. Every array
+   starts at the caller's estimate and doubles when it fills. [pos]
+   counts the current instruction's items per stream. *)
+type flat = {
+  mutable n : int;
+  mutable f_syms : int array;
+  mutable f_boff : int array;
+  mutable f_ioff : int array;
+  mutable f_items : int array;
+  mutable nitems : int;
+  pos : int array;
+}
+
+let flat_create ~streams ~instrs ~items =
+  let instrs = max 1 instrs in
+  {
+    n = 0;
+    f_syms = Array.make instrs 0;
+    f_boff = Array.make (instrs + 1) 0;
+    f_ioff = Array.make (instrs + 1) 0;
+    f_items = Array.make (max 1 items) 0;
+    nitems = 0;
+    pos = Array.make streams 0;
+  }
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+let add_item f stream v =
+  let q = f.nitems in
+  if q = Array.length f.f_items then f.f_items <- grow f.f_items;
+  f.f_items.(q) <- item ~stream ~position:f.pos.(stream) v;
+  f.pos.(stream) <- f.pos.(stream) + 1;
+  f.nitems <- q + 1
+
+let finish f ~symbol ~bytes =
+  let i = f.n in
+  if i = Array.length f.f_syms then begin
+    f.f_syms <- grow f.f_syms;
+    f.f_boff <- grow f.f_boff;
+    f.f_ioff <- grow f.f_ioff
+  end;
+  f.f_syms.(i) <- symbol;
+  f.f_boff.(i + 1) <- f.f_boff.(i) + bytes;
+  f.f_ioff.(i + 1) <- f.nitems;
+  Array.fill f.pos 0 (Array.length f.pos) 0;
+  f.n <- i + 1
+
+let program f =
+  let trim a len = if Array.length a = len then a else Array.sub a 0 len in
+  {
+    syms = trim f.f_syms f.n;
+    boff = trim f.f_boff (f.n + 1);
+    items = f.f_items;
+    ioff = trim f.f_ioff (f.n + 1);
+  }
+
+(* The one pass of the x86 adapters: [X.scan] each instruction in turn
+   straight into the arrays, [operand f k b] appending the byte [b] that
+   [X.scan] gives as [item k b]. *)
+let parse_x86 ~streams ~operand code =
+  let len = String.length code in
+  (* Generated x86 averages about three bytes and two items an
+     instruction. *)
+  let f = flat_create ~streams ~instrs:((len / 3) + 16) ~items:((2 * len / 3) + 16) in
+  let item = operand f in
+  let rec go pos =
+    pos = len
+    ||
+    let next = Ccomp_isa.X86.scan code ~pos ~item in
+    next > 0
+    && begin
+         let b0 = Char.code code.[pos] in
+         finish f
+           ~symbol:(if b0 = 0x0f then 256 + Char.code code.[pos + 1] else b0)
+           ~bytes:(next - pos);
+         go next
+       end
+  in
+  if go 0 then Some (program f) else None
 
 module Mips_streams = struct
   module M = Ccomp_isa.Mips
@@ -27,38 +126,43 @@ module Mips_streams = struct
   let stream_bits = [| 5; 16; 26 |]
   let stream_names = [| "register"; "immediate"; "long-immediate" |]
 
-  (* Registers in {!read}'s pull order, then the immediate or the jump
+  (* The items of an instruction of [spec] encoded as [word]:
+     registers in {!read}'s pull order, then the immediate or the jump
      target. *)
-  let iter_items i f =
-    match i.M.spec.M.operands with
+  let iter_word_items spec word f =
+    let rs = (word lsr 21) land 0x1f and rt = (word lsr 16) land 0x1f in
+    let rd = (word lsr 11) land 0x1f and shamt = (word lsr 6) land 0x1f in
+    match spec.M.operands with
     | M.Op_none -> ()
     | M.Op_rd_rs_rt | M.Op_rd_rt_rs ->
-      f 0 i.M.rs;
-      f 0 i.M.rt;
-      f 0 i.M.rd
+      f 0 rs;
+      f 0 rt;
+      f 0 rd
     | M.Op_rd_rt_shamt ->
-      f 0 i.M.rt;
-      f 0 i.M.rd;
-      f 0 i.M.shamt
+      f 0 rt;
+      f 0 rd;
+      f 0 shamt
     | M.Op_rs_rt ->
-      f 0 i.M.rs;
-      f 0 i.M.rt
-    | M.Op_rd -> f 0 i.M.rd
-    | M.Op_rs -> f 0 i.M.rs
+      f 0 rs;
+      f 0 rt
+    | M.Op_rd -> f 0 rd
+    | M.Op_rs -> f 0 rs
     | M.Op_rd_rs ->
-      f 0 i.M.rs;
-      f 0 i.M.rd
+      f 0 rs;
+      f 0 rd
     | M.Op_rt_rs_imm | M.Op_rt_base_offset | M.Op_rs_rt_branch ->
-      f 0 i.M.rs;
-      f 0 i.M.rt;
-      f 1 i.M.imm
+      f 0 rs;
+      f 0 rt;
+      f 1 (word land 0xffff)
     | M.Op_rt_imm ->
-      f 0 i.M.rt;
-      f 1 i.M.imm
+      f 0 rt;
+      f 1 (word land 0xffff)
     | M.Op_rs_branch ->
-      f 0 i.M.rs;
-      f 1 i.M.imm
-    | M.Op_target -> f 2 i.M.imm
+      f 0 rs;
+      f 1 (word land 0xffff)
+    | M.Op_target -> f 2 (word land 0x3ffffff)
+
+  let iter_items i f = iter_word_items i.M.spec (M.encode i) f
 
   let byte_length _ = 4
 
@@ -134,11 +238,29 @@ module Mips_streams = struct
 
   let encode_list = M.encode_program
 
+  (* Each word decoded and its items appended in one pass; generated
+     code averages under three items a word. *)
   let parse code =
-    if String.length code mod 4 <> 0 then None
-    else
-      let decoded = M.decode_program code in
-      if Array.for_all Option.is_some decoded then Some (Array.map Option.get decoded) else None
+    let len = String.length code in
+    if len mod 4 <> 0 then None
+    else begin
+      let n = len / 4 in
+      let f = flat_create ~streams:stream_count ~instrs:n ~items:(3 * n) in
+      let add = add_item f in
+      let rec go k =
+        k = n
+        ||
+        let word = Int32.to_int (String.get_int32_be code (4 * k)) land 0xffffffff in
+        let id = M.decode_id word in
+        id >= 0
+        && begin
+             iter_word_items M.specs.(id) word add;
+             finish f ~symbol:id ~bytes:4;
+             go (k + 1)
+           end
+      in
+      if go 0 then Some (program f) else None
+    end
 end
 
 module X86_streams = struct
@@ -191,7 +313,7 @@ module X86_streams = struct
 
   let encode_list = X.encode_program
 
-  let parse code = Option.map Array.of_list (X.decode_program code)
+  let parse = parse_x86 ~streams:stream_count ~operand:add_item
 end
 
 module X86_field_streams = struct
@@ -262,5 +384,16 @@ module X86_field_streams = struct
 
   let encode_list = X.encode_program
 
-  let parse code = Option.map Array.of_list (X.decode_program code)
+  (* The first ModRM/SIB byte of an instruction is its ModRM, the second
+     its SIB: [f.pos] tells them apart. *)
+  let operand f k b =
+    if k = 1 then add_item f 6 b
+    else begin
+      let s = if f.pos.(0) = 0 then 0 else 3 in
+      add_item f s (b lsr 6);
+      add_item f (s + 1) ((b lsr 3) land 7);
+      add_item f (s + 2) (b land 7)
+    end
+
+  let parse = parse_x86 ~streams:stream_count ~operand
 end

@@ -6,6 +6,31 @@
     and can reconstruct an instruction by pulling items back on demand
     (the operand-length unit + instruction generator of Fig. 6). *)
 
+val item : stream:int -> position:int -> int -> int
+(** [item ~stream ~position v] packs an operand item: value [v] (below
+    2^30) of stream [stream] (below 16), the [position]-th item (below 64)
+    of its instruction in that stream. The packing is
+    [(stream lsl 36) lor (position lsl 30) lor v]. *)
+
+val item_stream : int -> int
+
+val item_position : int -> int
+
+val item_value : int -> int
+
+type program = {
+  syms : int array;  (** base symbol per instruction *)
+  boff : int array;
+      (** byte offsets: instruction [i] is bytes [boff.(i)] to [boff.(i + 1) - 1] *)
+  items : int array;
+      (** every instruction's packed {!item}s in {!S.read}'s pull order;
+          may run past the last item *)
+  ioff : int array;
+      (** item offsets: instruction [i]'s items are [items.(ioff.(i))] to
+          [items.(ioff.(i + 1) - 1)] *)
+}
+(** A program as SADC's compressor reads it, in flat arrays. *)
+
 module type S = sig
   type instr
 
@@ -26,7 +51,7 @@ module type S = sig
 
   val iter_items : instr -> (int -> int -> unit) -> unit
   (** [iter_items instr f] calls [f s v] for each operand item [v] of
-      stream [s]; within a stream, in the order {!read} pulls them. *)
+      stream [s], in the order {!read} pulls them. *)
 
   val byte_length : instr -> int
 
@@ -48,7 +73,11 @@ module type S = sig
 
   val encode_list : instr list -> string
 
-  val parse : string -> instr array option
+  val parse : string -> program option
+  (** Decode a byte image straight into flat arrays, in one pass:
+      per instruction the {!symbol}, the {!byte_length} and the items
+      {!iter_items} lists, in its order. [None] when some instruction
+      does not decode. *)
 end
 
 module Mips_streams : S with type instr = Ccomp_isa.Mips.t

@@ -24,49 +24,65 @@ type code = {
   lut : int array;
 }
 
-(* Build per-symbol code lengths with a standard Huffman tree over a
-   min-heap. Single-symbol alphabets get length 1 so the symbol still
-   occupies at least one bit (required for self-delimiting blocks). *)
+(* Per-symbol code lengths of a Huffman tree, by the two-queue method:
+   the leaves sorted by (count, symbol) in one queue, the merged nodes in
+   the order they are made in the other, which is also ascending weight.
+   Each merge takes the two lightest fronts, a leaf before a merged node
+   of equal weight. Single-symbol alphabets get length 1 so the symbol
+   still occupies at least one bit (required for self-delimiting
+   blocks). *)
 let tree_lengths counts =
-  let n = Array.length counts in
-  let lengths = Array.make n 0 in
-  (* Heap of (weight, tie, node); node is Leaf sym | Node (l, r). *)
-  let module N = struct
-    type node = Leaf of int | Node of node * node
-  end in
-  let open N in
-  let cmp (w1, t1, _) (w2, t2, _) = if w1 <> w2 then compare w1 w2 else compare t1 t2 in
-  let heap = Ccomp_util.Heap.create ~cmp in
-  let tie = ref 0 in
+  let lengths = Array.make (Array.length counts) 0 in
+  let m = Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 counts in
+  if m = 0 then invalid_arg "Huffman.build: empty alphabet";
+  (* Node [v < m] is leaf [leaf.(v)]; node [m + j] is the [j]-th merge,
+     of nodes [kid.(2j)] and [kid.(2j + 1)]. *)
+  let leaf = Array.make m 0 in
+  let k = ref 0 in
   Array.iteri
     (fun sym c ->
       if c > 0 then begin
-        Ccomp_util.Heap.push heap (c, !tie, Leaf sym);
-        incr tie
+        leaf.(!k) <- sym;
+        incr k
       end)
     counts;
-  match Ccomp_util.Heap.length heap with
-  | 0 -> invalid_arg "Huffman.build: empty alphabet"
-  | 1 ->
-    let _, _, node = Ccomp_util.Heap.pop heap in
-    (match node with Leaf sym -> lengths.(sym) <- 1 | Node _ -> assert false);
-    lengths
-  | _ ->
-    while Ccomp_util.Heap.length heap > 1 do
-      let w1, _, n1 = Ccomp_util.Heap.pop heap in
-      let w2, _, n2 = Ccomp_util.Heap.pop heap in
-      Ccomp_util.Heap.push heap (w1 + w2, !tie, Node (n1, n2));
-      incr tie
+  Array.stable_sort (fun a b -> Int.compare counts.(a) counts.(b)) leaf;
+  if m = 1 then lengths.(leaf.(0)) <- 1
+  else begin
+    let weight = Array.make ((2 * m) - 1) 0 and kid = Array.make (2 * (m - 1)) 0 in
+    Array.iteri (fun v sym -> weight.(v) <- counts.(sym)) leaf;
+    let next_leaf = ref 0 and next_merged = ref m in
+    for j = 0 to m - 2 do
+      for c = 0 to 1 do
+        let v =
+          if !next_leaf < m && (!next_merged = m + j || weight.(!next_leaf) <= weight.(!next_merged))
+          then begin
+            incr next_leaf;
+            !next_leaf - 1
+          end
+          else begin
+            incr next_merged;
+            !next_merged - 1
+          end
+        in
+        kid.((2 * j) + c) <- v;
+        weight.(m + j) <- weight.(m + j) + weight.(v)
+      done
     done;
-    let _, _, root = Ccomp_util.Heap.pop heap in
-    let rec assign depth = function
-      | Leaf sym -> lengths.(sym) <- depth
-      | Node (l, r) ->
-        assign (depth + 1) l;
-        assign (depth + 1) r
-    in
-    assign 0 root;
-    lengths
+    (* Depths from the root (the last merge) down, over the merges'
+       weights, which are spent: a merge precedes every merge that takes
+       it. *)
+    let depth = weight in
+    depth.((2 * m) - 2) <- 0;
+    for j = m - 2 downto 0 do
+      let d = depth.(m + j) + 1 in
+      for c = 0 to 1 do
+        let v = kid.((2 * j) + c) in
+        if v < m then lengths.(leaf.(v)) <- d else depth.(v) <- d
+      done
+    done
+  end;
+  lengths
 
 let max_array a = Array.fold_left max 0 a
 

@@ -147,10 +147,10 @@ let skeleton spec =
 (* Fields that the operand signature does not mention must be zero for the
    word to be canonical (decode is the inverse of encode only on canonical
    words). *)
-let canonical i =
-  let zero_rs = i.rs = 0 and zero_rt = i.rt = 0 and zero_rd = i.rd = 0 in
-  let zero_sh = i.shamt = 0 and zero_imm = i.imm = 0 in
-  match i.spec.operands with
+let canonical operands ~rs ~rt ~rd ~shamt ~imm =
+  let zero_rs = rs = 0 and zero_rt = rt = 0 and zero_rd = rd = 0 in
+  let zero_sh = shamt = 0 and zero_imm = imm = 0 in
+  match operands with
   | Op_none -> zero_rs && zero_rt && zero_rd && zero_sh && zero_imm
   | Op_rd_rs_rt -> zero_sh && zero_imm
   | Op_rd_rt_shamt -> zero_rs && zero_imm
@@ -166,33 +166,44 @@ let canonical i =
   | Op_rs_branch -> zero_rt && zero_rd && zero_sh
   | Op_target -> zero_rs && zero_rt && zero_rd && zero_sh
 
-let decode word =
-  if word < 0 || word > 0xffffffff then None
+(* The fields [decode] fills, by encoding. *)
+let fields spec word =
+  let rs = (word lsr 21) land 0x1f and rt = (word lsr 16) land 0x1f in
+  let rd = (word lsr 11) land 0x1f and shamt = (word lsr 6) land 0x1f in
+  match encoding_of spec with
+  | Special _ -> { spec; rs; rt; rd; shamt; imm = 0 }
+  | Regimm _ -> { spec; rs; rt = 0; rd = 0; shamt = 0; imm = word land 0xffff }
+  | Normal _ -> { spec; rs; rt; rd = 0; shamt = 0; imm = word land 0xffff }
+  | Jump _ -> { spec; rs = 0; rt = 0; rd = 0; shamt = 0; imm = word land 0x3ffffff }
+
+let decode_id word =
+  if word < 0 || word > 0xffffffff then -1
   else
     let op = (word lsr 26) land 0x3f in
-    let rs = (word lsr 21) land 0x1f in
-    let rt = (word lsr 16) land 0x1f in
-    let rd = (word lsr 11) land 0x1f in
-    let shamt = (word lsr 6) land 0x1f in
-    let funct = word land 0x3f in
-    let imm16 = word land 0xffff in
-    let target = word land 0x3ffffff in
+    let rs = (word lsr 21) land 0x1f and rt = (word lsr 16) land 0x1f in
+    let rd = (word lsr 11) land 0x1f and shamt = (word lsr 6) land 0x1f in
     let id =
-      if op = 0 then funct_table.(funct)
+      if op = 0 then funct_table.(word land 0x3f)
       else if op = 1 then regimm_table.(rt)
       else opcode_table.(op)
     in
-    if id < 0 then None
+    if id < 0 then -1
     else
       let spec = specs.(id) in
-      let i =
+      (* Every bit of the word lands in a field [fields] keeps, so a
+         canonical word re-encodes to itself. *)
+      let ok =
         match encoding_of spec with
-        | Special _ -> { spec; rs; rt; rd; shamt; imm = 0 }
-        | Regimm _ -> { spec; rs; rt = 0; rd = 0; shamt = 0; imm = imm16 }
-        | Normal _ -> { spec; rs; rt; rd = 0; shamt = 0; imm = imm16 }
-        | Jump _ -> { spec; rs = 0; rt = 0; rd = 0; shamt = 0; imm = target }
+        | Special _ -> canonical spec.operands ~rs ~rt ~rd ~shamt ~imm:0
+        | Regimm _ -> canonical spec.operands ~rs ~rt:0 ~rd:0 ~shamt:0 ~imm:(word land 0xffff)
+        | Normal _ -> canonical spec.operands ~rs ~rt ~rd:0 ~shamt:0 ~imm:(word land 0xffff)
+        | Jump _ -> canonical spec.operands ~rs:0 ~rt:0 ~rd:0 ~shamt:0 ~imm:(word land 0x3ffffff)
       in
-      if canonical i && encode i = word then Some i else None
+      if ok then id else -1
+
+let decode word =
+  let id = decode_id word in
+  if id < 0 then None else Some (fields specs.(id) word)
 
 let encode_program instrs =
   let b = Buffer.create (4 * List.length instrs) in

@@ -63,6 +63,10 @@ val skeleton : spec -> int
 val decode : int -> t option
 (** Inverse of {!encode}; [None] for words that are not in the subset. *)
 
+val decode_id : int -> int
+(** The {!opcode_id} of [decode word] without building it, or -1 when
+    [decode word] is [None]. *)
+
 val encode_program : t list -> string
 (** Big-endian byte image of an instruction sequence. *)
 

@@ -300,6 +300,40 @@ let decode bytes ~pos =
               | None -> None
               | Some imm -> Some ({ opcode; modrm = Some modrm; sib; disp; imm }, p + imm_len ik))))
 
+let scan bytes ~pos ~item =
+  let len = String.length bytes in
+  let byte p = Char.code (String.unsafe_get bytes p) in
+  let two = pos + 1 < len && byte pos = 0x0f in
+  let shape =
+    if pos >= len then None else if two then shape_of_second (byte (pos + 1)) else shape_of_first (byte pos)
+  in
+  let p = if two then pos + 2 else pos + 1 in
+  let operands p n =
+    for k = 0 to n - 1 do
+      item 1 (byte (p + k))
+    done;
+    p + n
+  in
+  match shape with
+  | None -> -1
+  | Some (Plain ik) -> if p + imm_len ik > len then -1 else operands p (imm_len ik)
+  | Some (With_modrm ik) ->
+    if p >= len then -1
+    else
+      let modrm = byte p in
+      let has = has_sib modrm in
+      if has && p + 1 >= len then -1
+      else
+        let sib = if has then byte (p + 1) else -1 in
+        let p = if has then p + 2 else p + 1 in
+        let n = disp_size modrm ~sib + imm_len ik in
+        if p + n > len then -1
+        else begin
+          item 0 modrm;
+          if has then item 0 sib;
+          operands p n
+        end
+
 let decode_program bytes =
   let len = String.length bytes in
   let rec go acc pos =

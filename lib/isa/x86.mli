@@ -84,6 +84,13 @@ val decode : string -> pos:int -> (t * int) option
     it and the position just past it; [None] when the bytes are not a valid
     instruction of the subset. *)
 
+val scan : string -> pos:int -> item:(int -> int -> unit) -> int
+(** [scan bytes ~pos ~item] is {!decode} without building a [t]: for the
+    instruction at [pos] it calls [item 0 b] for its ModRM and SIB bytes
+    and then [item 1 b] for its displacement and immediate bytes, in the
+    order {!read_streams} pulls them, and returns the position just past
+    it; -1 when {!decode} would return [None]. *)
+
 val decode_program : string -> t list option
 (** Parses a whole byte image; [None] on any invalid instruction. *)
 

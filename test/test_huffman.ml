@@ -132,6 +132,49 @@ let prop_encoded_bits_matches =
       List.iter (Huffman.encode_symbol code w) syms;
       Bit_writer.bit_length w = Huffman.encoded_bits code f)
 
+(* The textbook construction, as a reference for [Huffman.build]'s
+   lengths: repeatedly merge the two lightest nodes, a node being a
+   (weight, order, symbols) triple; leaves are ordered by symbol and come
+   before every merge, merges by creation, and the lighter (weight,
+   order) pair goes first. Each merge lengthens every symbol below it by
+   one bit. *)
+let reference_lengths counts =
+  let lengths = Array.make (Array.length counts) 0 in
+  let order = ref 0 in
+  let node w syms =
+    incr order;
+    (w, !order, syms)
+  in
+  let nodes =
+    ref
+      (List.filter_map
+         (fun (sym, c) -> if c > 0 then Some (node c [ sym ]) else None)
+         (List.mapi (fun sym c -> (sym, c)) (Array.to_list counts)))
+  in
+  let take () =
+    let best = List.fold_left (fun a n -> if compare n a < 0 then n else a) (List.hd !nodes) !nodes in
+    nodes := List.filter (fun n -> n != best) !nodes;
+    best
+  in
+  (match !nodes with
+  | [ (_, _, [ sym ]) ] -> lengths.(sym) <- 1
+  | _ ->
+    while List.length !nodes > 1 do
+      let w1, _, s1 = take () in
+      let w2, _, s2 = take () in
+      List.iter (fun sym -> lengths.(sym) <- lengths.(sym) + 1) (s1 @ s2);
+      nodes := node (w1 + w2) (s1 @ s2) :: !nodes
+    done);
+  lengths
+
+let prop_lengths_match_reference =
+  QCheck.Test.make ~name:"huffman lengths equal the textbook construction" ~count:300
+    QCheck.(array_of_size (Gen.int_range 1 40) (int_bound 60))
+    (fun counts ->
+      QCheck.assume (Array.exists (fun c -> c > 0) counts);
+      Huffman.lengths (Huffman.build ~max_length:30 (freq_of_counts counts))
+      = reference_lengths counts)
+
 let suite =
   [
     Alcotest.test_case "empty alphabet rejected" `Quick test_empty_rejected;
@@ -146,6 +189,7 @@ let suite =
     Alcotest.test_case "of_lengths rejects overfull" `Quick test_of_lengths_rejects_overfull;
     Alcotest.test_case "length-table serialization" `Quick test_serialization;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_lengths_match_reference;
     QCheck_alcotest.to_alcotest prop_encoded_bits_matches;
   ]
 
@@ -177,5 +221,48 @@ let extra_suite =
     Alcotest.test_case "sparse alphabet RLE" `Quick test_sparse_alphabet_rle;
     Alcotest.test_case "truncated table rejected" `Quick test_deserialize_rejects_truncation;
   ]
+
+(* The textbook construction, as a reference for [Huffman.build]'s
+   lengths: repeatedly merge the two lightest nodes, a node being a
+   (weight, order, symbols) triple; leaves are ordered by symbol and come
+   before every merge, merges by creation, and the lighter (weight,
+   order) pair goes first. Each merge lengthens every symbol below it by
+   one bit. *)
+let reference_lengths counts =
+  let lengths = Array.make (Array.length counts) 0 in
+  let order = ref 0 in
+  let node w syms =
+    incr order;
+    (w, !order, syms)
+  in
+  let nodes =
+    ref
+      (List.filter_map
+         (fun (sym, c) -> if c > 0 then Some (node c [ sym ]) else None)
+         (List.mapi (fun sym c -> (sym, c)) (Array.to_list counts)))
+  in
+  let take () =
+    let best = List.fold_left (fun a n -> if compare n a < 0 then n else a) (List.hd !nodes) !nodes in
+    nodes := List.filter (fun n -> n != best) !nodes;
+    best
+  in
+  (match !nodes with
+  | [ (_, _, [ sym ]) ] -> lengths.(sym) <- 1
+  | _ ->
+    while List.length !nodes > 1 do
+      let w1, _, s1 = take () in
+      let w2, _, s2 = take () in
+      List.iter (fun sym -> lengths.(sym) <- lengths.(sym) + 1) (s1 @ s2);
+      nodes := node (w1 + w2) (s1 @ s2) :: !nodes
+    done);
+  lengths
+
+let prop_lengths_match_reference =
+  QCheck.Test.make ~name:"huffman lengths equal the textbook construction" ~count:300
+    QCheck.(array_of_size (Gen.int_range 1 40) (int_bound 60))
+    (fun counts ->
+      QCheck.assume (Array.exists (fun c -> c > 0) counts);
+      Huffman.lengths (Huffman.build ~max_length:30 (freq_of_counts counts))
+      = reference_lengths counts)
 
 let suite = suite @ extra_suite

@@ -35,6 +35,33 @@ let test_crc32_incremental () =
   Alcotest.check_raises "range outside the string" (Invalid_argument "Crc32.of_substring")
     (fun () -> ignore (Crc32.of_substring s ~pos:5 ~len:5))
 
+(* Byte-at-a-time CRC-32, the reference for [Crc32]'s eight-byte steps. *)
+let reference_crc32 crc s =
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 equals a byte-at-a-time reference" ~count:300
+    QCheck.(triple (string_of_size (Gen.int_range 0 80)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let split = pos + (if len = 0 then 0 else (a + b) mod (len + 1)) in
+      let whole = reference_crc32 0l (String.sub s pos len) in
+      Crc32.of_substring s ~pos ~len = whole
+      && Crc32.of_string s = reference_crc32 0l s
+      && Crc32.update (Crc32.of_string (String.sub s pos (split - pos)))
+           (String.sub s split (pos + len - split))
+         = whole)
+
 let test_crc32_detects_change () =
   Alcotest.(check bool) "different strings differ" true
     (Crc32.of_string "abcd" <> Crc32.of_string "abce")
@@ -142,6 +169,7 @@ let suite =
   [
     Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
     Alcotest.test_case "crc16 and crc8 known vectors" `Quick test_crc16_crc8_known_vectors;
     Alcotest.test_case "crc32 detects change" `Quick test_crc32_detects_change;
     Alcotest.test_case "samc image roundtrip" `Quick test_samc_image_roundtrip;

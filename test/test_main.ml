@@ -2,7 +2,6 @@ let () =
   Alcotest.run "ccomp"
     [
       ("prng", Test_prng.suite);
-      ("heap", Test_heap.suite);
       ("bitio", Test_bitio.suite);
       ("entropy", Test_entropy.suite);
       ("huffman", Test_huffman.suite);

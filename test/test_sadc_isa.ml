@@ -59,31 +59,61 @@ module Check (I : Sadc_isa.S) = struct
           l)
       items
 
-  let check_program code =
+  (* [I.parse]'s flat arrays hold exactly what [symbol], [byte_length]
+     and [iter_items] give for each of [instrs], the image's
+     instructions. *)
+  let check_program code instrs =
+    Array.iter roundtrip instrs;
+    Alcotest.(check int) (I.name ^ ": byte_length sums to image")
+      (String.length code)
+      (Array.fold_left (fun a i -> a + I.byte_length i) 0 instrs);
     match I.parse code with
     | None -> Alcotest.failf "%s: program does not parse" I.name
-    | Some instrs ->
-      Array.iter roundtrip instrs;
-      Alcotest.(check int) (I.name ^ ": byte_length sums to image")
-        (String.length code)
-        (Array.fold_left (fun a i -> a + I.byte_length i) 0 instrs)
+    | Some p ->
+      let n = Array.length instrs in
+      Alcotest.(check (array int)) (I.name ^ ": parse symbols") (Array.map I.symbol instrs) p.syms;
+      Alcotest.(check int) (I.name ^ ": parse offsets") (n + 1) (Array.length p.boff);
+      Array.iteri
+        (fun k instr ->
+          Alcotest.(check int) (I.name ^ ": parse byte length") (I.byte_length instr)
+            (p.boff.(k + 1) - p.boff.(k));
+          (* (stream, position within the stream, value) per item *)
+          let expected = ref [] and seen = Array.make I.stream_count 0 in
+          I.iter_items instr (fun s v ->
+              expected := (s, (seen.(s), v)) :: !expected;
+              seen.(s) <- seen.(s) + 1);
+          let got =
+            List.init
+              (p.ioff.(k + 1) - p.ioff.(k))
+              (fun j ->
+                let it = p.items.(p.ioff.(k) + j) in
+                (Sadc_isa.item_stream it, (Sadc_isa.item_position it, Sadc_isa.item_value it)))
+          in
+          Alcotest.(check (list (pair int (pair int int))))
+            (I.name ^ ": parse items") (List.rev !expected) got)
+        instrs
 end
 
 let program seed =
   P.Generator.generate ~seed
     { (P.Profile.find "ijpeg") with P.Profile.name = "t"; target_ops = 600; functions = 8 }
 
+let x86_instrs code = Array.of_list (Option.get (Ccomp_isa.X86.decode_program code))
+
 let test_mips_adapter () =
   let module C = Check (Sadc_isa.Mips_streams) in
-  C.check_program (snd (P.Mips_backend.lower (program 41L))).P.Layout.code
+  let code = (snd (P.Mips_backend.lower (program 41L))).P.Layout.code in
+  C.check_program code (Array.map Option.get (Mips.decode_program code))
 
 let test_x86_adapter () =
   let module C = Check (Sadc_isa.X86_streams) in
-  C.check_program (snd (P.X86_backend.lower (program 42L))).P.Layout.code
+  let code = (snd (P.X86_backend.lower (program 42L))).P.Layout.code in
+  C.check_program code (x86_instrs code)
 
 let test_x86_fields_adapter () =
   let module C = Check (Sadc_isa.X86_field_streams) in
-  C.check_program (snd (P.X86_backend.lower (program 43L))).P.Layout.code
+  let code = (snd (P.X86_backend.lower (program 43L))).P.Layout.code in
+  C.check_program code (x86_instrs code)
 
 let test_mips_adapter_random_instrs () =
   let module C = Check (Sadc_isa.Mips_streams) in

@@ -28,7 +28,10 @@
 #      connect for its whole run (reuse recorded in the bench json),
 #      and the daemon's frames counter far exceeds its connections
 #      counter afterwards.
-#   6. SIGTERM stops the daemon promptly and gracefully (exit 0: the
+#   6. `ccomp top --plain --frames 1` renders one frame from the live
+#      daemon with its title and its counter, gauge, histogram,
+#      stage-latency and recent-events panels, then exits 0.
+#   7. SIGTERM stops the daemon promptly and gracefully (exit 0: the
 #      accept loop absorbs the break, closes the listener and flushes
 #      telemetry before returning).
 set -eu
@@ -179,11 +182,25 @@ conns=$(awk '/^serve_connections_total /{print $2}' "$dir/metrics2.txt")
 [ "$frames" -ge $((conns + 50)) ] \
   || fail "/metrics: frames ($frames) do not exceed connections ($conns) — keep-alive is not keeping connections alive"
 
-# -- 6: clean shutdown on SIGTERM ---------------------------------------
+# -- 6: one `ccomp top` frame renders every panel ------------------------
+"$ccomp" top --port "$port" --plain --frames 1 > "$dir/top.txt" 2>&1 \
+  || fail "ccomp top --plain --frames 1 failed: $(cat "$dir/top.txt")"
+# (the counter panel lists the first 16 names only, so it is checked by
+# the served compress job's counter, which sorts early)
+for panel in "ccomp top — 127.0.0.1:$port — frame 1" \
+             'counter  *rate/s  *total' 'samc.compress.blocks ' \
+             'gauge  *value' 'serve.uptime_seconds ' \
+             'histogram  *obs/s  *p50  *p95  *p99  *max' 'serve.stage.work_us ' \
+             'request latency by stage' 'recent events:' '"event":"serve\.' \
+             '\[q\] quit'; do
+  grep -q "$panel" "$dir/top.txt" || fail "ccomp top frame lacks '$panel': $(cat "$dir/top.txt")"
+done
+
+# -- 7: clean shutdown on SIGTERM ---------------------------------------
 kill -TERM "$serve_pid"
 status=0
 wait "$serve_pid" || status=$?
 serve_pid=
 [ "$status" -eq 0 ] || fail "daemon exit status $status on SIGTERM (want graceful 0)"
 
-echo "serve_check: OK (boot, byte-identity, OpenMetrics scrape, events, clean shutdown)"
+echo "serve_check: OK (boot, byte-identity, OpenMetrics scrape, events, top, clean shutdown)"

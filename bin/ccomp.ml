@@ -839,7 +839,7 @@ let serve_cmd =
       with Unix.Unix_error _ -> ())
   in
   let run host port jobs workers queue_cap max_requests idle_timeout io_timeout drain
-      allow_crash slow_threshold slow_ring metrics trace events =
+      allow_crash slow_threshold metrics trace events =
     retune_runtime ();
     let jobs = resolve_jobs jobs in
     with_obs ~events ~metrics ~trace @@ fun () ->
@@ -860,7 +860,6 @@ let serve_cmd =
         drain_s = drain;
         allow_crash_op = allow_crash;
         slow_threshold_ms = slow_threshold;
-        slow_capacity = max 1 slow_ring;
       }
     in
     match
@@ -931,18 +930,12 @@ let serve_cmd =
             "Tail-sample any request whose total latency reaches $(docv) into the /slow ring (0 = \
              sample every request); shed and deadline-expired outcomes are always sampled.")
   in
-  let slow_ring_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "slow-ring" ] ~docv:"N"
-          ~doc:"Capacity of the slow-request ring; overflow keeps the most recent records.")
-  in
   let term =
     Term.(
       ret
         (const run $ host_arg $ port_arg ~default:7070 $ jobs_arg $ workers_arg $ queue_cap_arg
        $ max_requests_arg $ idle_timeout_arg $ io_timeout_arg $ drain_arg
-       $ crash_op_arg $ slow_threshold_arg $ slow_ring_arg $ metrics_arg $ trace_out_arg
+       $ crash_op_arg $ slow_threshold_arg $ metrics_arg $ trace_out_arg
        $ events_arg))
   in
   Cmd.v
@@ -1156,19 +1149,13 @@ let chaos_cmd =
     term
 
 let loadgen_cmd =
-  let run host port rate duration arrivals seed senders conns no_reuse payload_bytes algo isa
-      block_size deadline_ms timeout mix_compress mix_decompress mix_ping slo_p99 slo_shed
-      slo_deadline ramp ramp_low ramp_high ramp_iters emit_json print_schedule metrics
-      events =
-    let arrivals =
-      match Loadgen.arrivals_of_string arrivals with
-      | Some a -> a
-      | None -> Loadgen.Poisson (* unreachable: enum-checked by cmdliner *)
-    in
+  let run host port rate duration seed senders conns no_reuse payload_bytes algo isa block_size
+      deadline_ms timeout mix_compress mix_decompress mix_ping slo_p99 slo_shed slo_deadline ramp
+      emit_json print_schedule metrics events =
     if print_schedule > 0 then begin
       (* schedule preview: deterministic, no daemon needed — what the
          shell smoke test uses to assert seeded replay *)
-      let sched = Loadgen.schedule ~arrivals ~rate_rps:rate ~duration_s:duration ~seed in
+      let sched = Loadgen.schedule ~rate_rps:rate ~duration_s:duration ~seed in
       Array.iteri
         (fun i off -> if i < print_schedule then Printf.printf "%.6f\n" off)
         sched;
@@ -1184,7 +1171,6 @@ let loadgen_cmd =
           port;
           rate_rps = rate;
           duration_s = duration;
-          arrivals;
           seed;
           senders;
           conns;
@@ -1209,8 +1195,7 @@ let loadgen_cmd =
              CLI failure — only "couldn't search at all" is an error *)
           Result.map
             (fun (report, capacity) -> (report, [ ("loadgen.capacity_rps", capacity) ]))
-            (Loadgen.ramp ~low:ramp_low ~high:ramp_high ~iters:ramp_iters
-               ~progress:print_endline cfg)
+            (Loadgen.ramp ~progress:print_endline cfg)
         else Result.map (fun report -> (report, [])) (Loadgen.run cfg)
       in
       match result with
@@ -1236,13 +1221,6 @@ let loadgen_cmd =
   in
   let duration_arg =
     Arg.(value & opt float 5.0 & info [ "duration" ] ~docv:"SECS" ~doc:"Schedule horizon.")
-  in
-  let arrivals_arg =
-    Arg.(
-      value
-      & opt (enum [ ("poisson", "poisson"); ("uniform", "uniform") ]) "poisson"
-      & info [ "arrivals" ] ~docv:"KIND"
-          ~doc:"Arrival process: seeded poisson (exponential inter-arrivals) or uniform.")
   in
   let senders_arg =
     Arg.(
@@ -1293,24 +1271,9 @@ let loadgen_cmd =
       & info [ "ramp" ]
           ~doc:
             "Binary-search the offered rate for the daemon's SLO capacity instead of one run: \
-             probe --ramp-low and --ramp-high, bisect --ramp-iters times, report the highest \
-             passing rate as loadgen.capacity_rps. Requires a declared --slo-* bound; failing \
-             probes are part of the search and do not fail the command.")
-  in
-  let ramp_low_arg =
-    Arg.(
-      value & opt float 25.0
-      & info [ "ramp-low" ] ~docv:"RPS" ~doc:"Ramp lower bound (must pass the SLO).")
-  in
-  let ramp_high_arg =
-    Arg.(
-      value & opt float 2000.0
-      & info [ "ramp-high" ] ~docv:"RPS" ~doc:"Ramp upper bound (expected to trip the SLO).")
-  in
-  let ramp_iters_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "ramp-iters" ] ~docv:"N" ~doc:"Bisection steps between the ramp bounds.")
+             probe 25 and 2000 rps, bisect 5 times, report the highest passing rate as \
+             loadgen.capacity_rps. Requires a declared --slo-* bound; failing probes are part of \
+             the search and do not fail the command.")
   in
   let emit_json_arg =
     Arg.(
@@ -1325,13 +1288,13 @@ let loadgen_cmd =
       & info [ "print-schedule" ] ~docv:"N"
           ~doc:
             "Print the first N arrival offsets (seconds) and exit without contacting a daemon — \
-             the schedule is a pure function of --arrivals/--rate/--duration/--seed.")
+             the Poisson schedule is a pure function of --rate/--duration/--seed.")
   in
   let term =
     Term.(
       ret
-        (const run $ host_arg $ port_arg ~default:7070 $ rate_arg $ duration_arg $ arrivals_arg
-       $ seed_arg $ senders_arg $ conns_arg $ no_reuse_arg $ payload_arg $ algo_arg $ isa_arg
+        (const run $ host_arg $ port_arg ~default:7070 $ rate_arg $ duration_arg $ seed_arg
+       $ senders_arg $ conns_arg $ no_reuse_arg $ payload_arg $ algo_arg $ isa_arg
        $ block_size_arg $ deadline_arg $ timeout_arg
        $ mix_arg "compress" ~default:1 "compress jobs"
        $ mix_arg "decompress" ~default:1 "decompress jobs"
@@ -1339,7 +1302,7 @@ let loadgen_cmd =
        $ slo_arg "slo-p99-ms" "MS" "the corrected p99 latency (ms)"
        $ slo_arg "slo-shed-rate" "RATE" "the shed fraction of sent requests"
        $ slo_arg "slo-deadline-rate" "RATE" "the deadline-expired fraction of sent requests"
-       $ ramp_arg $ ramp_low_arg $ ramp_high_arg $ ramp_iters_arg $ emit_json_arg
+       $ ramp_arg $ emit_json_arg
        $ print_schedule_arg $ metrics_arg $ events_arg))
   in
   Cmd.v

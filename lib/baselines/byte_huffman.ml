@@ -5,15 +5,10 @@ module Bit_reader = Ccomp_bitio.Bit_reader
 module Obs = Ccomp_obs.Obs
 
 (* Observability (guarded, never alters coded bits): the per-block
-   family ([Blocks.metrics]) for the byte-Huffman baseline, plus the
-   bit-I/O refill/flush counts of its coding loops. *)
+   family ([Blocks.metrics]) for the byte-Huffman baseline. *)
 let m_compress = Ccomp_par.Blocks.metrics "huffman.compress"
 
 let m_decompress = Ccomp_par.Blocks.metrics "huffman.decompress"
-
-let m_reader_refills = Obs.Counter.make "bitio.reader.refills"
-
-let m_writer_flushes = Obs.Counter.make "bitio.writer.flushes"
 
 type compressed = {
   code : Huffman.code;
@@ -45,7 +40,6 @@ let compress ?(block_size = 32) ?jobs input =
         for i = start to start + block_length t b - 1 do
           Huffman.encode_symbol code w (Char.code input.[i])
         done;
-        if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
         Bit_writer.contents w)
   in
   { t with blocks }
@@ -54,13 +48,10 @@ let block_decoder t =
   let r = Bit_reader.create "" in
   fun b out pos ->
     let len = block_length t b in
-    let refills0 = Bit_reader.refills r in
     Bit_reader.reset r t.blocks.(b);
     for i = pos to pos + len - 1 do
       Bytes.set out i (Char.chr (Huffman.decode_symbol t.code r))
     done;
-    if Obs.metrics_enabled () then
-      Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0);
     len
 
 let decompress_block t b =

@@ -10,14 +10,7 @@ type t = {
   mutable acc : int; (* buffered bits, right-aligned *)
   mutable navail : int; (* number of buffered bits, < Sys.int_size *)
   mutable next_byte : int; (* next byte of [data] to stage *)
-  mutable refills : int; (* accumulator refills that staged data *)
 }
-
-(* Constant-folded guard on the refill accounting: flip to [false] to
-   compile the counter out of the hot loop entirely. The observability
-   layer reads the per-instance count once per decoded block, so the
-   on-cost is a single in-cache increment per ~56 staged bits. *)
-let count_refills = true
 
 (* Width bounds are real argument checks, not asserts: a width of 63
    or 64 would feed [lsl]/[lsr] shift amounts at or past [Sys.int_size],
@@ -40,7 +33,6 @@ let create ?(start_bit = 0) data =
       acc = 0;
       navail = 0;
       next_byte = (start_bit + 7) / 8;
-      refills = 0;
     }
   in
   (* An unaligned start leaves a partial byte: its low bits are the
@@ -54,9 +46,7 @@ let create ?(start_bit = 0) data =
 
 (* Rebind an existing reader to new data from bit 0 — the per-domain
    scratch path of the parallel pipeline decodes one block after another
-   through a single reader record instead of allocating one per block.
-   The refill count deliberately carries across blocks: the reader's
-   lifetime total is what the bitio.reader.refills metric reports. *)
+   through a single reader record instead of allocating one per block. *)
 let reset r data =
   r.data <- data;
   r.len_bits <- 8 * String.length data;
@@ -72,8 +62,6 @@ let overrun r = if r.pos > r.len_bits then r.pos - r.len_bits else 0
 (* Stage whole bytes while at least one more fits below the int width. *)
 let refill r =
   let len = String.length r.data in
-  if count_refills && r.navail <= Sys.int_size - 9 && r.next_byte < len then
-    r.refills <- r.refills + 1;
   while r.navail <= Sys.int_size - 9 && r.next_byte < len do
     r.acc <- (r.acc lsl 8) lor Char.code (String.unsafe_get r.data r.next_byte);
     r.navail <- r.navail + 8;
@@ -143,4 +131,3 @@ let align_byte r =
 
 let remaining_bits r = if r.pos >= r.len_bits then 0 else r.len_bits - r.pos
 
-let refills r = r.refills

@@ -18,9 +18,7 @@ val create : ?start_bit:int -> string -> t
 
 val reset : t -> string -> unit
 (** [reset r data] rebinds [r] to read [data] from bit 0, reusing the
-    record — the per-domain scratch path of the parallel block pipeline.
-    The cumulative {!refills} count is retained (it is a lifetime
-    metric), everything else restarts. *)
+    record — the per-domain scratch path of the parallel block pipeline. *)
 
 val pos : t -> int
 (** Bit position of the next bit to be read. *)
@@ -61,9 +59,3 @@ val align_byte : t -> unit
 
 val remaining_bits : t -> int
 (** Bits left before the end of data (0 when exhausted). *)
-
-val refills : t -> int
-(** Number of accumulator refills that staged data so far — the reader's
-    contribution to the [bitio.reader.refills] metric. Costs one
-    in-cache increment per refill; compile-time-guardable via
-    [count_refills] in the implementation. *)

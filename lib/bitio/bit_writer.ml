@@ -3,12 +3,9 @@
    instead of per bit. [acc] holds the pending [nacc] bits right-aligned
    (MSB-first stream order); [nacc] may exceed 8 between flushes. *)
 
-type t = { buf : Buffer.t; mutable acc : int; mutable nacc : int; mutable flushes : int }
+type t = { buf : Buffer.t; mutable acc : int; mutable nacc : int }
 
-(* Constant-folded guard on flush accounting; see Bit_reader.count_refills. *)
-let count_flushes = true
-
-let create () = { buf = Buffer.create 256; acc = 0; nacc = 0; flushes = 0 }
+let create () = { buf = Buffer.create 256; acc = 0; nacc = 0 }
 
 let bit_length w = (8 * Buffer.length w.buf) + w.nacc
 
@@ -16,7 +13,6 @@ let byte_length w = Buffer.length w.buf + ((w.nacc + 7) / 8)
 
 (* Move all whole bytes from the accumulator into the buffer. *)
 let flush_bytes w =
-  if count_flushes && w.nacc >= 8 then w.flushes <- w.flushes + 1;
   while w.nacc >= 8 do
     w.nacc <- w.nacc - 8;
     Buffer.add_char w.buf (Char.unsafe_chr ((w.acc lsr w.nacc) land 0xff))
@@ -67,7 +63,4 @@ let contents w =
 let reset w =
   Buffer.clear w.buf;
   w.acc <- 0;
-  w.nacc <- 0;
-  w.flushes <- 0
-
-let flushes w = w.flushes
+  w.nacc <- 0

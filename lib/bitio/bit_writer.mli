@@ -40,9 +40,4 @@ val contents : t -> string
 (** Byte contents; the final partial byte, if any, is zero-padded. *)
 
 val reset : t -> unit
-(** Empties the writer for reuse (also zeroes the flush count). *)
-
-val flushes : t -> int
-(** Number of accumulator-to-buffer flushes that moved data so far — the
-    writer's contribution to the [bitio.writer.flushes] metric.
-    Compile-time-guardable via [count_flushes] in the implementation. *)
+(** Empties the writer for reuse. *)

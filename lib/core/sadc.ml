@@ -6,20 +6,11 @@ module Obs = Ccomp_obs.Obs
 
 (* Observability, shared by every ISA instantiation (the fuzz campaign
    runs several in one process): the per-block family
-   ([Blocks.metrics]), dictionary shape, and the bit-I/O refill/flush
-   counts of the Huffman coding layer. Guarded by [Obs.metrics_enabled];
-   never alters coded bits. *)
+   ([Blocks.metrics]). Guarded by [Obs.metrics_enabled]; never alters
+   coded bits. *)
 let m_compress = Ccomp_par.Blocks.metrics "sadc.compress"
 
 let m_decompress = Ccomp_par.Blocks.metrics "sadc.decompress"
-
-let m_reader_refills = Obs.Counter.make "bitio.reader.refills"
-
-let m_writer_flushes = Obs.Counter.make "bitio.writer.flushes"
-
-let g_dict_entries = Obs.Gauge.make "sadc.dict.entries"
-
-let g_dict_rounds = Obs.Gauge.make "sadc.dict.rounds"
 
 type config = { block_size : int; max_entries : int; max_rounds : int }
 
@@ -1345,7 +1336,6 @@ module Make (I : Sadc_isa.S) = struct
       | Some code -> Huffman.encode_symbol code w (x lsr alpha_bits)
       | None -> assert false
     done;
-    if Obs.metrics_enabled () then Obs.Counter.add m_writer_flushes (Bit_writer.flushes w);
     Bit_writer.contents w
 
   let compress_image ?jobs config image =
@@ -1372,10 +1362,6 @@ module Make (I : Sadc_isa.S) = struct
     let elems, eoff = coded_elements bld dict in
     let nblocks = Array.length bld.blen in
     let token_code, chunk_codes, by_alpha = build_codes dict elems eoff.(nblocks) in
-    if Obs.metrics_enabled () then begin
-      Obs.Gauge.set g_dict_entries (float_of_int (Array.length dict));
-      Obs.Gauge.set g_dict_rounds (float_of_int rounds)
-    end;
     let sizes =
       Array.init nblocks (fun b -> prog.boff.(bld.seg.(b + 1)) - prog.boff.(bld.seg.(b)))
     in
@@ -1398,7 +1384,6 @@ module Make (I : Sadc_isa.S) = struct
      reader; [decompress_block] wraps it with a fresh one. *)
   let decompress_block_with r c b =
     let payload = c.blocks.(b) and original = c.sizes.(b) in
-    let refills0 = Bit_reader.refills r in
     Bit_reader.reset r payload;
     let decode_chunks s =
       List.fold_left
@@ -1443,8 +1428,6 @@ module Make (I : Sadc_isa.S) = struct
         e.prims
     done;
     if !produced <> original then failwith "Sadc.decompress_block: length mismatch";
-    if Obs.metrics_enabled () then
-      Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0);
     List.rev !out
 
   let decompress_block c b = decompress_block_with (Bit_reader.create "") c b
@@ -1493,7 +1476,6 @@ module Make (I : Sadc_isa.S) = struct
     in
     fun b out pos ->
       let original = c.sizes.(b) in
-      let refills0 = Bit_reader.refills r in
       Bit_reader.reset r c.blocks.(b);
       let produced = ref 0 in
       let steps = ref 0 in
@@ -1513,8 +1495,6 @@ module Make (I : Sadc_isa.S) = struct
           produced := !produced + I.read_into ~symbol:prim.sym ~next out (pos + !produced)
         done
       done;
-      if Obs.metrics_enabled () then
-        Obs.Counter.add m_reader_refills (Bit_reader.refills r - refills0);
       !produced
 
   let decompress ?jobs c =

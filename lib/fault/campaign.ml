@@ -4,25 +4,7 @@ module Image = Ccomp_image.Image
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 
-(* Campaign outcomes as metrics: one counter per disposition, summed
-   across codecs, so a fuzz run's `--metrics` dump shows
-   injections/detections/escapes next to the codec-level telemetry. *)
-let m_trials = Obs.Counter.make "fault.trials"
-
-let m_injected = Obs.Counter.make "fault.injected"
-
-let m_detected = Obs.Counter.make "fault.detected"
-
-let m_recovered = Obs.Counter.make "fault.recovered"
-
-let m_miscompared = Obs.Counter.make "fault.miscompared"
-
 type outcome = Detected | Miscompared | Recovered
-
-let outcome_name = function
-  | Detected -> "detected"
-  | Miscompared -> "miscompared"
-  | Recovered -> "recovered"
 
 type codec = {
   name : string;
@@ -83,13 +65,6 @@ let run ?(faults_per_trial = 1) ?kinds ?(jobs = 1) ~seed ~trials codec =
       | Recovered -> incr recovered
       | Miscompared -> incr miscompared)
     outcomes;
-  if Obs.metrics_enabled () then begin
-    Obs.Counter.add m_trials trials;
-    Obs.Counter.add m_injected (trials * faults_per_trial);
-    Obs.Counter.add m_detected !detected;
-    Obs.Counter.add m_recovered !recovered;
-    Obs.Counter.add m_miscompared !miscompared
-  end;
   Events.info
     ~fields:
       [

@@ -1,5 +1,9 @@
 (** Fault-injection campaigns over compressed codecs.
 
+    Consumers: [ccomp fuzz] (the [bin/dune] fuzz smoke rule, E13) and
+    [test_fault]. The outcome counts live in the {!report} that
+    [ccomp fuzz] prints; they are not also metrics.
+
     Each trial damages a pristine encoding with the {!Injector}, runs the
     codec's decoder wrapped in {!Ccomp_util.Decode_error.protect}, and
     books one of three outcomes:
@@ -17,8 +21,6 @@
     abort the campaign. *)
 
 type outcome = Detected | Miscompared | Recovered
-
-val outcome_name : outcome -> string
 
 type codec = {
   name : string;

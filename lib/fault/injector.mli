@@ -1,5 +1,8 @@
 (** Deterministic storage-fault injection.
 
+    Consumers: {!Campaign} ([ccomp fuzz], E13), {!Target}, and
+    [test_fault].
+
     Models the ways a compressed ROM image goes bad: single-bit rot (the
     dominant flash/mask-ROM failure mode), whole-byte corruption, a short
     read (truncation), and a controller-level re-read (duplication).
@@ -24,17 +27,6 @@ val random_bit_flip : ?range:int * int -> Ccomp_util.Prng.t -> string -> fault
 (** [range = (offset, length)] restricts the damage to that span — used to
     aim at one SECF section. Default: the whole string. *)
 
-val random_byte_set : ?range:int * int -> Ccomp_util.Prng.t -> string -> fault
-
-val random_truncate : ?range:int * int -> Ccomp_util.Prng.t -> string -> fault
-
-val random_duplicate : ?range:int * int -> Ccomp_util.Prng.t -> string -> fault
-
-val random_fault :
-  ?range:int * int -> ?kinds:kind array -> Ccomp_util.Prng.t -> string -> fault
-(** Draw a fault of a uniformly chosen kind (default: bit flips only —
-    the acceptance fault model). *)
-
 val inject :
   ?range:int * int ->
   ?kinds:kind array ->
@@ -43,5 +35,7 @@ val inject :
   string ->
   string * fault list
 (** Apply [count] random faults in sequence (each drawn against the
-    current, possibly already-damaged string); returns the damaged string
-    and the faults in application order. *)
+    current, possibly already-damaged string) and return the damaged
+    string and the faults in application order. Each fault's kind is
+    drawn uniformly from [kinds] (default: bit flips only, the
+    acceptance fault model). *)

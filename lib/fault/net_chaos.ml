@@ -1,20 +1,8 @@
 module Prng = Ccomp_util.Prng
-module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module Serve = Ccomp_serve.Serve
 module Samc = Ccomp_core.Samc
 module Image = Ccomp_image.Image
-
-(* Chaos-side telemetry: what the harness observed the daemon doing,
-   so a chaos run's --metrics dump reads next to the daemon's own
-   serve.* counters. *)
-let m_attacks = Obs.Counter.make "chaos.attacks"
-
-let m_mismatched = Obs.Counter.make "chaos.mismatched"
-
-let m_shed_seen = Obs.Counter.make "chaos.shed_replies"
-
-let m_deadline_seen = Obs.Counter.make "chaos.deadline_replies"
 
 type config = {
   host : string;
@@ -26,18 +14,6 @@ type config = {
   timeout_s : float;
   crash_workers : bool;
 }
-
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 7070;
-    seed = 1;
-    rounds = 3;
-    flood = 0;
-    stall_s = 0.0;
-    timeout_s = 5.0;
-    crash_workers = false;
-  }
 
 type report = {
   seed : int;
@@ -216,17 +192,14 @@ let valid_job cfg g c =
   match Serve.submit ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port req with
   | Error _ -> c.c_transport <- c.c_transport + 1
   | Ok (Serve.Overloaded _) ->
-    c.c_shed <- c.c_shed + 1;
-    Obs.Counter.incr m_shed_seen
+    c.c_shed <- c.c_shed + 1
   | Ok (Serve.Deadline_expired _) ->
-    c.c_deadline <- c.c_deadline + 1;
-    Obs.Counter.incr m_deadline_seen
+    c.c_deadline <- c.c_deadline + 1
   | Ok served ->
     let oracle = Serve.handle_request ~jobs:1 req in
     if served = oracle then c.c_identical <- c.c_identical + 1
     else begin
       c.c_mismatched <- c.c_mismatched + 1;
-      Obs.Counter.incr m_mismatched;
       Events.error
         ~fields:[ ("seed", string_of_int cfg.seed); ("algo", if algo = Serve.Samc then "samc" else "sadc") ]
         "chaos.mismatch"
@@ -313,11 +286,9 @@ let deadline_probe cfg g c =
   with
   | Error _ -> c.c_transport <- c.c_transport + 1
   | Ok (Serve.Deadline_expired _) ->
-    c.c_deadline <- c.c_deadline + 1;
-    Obs.Counter.incr m_deadline_seen
+    c.c_deadline <- c.c_deadline + 1
   | Ok (Serve.Overloaded _) ->
-    c.c_shed <- c.c_shed + 1;
-    Obs.Counter.incr m_shed_seen
+    c.c_shed <- c.c_shed + 1
   | Ok _ -> ()
 
 (* Hold [flood] silent connections open (each takes one of the
@@ -335,8 +306,7 @@ let overload_flood cfg _g c =
     for _ = 1 to probes do
       match Serve.submit ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port Serve.Ping with
       | Ok (Serve.Overloaded _) ->
-        c.c_shed <- c.c_shed + 1;
-        Obs.Counter.incr m_shed_seen
+        c.c_shed <- c.c_shed + 1
       | Ok _ -> ()
       | Error _ -> c.c_transport <- c.c_transport + 1
     done;
@@ -374,14 +344,12 @@ let keepalive_jobs cfg g c =
            c.c_transport <- c.c_transport + 1;
            raise Exit
          | Ok (Serve.Overloaded _) ->
-           c.c_shed <- c.c_shed + 1;
-           Obs.Counter.incr m_shed_seen
+           c.c_shed <- c.c_shed + 1
          | Ok served ->
            if served = Serve.handle_request ~jobs:1 req then
              c.c_identical <- c.c_identical + 1
            else begin
              c.c_mismatched <- c.c_mismatched + 1;
-             Obs.Counter.incr m_mismatched;
              Events.error
                ~fields:[ ("seed", string_of_int cfg.seed); ("conn", "keepalive") ]
                "chaos.mismatch"
@@ -570,7 +538,6 @@ let run cfg =
     for _round = 1 to cfg.rounds do
       for _ = 1 to 8 do
         let attack = Prng.weighted g attacks in
-        Obs.Counter.incr m_attacks;
         attack cfg g c
       done;
       overload_flood cfg g c;

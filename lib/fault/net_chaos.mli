@@ -1,5 +1,9 @@
 (** Socket-level chaos against a live [ccomp serve] daemon.
 
+    Consumers: [ccomp chaos] ([tools/chaos_check.sh], E18) and
+    [test_fault]. What it observes lives in the {!report} that
+    [ccomp chaos] prints; it registers no metrics.
+
     Where {!Campaign} damages stored images, this harness damages the
     {e transport}: it replays, deterministically from one seed, the
     ways a network peer goes bad — slowloris writers that drip one
@@ -22,8 +26,7 @@
     decompression bomb ({!decompression_bomb}) must be refused with a
     typed [Failed] naming the length overflow.
 
-    The contract it checks is the ISSUE-6 acceptance criterion: the
-    daemon {e never} deadlocks or dies; every job that completes is
+    The contract it checks: the daemon {e never} deadlocks or dies; every job that completes is
     byte-identical to the local oracle ({!Ccomp_serve.Serve.handle_request},
     the daemon's own dispatch); overload produces {e typed}
     [Overloaded] replies rather than stalls; expired deadlines produce
@@ -51,10 +54,6 @@ type config = {
       (** send the crash-worker opcode — requires a daemon started
           with [--unsafe-crash-op] *)
 }
-
-val default_config : config
-(** [127.0.0.1:7070], seed 1, 3 rounds, no flood, no stall, 5 s
-    timeouts, no crash ops. *)
 
 type report = {
   seed : int;

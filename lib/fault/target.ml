@@ -1,25 +1,6 @@
 module Image = Ccomp_image.Image
 
-let span image section =
-  List.assoc_opt section (Image.sections image)
-
-let sections_of_name image name =
-  List.filter_map
-    (fun (sec, range) ->
-      let n = Image.section_name sec in
-      if n = name || (name = "blocks" && String.length n >= 5 && String.sub n 0 5 = "block")
-      then Some (sec, range)
-      else None)
-    (Image.sections image)
-
 let corrupt_section ?kinds ~count g image section encoded =
-  match span image section with
+  match List.assoc_opt section (Image.sections image) with
   | None -> (encoded, [])
   | Some range -> Injector.inject ~range ?kinds ~count g encoded
-
-let corrupt_random_block ?kinds ~count g image encoded =
-  let n = Image.block_count image in
-  if n = 0 then (encoded, [])
-  else
-    let b = Ccomp_util.Prng.int g n in
-    corrupt_section ?kinds ~count g image (Image.Sec_block b) encoded

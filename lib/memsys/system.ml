@@ -1,34 +1,13 @@
 module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 
-(* Observability for the refill engine — the paper's Fig. 1 cost model
-   made measurable: per-miss penalty and decompression-overhead
-   histograms (in model cycles), refill/CLB/decode-cache counters and
-   the fault-response tallies. Guarded by [Obs.metrics_enabled]; the
-   simulation itself is identical with metrics on or off. *)
-let m_fetches = Obs.Counter.make "memsys.fetches"
-
-let m_refills = Obs.Counter.make "memsys.refills"
-
-let m_clb_misses = Obs.Counter.make "memsys.clb_misses"
-
-let m_miss_penalty = Obs.Histogram.make "memsys.miss_penalty_cycles"
-
-let m_decode_overhead = Obs.Histogram.make "memsys.decode_overhead_cycles"
-
+(* Observability for the refill engine: the decode-cache hit and miss
+   counts, which [ccomp top] turns into a windowed hit ratio. Guarded by
+   [Obs.metrics_enabled]; the simulation itself is identical with
+   metrics on or off. Every other figure is a field of {!stats}. *)
 let m_dc_hits = Obs.Counter.make "memsys.decode_cache.hits"
 
 let m_dc_misses = Obs.Counter.make "memsys.decode_cache.misses"
-
-let m_faults = Obs.Counter.make "memsys.faults.injected"
-
-let m_fault_retries = Obs.Counter.make "memsys.faults.retries"
-
-let m_fault_traps = Obs.Counter.make "memsys.faults.traps"
-
-let m_fault_stale = Obs.Counter.make "memsys.faults.stale_lines"
-
-let m_fault_undetected = Obs.Counter.make "memsys.faults.undetected"
 
 type decompressor = { name : string; startup_cycles : int; cycles_per_byte : float }
 
@@ -100,7 +79,6 @@ type result = {
 
 let run config ?lat ~trace () =
   Obs.with_span ~cat:"memsys" "memsys.run" @@ fun () ->
-  let instrument = Obs.metrics_enabled () in
   let cache = Cache.create config.cache in
   let clb = if config.clb_entries > 0 then Some (Clb.create ~entries:config.clb_entries) else None in
   (match (config.decompressor, lat) with
@@ -225,13 +203,6 @@ let run config ?lat ~trace () =
               lat_cost + config.memory_latency + transfer compressed + decompress
             end
         in
-        (* The decompression overhead this miss paid on top of what an
-           uncompressed refill of the same line would cost — Fig. 1's
-           per-miss price of running code compressed. *)
-        if instrument && config.decompressor <> None && not !served_decoded then
-          Obs.Histogram.observe m_decode_overhead
-            (float_of_int
-               (penalty - (config.memory_latency + transfer config.cache.Cache.block_size)));
         let penalty =
           (* decode-cached refills never run the decompressor, so they
              cannot take a decode fault *)
@@ -241,29 +212,15 @@ let run config ?lat ~trace () =
             penalty + fault_cost f ~refill:penalty
           | _ -> penalty
         in
-        if instrument then Obs.Histogram.observe m_miss_penalty (float_of_int penalty);
         penalty_cycles := !penalty_cycles + penalty;
         cycles := !cycles + 1 + penalty
       end)
     trace;
   let fetches = Cache.accesses cache in
   let misses = Cache.misses cache in
-  if instrument then begin
-    Obs.Counter.add m_fetches fetches;
-    Obs.Counter.add m_refills misses;
-    Obs.Counter.add m_clb_misses !clb_misses;
+  if Obs.metrics_enabled () then begin
     Obs.Counter.add m_dc_hits !decode_hits;
-    Obs.Counter.add m_dc_misses !decode_misses;
-    Obs.Counter.add m_faults !faults_injected;
-    Obs.Counter.add m_fault_retries !fault_retries;
-    Obs.Counter.add m_fault_traps !fault_traps;
-    Obs.Counter.add m_fault_stale !stale_lines;
-    Obs.Counter.add m_fault_undetected !undetected_faults;
-    let h = !decode_hits and m = !decode_misses in
-    if h + m > 0 then
-      Obs.Gauge.set
-        (Obs.Gauge.make "memsys.decode_cache.hit_ratio")
-        (float_of_int h /. float_of_int (h + m))
+    Obs.Counter.add m_dc_misses !decode_misses
   end;
   {
     fetches;

@@ -22,8 +22,6 @@ let set_enabled b = Atomic.set on b
 
 let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
-let level_of_rank = function 0 -> Debug | 1 -> Info | 2 -> Warn | _ -> Error
-
 let level_to_string = function
   | Debug -> "debug"
   | Info -> "info"
@@ -38,8 +36,6 @@ let level_of_string = function
   | _ -> None
 
 let min_level = Atomic.make (level_rank Debug)
-
-let level () = level_of_rank (Atomic.get min_level)
 
 let set_level l = Atomic.set min_level (level_rank l)
 
@@ -72,8 +68,6 @@ let sink_bytes = ref 0
 let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-
-let capacity () = locked (fun () -> Array.length !ring)
 
 let tail_locked n =
   let cap = Array.length !ring in

@@ -1,15 +1,19 @@
 (** Leveled, structured event log: a bounded in-process ring of
     timestamped events plus an optional JSON-lines file sink.
 
+    Consumers: the daemon's [/events] endpoint ([tools/serve_check.sh]
+    step 4, [ccomp top]'s event tail), the CLI's [--events FILE] sink,
+    and [test_events].
+
     Like the metrics registry, the log is off by default and every
     emission site costs one atomic load when disabled. Enabling it never
     changes any codec output — events only observe.
 
     Producers call {!debug}/{!info}/{!warn}/{!error} with an event name
     and optional [(key, value)] fields. Events below the configured
-    {!level} are dropped; the rest land in a bounded ring (oldest
-    overwritten first) and, when a sink is set, are appended to the sink
-    file as one JSON object per line.
+    level ({!set_level}) are dropped; the rest land in a bounded ring
+    (oldest overwritten first) and, when a sink is set, are appended to
+    the sink file as one JSON object per line.
 
     Threading: emission and tail reads are safe from any domain. *)
 
@@ -26,22 +30,16 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
-val level : unit -> level
-(** Minimum level recorded; defaults to [Debug]. *)
-
 val set_level : level -> unit
+(** Minimum level recorded; defaults to [Debug]. *)
 
 val level_to_string : level -> string
 
 val level_of_string : string -> level option
 
-val capacity : unit -> int
-
 val set_capacity : int -> unit
 (** Resize the ring (default 1024, minimum 1), keeping the newest
     events that fit. *)
-
-val emit : ?fields:(string * string) list -> level -> string -> unit
 
 val debug : ?fields:(string * string) list -> string -> unit
 
@@ -52,11 +50,11 @@ val warn : ?fields:(string * string) list -> string -> unit
 val error : ?fields:(string * string) list -> string -> unit
 
 val tail : ?min_level:level -> int -> event list
-(** [tail n]: the most recent [min n (capacity ())] retained events,
-    oldest first. [min_level] keeps only events at or above that level
-    {e before} taking the newest [n] — so [tail ~min_level:Warn 5] is
-    the last five warnings/errors in the ring, however much debug
-    chatter arrived in between. *)
+(** [tail n]: the most recent [n] retained events (at most the ring's
+    capacity), oldest first. [min_level] keeps only events at or above
+    that level {e before} taking the newest [n] — so
+    [tail ~min_level:Warn 5] is the last five warnings/errors in the
+    ring, however much debug chatter arrived in between. *)
 
 val total : unit -> int
 (** Events recorded since the last {!clear} — including those the ring

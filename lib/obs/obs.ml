@@ -94,8 +94,6 @@ module Counter = struct
   let incr c = add c 1
 
   let value c = Atomic.get c.c_value
-
-  let name c = c.c_name
 end
 
 module Gauge = struct
@@ -114,8 +112,6 @@ module Gauge = struct
     Atomic.set g.g_touched true
 
   let value g = Atomic.get g.g_value
-
-  let name g = g.g_name
 end
 
 module Histogram = struct
@@ -210,7 +206,8 @@ module Histogram = struct
      bucket [i + 1]. *)
   let bucket_upper i = Float.pow 2.0 (float_of_int (i + 1 - zero_bucket) /. float_of_int sub)
 
-  let cumulative_buckets_unlocked h =
+  (* caller holds [h]'s lock *)
+  let cumulative_buckets h =
     let acc = ref [] in
     let cum = ref 0 in
     for i = 0 to n_buckets - 1 do
@@ -222,8 +219,6 @@ module Histogram = struct
     done;
     List.rev ((infinity, h.h_count) :: !acc)
 
-  let cumulative_buckets h = with_lock h (fun () -> cumulative_buckets_unlocked h)
-
   (* One consistent view for exporters: buckets, sum and count all come
      from the same critical section, so an exposition built from an
      [export] can never pair a stale count with fresher buckets. *)
@@ -231,7 +226,7 @@ module Histogram = struct
 
   let export h =
     with_lock h (fun () ->
-        { ex_count = h.h_count; ex_sum = h.h_sum; ex_buckets = cumulative_buckets_unlocked h })
+        { ex_count = h.h_count; ex_sum = h.h_sum; ex_buckets = cumulative_buckets h })
 
   (* Forget every observation but keep the registration — what a
      multi-iteration harness (loadgen --ramp) needs between probes so an
@@ -243,8 +238,6 @@ module Histogram = struct
         h.h_min <- infinity;
         h.h_max <- neg_infinity;
         Array.fill h.h_buckets 0 n_buckets 0)
-
-  let name h = h.h_name
 end
 
 type metric_kind = Counter_kind | Gauge_kind | Histogram_kind

@@ -1,5 +1,10 @@
 (** Unified observability: process-wide metrics registry + span tracing.
 
+    Consumers: the CLI's [--metrics]/[--trace] files
+    ([tools/obs_check.sh]), [ccomp stats], the daemon's [/metrics] and
+    [/snapshot], [ccomp top], perfbench's traced runs, and [test_obs],
+    whose inventory names the reader of every registered metric.
+
     Counters, gauges and log-scale histograms live in one global,
     Domain-safe registry keyed by name ([make] is get-or-create, so two
     modules declaring the same name share the metric). Span tracing
@@ -44,8 +49,6 @@ module Counter : sig
       [Invalid_argument]. *)
 
   val value : t -> int
-
-  val name : t -> string
 end
 
 module Gauge : sig
@@ -56,8 +59,6 @@ module Gauge : sig
   val set : t -> float -> unit
 
   val value : t -> float
-
-  val name : t -> string
 end
 
 module Histogram : sig
@@ -82,18 +83,14 @@ module Histogram : sig
   (** [percentile h q] for [q] in \[0, 100\]: nearest-rank estimate,
       clamped into \[min, max\] (0 for an empty histogram). *)
 
-  val cumulative_buckets : t -> (float * int) list
-  (** The non-empty log-scale buckets as [(upper_bound,
-      cumulative_count)] pairs in increasing bound order, always ending
-      with [(infinity, count)] — the shape an OpenMetrics histogram
-      exposition needs. Cumulative counts are non-decreasing. *)
-
   type export = { ex_count : int; ex_sum : float; ex_buckets : (float * int) list }
-  (** One histogram read under one lock acquisition: [ex_buckets] is
-      {!cumulative_buckets} and its final [(infinity, n)] entry always
-      equals [ex_count]. Exporters must use this rather than separate
-      [count]/[sum]/[cumulative_buckets] calls — with other domains
-      observing concurrently, three separate reads can disagree. *)
+  (** One histogram read under one lock acquisition. [ex_buckets] holds
+      the non-empty log-scale buckets as [(upper_bound,
+      cumulative_count)] pairs in increasing bound order, always ending
+      with [(infinity, ex_count)] — the shape an OpenMetrics histogram
+      exposition needs. Exporters must use this rather than separate
+      [count]/[sum] calls — with other domains observing concurrently,
+      separate reads can disagree. *)
 
   val export : t -> export
 
@@ -101,8 +98,6 @@ module Histogram : sig
   (** Zero this one histogram (count, sum, min/max, buckets), keeping
       its registration. For multi-iteration harnesses that reuse a
       histogram between probes. *)
-
-  val name : t -> string
 end
 
 type metric_kind = Counter_kind | Gauge_kind | Histogram_kind

@@ -114,35 +114,14 @@ let gauge_family emitted b name v =
   family emitted b fam "gauge" [ (fam, [], fmt_value v) ]
 
 let histogram_family emitted b name ~buckets ~sum ~count =
+  (* [buckets] is an [Obs.Histogram.export]: cumulative, ending at
+     [(infinity, count)] *)
   let fam = sanitize_metric_name name in
-  (* cumulative counts must be non-decreasing and end at the total *)
-  let buckets =
-    match List.rev buckets with
-    | (bound, _) :: _ when bound = infinity -> buckets
-    | _ -> buckets @ [ (infinity, count) ]
-  in
   family emitted b fam "histogram"
     (List.map
        (fun (le, c) -> (fam ^ "_bucket", [ ("le", fmt_le le) ], string_of_int c))
        buckets
     @ [ (fam ^ "_sum", [], fmt_value sum); (fam ^ "_count", [], string_of_int count) ])
-
-let render_snapshot ?buckets (snap : Obs.snapshot) =
-  let b = Buffer.create 2048 in
-  let emitted = Hashtbl.create 64 in
-  List.iter (fun (name, v) -> counter_family emitted b name (float_of_int v)) snap.Obs.counters;
-  List.iter (fun (name, v) -> gauge_family emitted b name v) snap.Obs.gauges;
-  List.iter
-    (fun (h : Obs.histogram_stats) ->
-      let bs =
-        match buckets with
-        | Some f -> f h.Obs.hs_name
-        | None -> [ (infinity, h.Obs.hs_count) ]
-      in
-      histogram_family emitted b h.Obs.hs_name ~buckets:bs ~sum:h.Obs.hs_sum ~count:h.Obs.hs_count)
-    snap.Obs.histograms;
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
 
 let render () =
   let b = Buffer.create 4096 in

@@ -1,6 +1,10 @@
 (** Prometheus/OpenMetrics text exposition of the metrics registry —
     what a scrape of [ccomp serve]'s [/metrics] endpoint returns.
 
+    Consumers: [/metrics], which [tools/serve_check.sh],
+    [tools/chaos_check.sh] and [tools/runtime_check.sh] scrape, and
+    [test_openmetrics].
+
     Dotted registry names are sanitised into the OpenMetrics alphabet
     ([a-zA-Z0-9_:], no leading digit), counters gain the [_total]
     suffix, and histograms are exposed as cumulative [_bucket{le="…"}]
@@ -22,12 +26,6 @@ val escape_label_value : string -> string
 
 val counter_name : string -> string
 (** Sanitised name with exactly one [_total] suffix. *)
-
-val render_snapshot :
-  ?buckets:(string -> (float * int) list) -> Obs.snapshot -> string
-(** Render a snapshot. [buckets name] supplies the cumulative bucket
-    list for histogram [name] (as {!Obs.Histogram.cumulative_buckets});
-    when absent, histograms carry only the [+Inf] bucket. *)
 
 val set_info : string -> (string * string) list -> unit
 (** [set_info name labels] declares (or replaces) an OpenMetrics info

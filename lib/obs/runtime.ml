@@ -43,8 +43,6 @@ let c_major_cycles = Obs.Counter.make "runtime.gc.major_cycles"
 
 let g_heap_words = Obs.Gauge.make "runtime.gc.heap_words"
 
-let g_top_heap_words = Obs.Gauge.make "runtime.gc.top_heap_words"
-
 let g_space_overhead = Obs.Gauge.make "runtime.gc.space_overhead"
 
 let g_alloc_rate = Obs.Gauge.make "runtime.alloc_rate_mbps"
@@ -157,7 +155,6 @@ let sample () =
     Obs.Counter.add c_promoted_words (int_of_float d.d_promoted_words);
     Obs.Counter.add c_major_words (int_of_float d.d_major_words);
     Obs.Gauge.set g_heap_words (float_of_int cur.Gc.heap_words);
-    Obs.Gauge.set g_top_heap_words (float_of_int cur.Gc.top_heap_words);
     Obs.Gauge.set g_space_overhead (float_of_int (Gc.get ()).Gc.space_overhead);
     let dt_s = (now -. st.ds_last_us) /. 1e6 in
     if dt_s > 1e-6 then Obs.Gauge.set g_alloc_rate (alloc_mb d /. dt_s);

@@ -2,15 +2,19 @@
     delta sampling, a major-GC pause estimator fed by
     [Gc.create_alarm] end-of-cycle hooks, and allocation-rate gauges.
 
+    Consumers: the daemon's request path, whose counters
+    [tools/runtime_check.sh], [ccomp loadgen]'s [runtime.*] report
+    keys and perfbench's [serve] workload read back; [test_runtime].
+
     Registry surface (all rendered on [/metrics] via {!Openmetrics}):
 
     - counters [runtime.gc.minor_collections] / [.major_collections] /
       [.compactions] / [.minor_words] / [.promoted_words] /
       [.major_words] / [.major_cycles] — summed over every domain that
       calls {!sample};
-    - gauges [runtime.gc.heap_words] / [.top_heap_words] /
-      [.space_overhead], [runtime.alloc_rate_mbps] (MB/s allocated by
-      the most recently sampling domain over its sampling interval) and
+    - gauges [runtime.gc.heap_words] / [.space_overhead],
+      [runtime.alloc_rate_mbps] (MB/s allocated by the most recently
+      sampling domain over its sampling interval) and
       [runtime.domains] (domains that have sampled at least once);
     - histogram [runtime.gc.major_pause_us] — estimated mutator stall
       at the end of each major cycle.
@@ -37,11 +41,6 @@ type delta = {
 
 val delta_zero : delta
 
-val delta_between : Gc.stat -> Gc.stat -> delta
-(** Componentwise [b - a], clamped at zero. [d_major_words] excludes
-    promoted words, so [d_minor_words + d_major_words] is the total the
-    mutator allocated between the two readings. *)
-
 val alloc_mb : delta -> float
 (** Megabytes allocated: [(minor + major) words * word size]. *)
 
@@ -50,8 +49,11 @@ val probe : unit -> Gc.stat option
     the cheap per-stage boundary reading. *)
 
 val stage_delta : Gc.stat option -> Gc.stat option -> delta
-(** {!delta_between} over two {!probe} results; {!delta_zero} when
-    either side was taken with metrics off. *)
+(** Componentwise [b - a] of two {!probe} results, clamped at zero;
+    {!delta_zero} when either side was taken with metrics off.
+    [d_major_words] excludes promoted words, so [d_minor_words +
+    d_major_words] is the total the mutator allocated between the two
+    readings. *)
 
 val tick : unit -> unit
 (** Stamp "this domain's mutator is running now" — feeds the pause

@@ -1,7 +1,7 @@
 (* Rolling-window aggregation: one circular buffer of timestamped
    samples per series, windowed reads computed against the newest
    sample's timestamp. Pure data structure — the caller owns the clock,
-   which is what makes the rate/percentile tests deterministic. *)
+   which is what makes the rate/ratio tests deterministic. *)
 
 type series = {
   buf : (float * float) array; (* (ts, value), circular *)
@@ -54,9 +54,6 @@ let of_snapshot (snap : Obs.snapshot) =
         [ (h.Obs.hs_name ^ ".count", float_of_int h.Obs.hs_count); (h.Obs.hs_name ^ ".sum", h.Obs.hs_sum) ])
       snap.Obs.histograms
 
-let names w =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) w.series [])
-
 let find w name = Hashtbl.find_opt w.series name
 
 (* Index of the oldest sample still inside [newest_ts - window_s,
@@ -68,16 +65,6 @@ let oldest_in_window w s =
     incr i
   done;
   !i
-
-let last w name =
-  match find w name with
-  | Some s when s.count > 0 -> Some (snd (newest s))
-  | _ -> None
-
-let span w name =
-  match find w name with
-  | Some s when s.count >= 2 -> fst (newest s) -. fst (nth s (oldest_in_window w s))
-  | _ -> 0.0
 
 let windowed_ends w name =
   match find w name with
@@ -94,20 +81,6 @@ let delta w name =
 let rate w name =
   match windowed_ends w name with
   | Some ((t0, v0), (t1, v1)) when t1 > t0 -> Some (Float.max 0.0 (v1 -. v0) /. (t1 -. t0))
-  | _ -> None
-
-let percentile w name ~q =
-  match find w name with
-  | Some s when s.count > 0 ->
-    let first = oldest_in_window w s in
-    let n = s.count - first in
-    let values = Array.init n (fun i -> snd (nth s (first + i))) in
-    Array.sort compare values;
-    let rank =
-      let r = int_of_float (Float.ceil (q /. 100.0 *. float_of_int n)) in
-      if r < 1 then 1 else if r > n then n else r
-    in
-    Some values.(rank - 1)
   | _ -> None
 
 let ratio w hits misses =

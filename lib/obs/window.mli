@@ -1,17 +1,20 @@
 (** Rolling time-window aggregation over sampled metric values.
 
+    Consumer: [ccomp top] ({!Ccomp_serve.Top}), which feeds it each
+    [/snapshot] it polls and renders the windowed rates and the
+    decode-cache hit ratio; [test_window] and [test_top] drive it with a
+    fake clock.
+
     A {!t} holds one bounded ring of [(timestamp, value)] pairs per
     series name. A poller feeds it absolute (cumulative) values —
-    typically {!of_snapshot} applied to successive {!Obs.snapshot}s —
-    and reads come back as operator-grade windowed views: per-second
-    rates, deltas, moving percentiles and hit ratios over the last
+    {!of_snapshot} applied to successive {!Obs.snapshot}s — and reads
+    come back as per-second rates and hit ratios over the last
     [window_s] seconds.
 
     The clock is entirely caller-supplied ([~now], in seconds): nothing
-    here reads wall time, so tests drive it with a fake clock and the
-    dashboard drives it with [Obs.now_us () /. 1e6]. "The window" below
-    always means [\[newest - window_s, newest\]] — relative to the most
-    recent sample, not to any hidden notion of the present. *)
+    here reads wall time. "The window" below always means
+    [\[newest - window_s, newest\]] — relative to the most recent
+    sample, not to any hidden notion of the present. *)
 
 type t
 
@@ -31,29 +34,14 @@ val of_snapshot : Obs.snapshot -> (string * float) list
     gauges keep theirs, and each histogram contributes
     ["<name>.count"] and ["<name>.sum"] series. *)
 
-val names : t -> string list
-(** Every series observed so far, sorted. *)
-
-val last : t -> string -> float option
-(** Newest sampled value of the series. *)
-
-val span : t -> string -> float
-(** Seconds between the oldest and newest in-window samples of the
-    series (0 with fewer than two samples). *)
-
-val delta : t -> string -> float option
-(** Change of a cumulative series across the window: newest value minus
-    the value at the oldest in-window sample. [None] with fewer than
-    two in-window samples. Counter resets (a decrease) clamp to 0. *)
-
 val rate : t -> string -> float option
-(** {!delta} per second: the windowed rate of a cumulative series. *)
-
-val percentile : t -> string -> q:float -> float option
-(** Moving nearest-rank percentile of the sampled values in the window
-    — the windowed p50/p95/p99 of a sampled gauge or level. *)
+(** Change of a cumulative series per second across the window: the
+    newest value minus the value at the oldest in-window sample, over
+    the seconds between them. [None] with fewer than two in-window
+    samples. Counter resets (a decrease) clamp to 0. *)
 
 val ratio : t -> string -> string -> float option
 (** [ratio w hits misses]: windowed [Δhits / (Δhits + Δmisses)] — e.g.
     the decode-cache hit ratio over the last N seconds. [None] when
-    either delta is unavailable or both are 0. *)
+    either series has fewer than two in-window samples or both deltas
+    are 0. *)

@@ -18,26 +18,22 @@ module Obs = Ccomp_obs.Obs
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Pool metrics: fan-out shape (tasks, epochs, chunked queue draws,
-   queue depth seen at each draw), per-participant busy time, and the
-   pool-reuse story (domains alive vs domains ever spawned — with a
-   persistent pool, spawns stays flat while epochs grows). All guarded
-   per-dispatch, so the hot loop is untouched when metrics are off. *)
+(* Pool metrics: fan-out shape (tasks, epochs, queue depth seen at each
+   chunked draw), per-participant busy time, and the pool-reuse story
+   (with a persistent pool, spawns stays flat while epochs grows). All
+   guarded per-dispatch, so the hot loop is untouched when metrics are
+   off. *)
 let m_tasks = Obs.Counter.make "par.tasks"
 
 let m_epochs = Obs.Counter.make "par.epochs"
 
 let m_spawns = Obs.Counter.make "par.spawns"
 
-let m_draws = Obs.Counter.make "par.draws"
-
 let m_queue_depth = Obs.Histogram.make "par.queue_depth"
 
 let m_worker_busy_us = Obs.Histogram.make "par.worker_busy_us"
 
 let g_jobs = Obs.Gauge.make "par.jobs"
-
-let g_pool_domains = Obs.Gauge.make "par.pool_domains"
 
 (* A single-lock work queue: participants draw the next unclaimed index.
    Chunked draw (claim [chunk] indices at a time) keeps lock traffic
@@ -134,7 +130,6 @@ let ensure_workers n =
       pool.n_workers <- pool.n_workers + 1;
       Obs.Counter.incr m_spawns
     done;
-    Obs.Gauge.set g_pool_domains (float_of_int pool.n_workers);
     Mutex.unlock pool.lock
   end
 
@@ -158,7 +153,6 @@ let shutdown () =
   Mutex.lock pool.lock;
   pool.stopping <- false;
   Mutex.unlock pool.lock;
-  Obs.Gauge.set g_pool_domains 0.0;
   Mutex.unlock dispatch_lock
 
 (* Parked domains must be joined before the process exits. *)
@@ -243,13 +237,11 @@ let run_epoch ~jobs ~n ~local ~run =
               let i, got = draw q (Atomic.get chunk) in
               if got = 0 then continue_ := false
               else begin
-                if instrument then begin
-                  Obs.Counter.incr m_draws;
-                  (* items still unclaimed after this draw: how far from
-                     drained the queue was when this participant came
-                     back for work *)
-                  Obs.Histogram.observe m_queue_depth (float_of_int (q.limit - i - got))
-                end;
+                (* items still unclaimed after this draw: how far from
+                   drained the queue was when this participant came back
+                   for work *)
+                if instrument then
+                  Obs.Histogram.observe m_queue_depth (float_of_int (q.limit - i - got));
                 let t0 = Obs.now_us () in
                 let k = ref i in
                 let stop = i + got in

@@ -1,6 +1,10 @@
 (** Server-side request-latency stages and the "what dominates p99"
     attribution report.
 
+    Consumers: the daemon's [serve.stage.*_us] and [serve.request_us]
+    histograms ([tools/serve_check.sh] step 3), and the attribution
+    table of [ccomp stats] and [ccomp top] (step 6).
+
     The daemon stamps every binary request through four stages — queue
     (readable, not yet served by its worker), read (frame arrival +
     decode), work (the codec job) and write (reply leaving) — into per-stage
@@ -10,22 +14,13 @@
 
 type stage = Queue | Read | Work | Write
 
-val stages : stage list
-(** Wire order: queue, read, work, write. *)
-
-val stage_name : stage -> string
-
-val histogram_name : stage -> string
-(** Registry name, e.g. ["serve.stage.queue_us"]. *)
-
-val total_histogram_name : string
-(** ["serve.request_us"] — end-to-end time from readable to reply written. *)
-
 val observe : stage -> float -> unit
-(** Record a stage duration in microseconds. No-op while metrics are
-    disabled. *)
+(** Record a stage duration in microseconds into
+    [serve.stage.<stage>_us]. No-op while metrics are disabled. *)
 
 val observe_total : float -> unit
+(** Record an end-to-end time, readable to reply written, into
+    [serve.request_us]. *)
 
 (** {1 Attribution} *)
 

@@ -1,9 +1,9 @@
 (* Open-loop, coordinated-omission-safe load generator for the daemon.
 
-   Open loop: the arrival schedule is fixed up front (seeded Poisson or
-   uniform), and a request whose slot has passed is sent immediately
-   rather than waiting its turn — a slow server cannot slow the offered
-   load down, which is exactly the failure closed-loop generators hide.
+   Open loop: the arrival schedule is fixed up front (seeded Poisson),
+   and a request whose slot has passed is sent immediately rather than
+   waiting its turn — a slow server cannot slow the offered load down,
+   which is exactly the failure closed-loop generators hide.
 
    Coordinated omission: every latency is measured from the request's
    *scheduled* send instant, not the actual one. When senders fall
@@ -18,14 +18,11 @@ module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module Prng = Ccomp_util.Prng
 
-type arrivals = Poisson | Uniform
-
 type config = {
   host : string;
   port : int;
   rate_rps : float;
   duration_s : float;
-  arrivals : arrivals;
   seed : int;
   senders : int;
   conns : int;
@@ -44,49 +41,20 @@ type config = {
   slo_deadline_rate : float option;
 }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 7070;
-    rate_rps = 50.0;
-    duration_s = 5.0;
-    arrivals = Poisson;
-    seed = 42;
-    senders = 4;
-    conns = 0;
-    conn_reuse = true;
-    payload_bytes = 4096;
-    algo = Serve.Samc;
-    isa = Serve.Mips;
-    block_size = 32;
-    deadline_ms = 0;
-    timeout_s = 10.0;
-    mix_compress = 1;
-    mix_decompress = 1;
-    mix_ping = 2;
-    slo_p99_ms = None;
-    slo_shed_rate = None;
-    slo_deadline_rate = None;
-  }
-
 (* The whole schedule as offsets (seconds) from the run's start instant.
    Seeded, so the same config replays the same arrival process. *)
-let schedule ~arrivals ~rate_rps ~duration_s ~seed =
+let schedule ~rate_rps ~duration_s ~seed =
   if rate_rps <= 0.0 || duration_s <= 0.0 then [||]
-  else
-    match arrivals with
-    | Uniform ->
-      let n = int_of_float (rate_rps *. duration_s) in
-      Array.init n (fun i -> float_of_int i /. rate_rps)
-    | Poisson ->
-      let g = Prng.create (Int64.of_int seed) in
-      let acc = ref [] and t = ref 0.0 and stop = ref false in
-      while not !stop do
-        (* exponential inter-arrival; 1 - u > 0 because u is in [0,1) *)
-        t := !t +. (-.log (1.0 -. Prng.float g) /. rate_rps);
-        if !t < duration_s then acc := !t :: !acc else stop := true
-      done;
-      Array.of_list (List.rev !acc)
+  else begin
+    let g = Prng.create (Int64.of_int seed) in
+    let acc = ref [] and t = ref 0.0 and stop = ref false in
+    while not !stop do
+      (* exponential inter-arrival; 1 - u > 0 because u is in [0,1) *)
+      t := !t +. (-.log (1.0 -. Prng.float g) /. rate_rps);
+      if !t < duration_s then acc := !t :: !acc else stop := true
+    done;
+    Array.of_list (List.rev !acc)
+  end
 
 (* --- per-request accounting --------------------------------------------- *)
 
@@ -280,13 +248,6 @@ let runtime_keys ~before ~after r =
 
 (* --- the run ------------------------------------------------------------- *)
 
-let arrivals_to_string = function Poisson -> "poisson" | Uniform -> "uniform"
-
-let arrivals_of_string = function
-  | "poisson" -> Some Poisson
-  | "uniform" -> Some Uniform
-  | _ -> None
-
 let run cfg =
   match Serve.http_get ~timeout_s:cfg.timeout_s ~host:cfg.host ~port:cfg.port "/healthz" with
   | Error e -> Error (Printf.sprintf "daemon not reachable at %s:%d: %s" cfg.host cfg.port e)
@@ -300,10 +261,7 @@ let run cfg =
     Obs.Histogram.reset h_service;
     Obs.Histogram.reset h_network;
     Obs.Histogram.reset h_connect;
-    let sched =
-      schedule ~arrivals:cfg.arrivals ~rate_rps:cfg.rate_rps ~duration_s:cfg.duration_s
-        ~seed:cfg.seed
-    in
+    let sched = schedule ~rate_rps:cfg.rate_rps ~duration_s:cfg.duration_s ~seed:cfg.seed in
     let n = Array.length sched in
     if n = 0 then Error "empty schedule: rate * duration yields no requests"
     else if cfg.mix_compress + cfg.mix_decompress + cfg.mix_ping <= 0 then
@@ -485,16 +443,15 @@ let run cfg =
 (* --- ramp: binary-search the SLO knee ------------------------------------- *)
 
 (* Find the highest offered rate the daemon can carry within its
-   declared SLOs: confirm [low] passes and [high] fails, then bisect.
-   Each probe is a full open-loop run at [cfg.duration_s]; the returned
-   report is the last *passing* probe (the measurement at capacity) and
-   [capacity_rps] is its offered rate — 0 with the failing low report
-   when even [low] violates the SLO. *)
-let ramp ?(low = 25.0) ?(high = 2000.0) ?(iters = 5) ?(progress = fun _ -> ()) cfg =
+   declared SLOs: confirm 25 rps passes and 2000 rps fails, then bisect
+   five times. Each probe is a full open-loop run at [cfg.duration_s];
+   the returned report is the last *passing* probe (the measurement at
+   capacity) and [capacity_rps] is its offered rate — 0 with the failing
+   low report when even 25 rps violates the SLO. *)
+let ramp ?(progress = fun _ -> ()) cfg =
+  let low = 25.0 and high = 2000.0 and iters = 5 in
   if cfg.slo_p99_ms = None && cfg.slo_shed_rate = None && cfg.slo_deadline_rate = None then
     Error "ramp needs a declared SLO (--slo-p99-ms, --slo-shed-rate or --slo-deadline-rate)"
-  else if not (low > 0.0 && high > low) then
-    Error (Printf.sprintf "ramp bounds must satisfy 0 < low < high (got %g, %g)" low high)
   else
     let probe rate =
       match run { cfg with rate_rps = rate } with
@@ -528,8 +485,7 @@ let ramp ?(low = 25.0) ?(high = 2000.0) ?(iters = 5) ?(progress = fun _ -> ()) c
 let render cfg r =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "loadgen: %s arrivals, %.1f rps offered for %.1fs (seed %d, %d senders)"
-    (arrivals_to_string cfg.arrivals)
+  line "loadgen: poisson arrivals, %.1f rps offered for %.1fs (seed %d, %d senders)"
     r.r_offered_rps r.r_duration_s cfg.seed (max 1 cfg.senders);
   line "  sent %d: ok %d, shed %d, deadline-expired %d, failed %d, transport errors %d"
     r.r_sent r.r_ok r.r_shed r.r_deadline_expired r.r_failed r.r_transport;

@@ -1,10 +1,18 @@
 (** [ccomp loadgen]: seeded, open-loop, coordinated-omission-safe
     traffic generation against a running daemon.
 
-    Open loop: the arrival schedule (Poisson or uniform, from a seed)
-    is fixed before the first request; a late slot is sent immediately,
-    never rescheduled, so a slow server cannot throttle the offered
-    load. Coordinated-omission safety: each latency is measured from
+    Consumers: [tools/loadgen_check.sh], [tools/serve_check.sh] step 5,
+    [test_loadgen], and experiments E20–E23 ([--ramp] in E21/E22).
+    perfbench's [serve] workload is a closed loop over {!Serve.Conn}: it
+    measures what the daemon costs per operation, but not what this
+    module exists for — an open-loop schedule that a slow server cannot
+    throttle, the coordinated-omission correction that charges a stall
+    to every request it delayed, and the SLO ramp that finds the
+    highest offered rate the daemon carries within its bounds.
+
+    Open loop: the Poisson arrival schedule (from a seed) is fixed
+    before the first request; a late slot is sent immediately, never
+    rescheduled, so a slow server cannot throttle the offered load. Coordinated-omission safety: each latency is measured from
     the request's {e scheduled} send instant, so client-side queueing
     behind a stall is charged to the requests it delayed.
 
@@ -15,14 +23,11 @@
     p50/p95/p99/p99.9/max plus shed and deadline-expired rates checked
     against declared SLOs. *)
 
-type arrivals = Poisson | Uniform
-
 type config = {
   host : string;
   port : int;
   rate_rps : float;  (** offered arrival rate, requests/second *)
   duration_s : float;  (** schedule horizon *)
-  arrivals : arrivals;
   seed : int;  (** drives the schedule, payload and job mix *)
   senders : int;  (** concurrent sender domains (min 1) *)
   conns : int;
@@ -46,17 +51,11 @@ type config = {
   slo_deadline_rate : float option;
 }
 
-val default_config : config
-(** 50 rps Poisson for 5 s, seed 42, 4 senders, one reused connection
-    per sender, 4 KiB samc/mips payloads, mix 1:1:2
-    compress:decompress:ping, no deadline, no SLOs. *)
-
-val schedule :
-  arrivals:arrivals -> rate_rps:float -> duration_s:float -> seed:int -> float array
+val schedule : rate_rps:float -> duration_s:float -> seed:int -> float array
 (** Arrival offsets in seconds from the run start, strictly within
-    [[0, duration_s)]. Uniform: [i /. rate]. Poisson: cumulative
-    seeded exponential inter-arrivals. Empty when rate or duration is
-    non-positive. Deterministic in [(arrivals, rate, duration, seed)]. *)
+    [[0, duration_s)]: cumulative seeded exponential (Poisson)
+    inter-arrivals. Empty when rate or duration is non-positive.
+    Deterministic in [(rate, duration, seed)]. *)
 
 type report = {
   r_offered_rps : float;
@@ -120,22 +119,15 @@ val run : config -> (report, string) result
     histograms first, so back-to-back runs (a {!ramp}) measure only
     their own traffic. *)
 
-val ramp :
-  ?low:float ->
-  ?high:float ->
-  ?iters:int ->
-  ?progress:(string -> unit) ->
-  config ->
-  (report * float, string) result
-(** Binary-search the daemon's SLO capacity: confirm [low] (default 25
-    rps) passes and [high] (default 2000) fails, then bisect [iters]
-    (default 5) times, each probe a full {!run} at [cfg.duration_s].
-    Returns the last {e passing} report and its offered rate — the
-    highest load the daemon carried within its declared SLOs
-    ([loadgen.capacity_rps]); [(failing low report, 0.)] when even
-    [low] violates, [(high report, high)] when [high] passes.
-    [Error] when no SLO is declared, bounds are inverted, or a probe
-    could not run at all. [progress] (default silent) receives one line
+val ramp : ?progress:(string -> unit) -> config -> (report * float, string) result
+(** Binary-search the daemon's SLO capacity: confirm 25 rps passes and
+    2000 rps fails, then bisect 5 times, each probe a full {!run} at
+    [cfg.duration_s]. Returns the last {e passing} report and its
+    offered rate — the highest load the daemon carried within its
+    declared SLOs ([loadgen.capacity_rps]); [(failing 25 rps report,
+    0.)] when even 25 rps violates, [(2000 rps report, 2000.)] when
+    2000 rps passes. [Error] when no SLO is declared or a probe could
+    not run at all. [progress] (default silent) receives one line
     per probe. *)
 
 val render : config -> report -> string
@@ -152,10 +144,6 @@ val emit_json : ?extra:(string * float) list -> path:string -> report -> unit
     [loadgen.capacity_rps] from a {!ramp}) as a flat JSON object,
     one key per line, under the schema marker ["ccomp-bench-v1"];
     [tools/loadgen_check.sh] reads it. *)
-
-val arrivals_to_string : arrivals -> string
-
-val arrivals_of_string : string -> arrivals option
 
 (** Pure single-sender simulation of the measurement model, exposed for
     property tests. *)

@@ -67,23 +67,13 @@ let m_jobs_compress = Obs.Counter.make "serve.jobs.compress"
 
 let m_jobs_decompress = Obs.Counter.make "serve.jobs.decompress"
 
-let m_jobs_failed = Obs.Counter.make "serve.jobs.failed"
-
-let m_http = Obs.Counter.make "serve.http.requests"
-
-let m_bytes_in = Obs.Counter.make "serve.bytes_in"
-
 let m_bytes_out = Obs.Counter.make "serve.bytes_out"
-
-let m_job_us = Obs.Histogram.make "serve.job_us"
 
 let m_shed = Obs.Counter.make "serve.shed_total"
 
 let m_deadline_expired = Obs.Counter.make "serve.deadline_expired_total"
 
 let m_worker_restarts = Obs.Counter.make "serve.worker_restarts_total"
-
-let m_io_timeouts = Obs.Counter.make "serve.io_timeouts"
 
 let m_inflight = Obs.Gauge.make "serve.inflight"
 
@@ -273,11 +263,9 @@ let deadline_reply ~at =
 
 let handle_request ?deadline_us ~jobs req =
   let job kind f =
-    let (resp : response), dt = Obs.timed ~cat:"serve" ("serve.job." ^ kind) f in
-    if Obs.metrics_enabled () then Obs.Histogram.observe m_job_us (dt *. 1e6);
+    let (resp : response) = Obs.with_span ~cat:"serve" ("serve.job." ^ kind) f in
     (match resp with
     | Failed msg ->
-      Obs.Counter.incr m_jobs_failed;
       Events.warn ~fields:[ ("kind", kind); ("error", msg) ] "serve.job.failed"
     | Overloaded _ | Deadline_expired _ -> () (* counted at creation *)
     | Payload p ->
@@ -441,9 +429,7 @@ let send ?deadline_us fd s =
   let r = write_all ?deadline_us ~what:"response write" fd s in
   (match r with
   | Ok () -> Obs.Counter.add m_bytes_out (String.length s)
-  | Error (Timed_out _) ->
-    Obs.Counter.incr m_io_timeouts;
-    Events.warn ~fields:[ ("what", "response write") ] "serve.io_timeout"
+  | Error (Timed_out _) -> Events.warn ~fields:[ ("what", "response write") ] "serve.io_timeout"
   | Error _ -> ());
   r
 
@@ -481,7 +467,6 @@ let handle_binary ?io_timeout_s ?(allow_crash_op = false) ~queue_us ~depth ~jobs
           let* payload =
             read_exact ?deadline_us:read_deadline ~what:"request payload" fd payload_len
           in
-          Obs.Counter.add m_bytes_in (req_header_len + payload_len);
           decode_request (header ^ payload))
   in
   let t_read = Obs.now_us () in
@@ -504,7 +489,6 @@ let handle_binary ?io_timeout_s ?(allow_crash_op = false) ~queue_us ~depth ~jobs
     | Error pe ->
       (match pe with
       | Timed_out _ ->
-        Obs.Counter.incr m_io_timeouts;
         Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.io_timeout"
       | _ -> Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.protocol_error");
       Failed (protocol_error_to_string pe)
@@ -622,11 +606,8 @@ let handle_http ?io_timeout_s fd first4 =
   match fill () with
   | Error () ->
     (* a slowloris HTTP head: give up without guessing at a target *)
-    Obs.Counter.incr m_io_timeouts;
     Events.warn ~fields:[ ("what", "http head") ] "serve.io_timeout"
   | Ok () ->
-    Obs.Counter.incr m_http;
-    Obs.Counter.add m_bytes_in (Buffer.length b);
     let head = Buffer.contents b in
     let request_line =
       match String.index_opt head '\r' with Some i -> String.sub head 0 i | None -> head
@@ -697,10 +678,8 @@ let fd_setsize = 1024
    idle budget firing on a peer that never spoke, after one it is a
    quiet keep-alive goodbye. *)
 let idle_close ~frames =
-  if frames = 0 then begin
-    Obs.Counter.incr m_io_timeouts;
+  if frames = 0 then
     Events.warn ~fields:[ ("what", "connection preamble") ] "serve.idle_timeout"
-  end
   else begin
     Obs.Counter.incr m_keepalive_idle;
     Events.debug ~fields:[ ("frames", string_of_int frames) ] "serve.keepalive.idle_close"
@@ -835,7 +814,6 @@ type config = {
   drain_s : float;
   allow_crash_op : bool;
   slow_threshold_ms : float;
-  slow_capacity : int;
 }
 
 let default_config =
@@ -851,7 +829,6 @@ let default_config =
     drain_s = 5.0;
     allow_crash_op = false;
     slow_threshold_ms = 100.0;
-    slow_capacity = 64;
   }
 
 let set_inflight delta =
@@ -1146,7 +1123,7 @@ let run ?(on_ready = fun _ -> ()) cfg =
   in
   started_at_us := Obs.now_us ();
   refresh_uptime ();
-  Slow.configure ~capacity:cfg.slow_capacity ~threshold_us:(cfg.slow_threshold_ms *. 1e3) ();
+  Slow.configure ~threshold_us:(cfg.slow_threshold_ms *. 1e3) ();
   Runtime.install_alarm ();
   let facts =
     [
@@ -1378,7 +1355,6 @@ module Conn = struct
     | Ok (fd, connect_us) -> Ok { fd; timeout_s; connect_us; served = 0; alive = true }
 
   let connect_us t = t.connect_us
-  let served t = t.served
   let is_alive t = t.alive
 
   let close t =

@@ -1,5 +1,9 @@
 (** [ccomp serve]: a dependency-free, overload-safe compression daemon.
 
+    Consumers: [tools/serve_check.sh], [tools/chaos_check.sh],
+    [tools/loadgen_check.sh], [tools/runtime_check.sh], perfbench's
+    [serve] workload and [test_serve].
+
     One TCP listener (plain [Unix] sockets) speaks two protocols,
     distinguished by the first four bytes of each connection:
 
@@ -47,8 +51,8 @@
       work nobody is waiting for.
     - {b Per-connection budgets}: an idle timeout on the first byte, an
       i/o deadline per frame (re-armed to the remaining budget before
-      every read/write, so slowloris peers are bounded), counted in
-      [serve.io_timeouts]. In-flight work is bounded by the worker
+      every read/write, so slowloris peers are bounded), each expiry
+      logged as a [serve.io_timeout] event. In-flight work is bounded by the worker
       count; held connections by [workers * queue_cap].
     - {b Graceful drain}: SIGTERM/SIGINT make every worker stop
       accepting and close its idle connections; frames already
@@ -237,16 +241,16 @@ type config = {
   io_timeout_s : float;  (** per-frame read and per-response write budget *)
   drain_s : float;  (** SIGTERM budget for serving already-readable frames *)
   allow_crash_op : bool;  (** honour the {!Crash_worker} chaos op *)
-  slow_threshold_ms : float;  (** tail-sample requests at/above this; [0.] = all *)
-  slow_capacity : int;  (** bounded slow-request ring size *)
+  slow_threshold_ms : float;
+      (** tail-sample requests at/above this into the 64-record {!Slow}
+          ring; [0.] = all *)
 }
 
 val default_config : config
 (** [{host = "127.0.0.1"; port = 7070; jobs = 1; workers = 2;
     queue_cap = 64; max_requests_per_conn = 0;
     idle_timeout_s = 10.; io_timeout_s = 30.; drain_s = 5.;
-    allow_crash_op = false; slow_threshold_ms = 100.;
-    slow_capacity = 64}] *)
+    allow_crash_op = false; slow_threshold_ms = 100.}] *)
 
 val run : ?on_ready:(int -> unit) -> config -> unit
 (** Bind, call [on_ready] with the bound port, then serve until
@@ -307,9 +311,6 @@ module Conn : sig
   (** Connect cost paid to open this connection (resolution included),
       in microseconds — what [ccomp loadgen]'s connect-cost columns
       aggregate. *)
-
-  val served : t -> int
-  (** Frames successfully exchanged so far. *)
 
   val is_alive : t -> bool
 

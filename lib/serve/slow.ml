@@ -54,10 +54,6 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let capacity () = locked (fun () -> Array.length !ring)
-
-let threshold_us () = !threshold
-
 let configure ?capacity ?threshold_us () =
   locked (fun () ->
       (match threshold_us with Some t -> threshold := Float.max 0.0 t | None -> ());

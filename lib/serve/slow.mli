@@ -1,6 +1,10 @@
 (** Tail-sampled slow-request capture: a bounded, Domain-safe ring of
     full per-request records for the requests worth explaining.
 
+    Consumers: [GET /slow] and [ccomp stats --slow]
+    ([tools/runtime_check.sh]), [ccomp top]'s correlation panel, and
+    [test_slow].
+
     The latency histograms say which stage owns p99 in aggregate; this
     ring says what specific tail requests experienced — stage split,
     per-stage GC deltas on the serving domain, and how many ready
@@ -35,10 +39,6 @@ val configure : ?capacity:int -> ?threshold_us:float -> unit -> unit
 (** Set ring capacity (default 64, minimum 1; resizing drops retained
     records) and/or sampling threshold (default 100 ms, clamped at 0 —
     a zero threshold samples every request). *)
-
-val capacity : unit -> int
-
-val threshold_us : unit -> float
 
 val maybe_sample : record -> bool
 (** Record the request if it qualifies (total at/above threshold, or a

@@ -26,28 +26,22 @@ let render_frame ?(slow = []) ~window ~snapshot ~events_tail ~title () =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "%s" title;
   line "%s" (String.make (String.length title) '-');
-  (* counters: windowed rate + running total, busiest first *)
+  (* counters: windowed rate + running total, busiest first; every
+     counter that has counted anything gets a row *)
   let rated =
     List.filter_map
       (fun (name, total) ->
-        match Window.rate window name with
-        | Some r -> Some (name, total, r)
-        | None -> Some (name, total, 0.0))
+        if total = 0 then None
+        else Some (name, total, Option.value ~default:0.0 (Window.rate window name)))
       snapshot.Obs.counters
-  in
-  let rated =
-    List.sort (fun (n1, _, r1) (n2, _, r2) -> compare (-.r1, n1) (-.r2, n2)) rated
+    |> List.sort (fun (n1, _, r1) (n2, _, r2) -> compare (-.r1, n1) (-.r2, n2))
   in
   if rated <> [] then begin
     line "";
     line "  %-40s %12s %14s" "counter" "rate/s" "total";
-    List.iteri
-      (fun i (name, total, r) ->
-        if i < 16 then line "  %-40s %12s %14d" name (fmt_num r) total)
-      rated
+    List.iter (fun (name, total, r) -> line "  %-40s %12s %14d" name (fmt_num r) total) rated
   end;
-  (* the operator-grade ratio the ISSUE calls out: decode-cache hits
-     over the window, not since process start *)
+  (* decode-cache hits over the window, not since process start *)
   (match Window.ratio window "memsys.decode_cache.hits" "memsys.decode_cache.misses" with
   | Some ratio -> line "  %-40s %12.1f%%" "decode-cache hit ratio (window)" (100.0 *. ratio)
   | None -> ());

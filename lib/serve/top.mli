@@ -1,8 +1,12 @@
 (** [ccomp top]: a terminal dashboard over a running [ccomp serve].
 
+    Consumers: [tools/serve_check.sh] step 6 ([--plain --frames 1]) and
+    [test_top] ({!render_frame}).
+
     Polls the daemon's [/snapshot], [/events] and [/slow] endpoints
     every [interval_s] seconds, feeds the samples into an
-    {!Ccomp_obs.Window} and renders windowed per-second rates,
+    {!Ccomp_obs.Window} and renders windowed per-second rates (a row
+    for every counter that has counted anything, busiest first),
     histogram percentiles, the decode-cache hit ratio, the event tail
     and the slow-request/GC correlation panel (what share of the
     sampled tail overlapped a major collection). A daemon predating
@@ -31,7 +35,7 @@ val render_frame :
   title:string ->
   unit ->
   string
-(** Pure frame renderer, exposed for tests: windowed rates come from
+(** Pure frame renderer, exposed for [test_top]: windowed rates come from
     [window], instantaneous values from [snapshot], the tail/GC
     correlation panel from [slow] (default: no panel). *)
 

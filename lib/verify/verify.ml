@@ -33,7 +33,6 @@ module Bit_reader = Ccomp_bitio.Bit_reader
 module Image = Ccomp_image.Image
 module Crc32 = Ccomp_image.Crc32
 module Serve = Ccomp_serve.Serve
-module Obs = Ccomp_obs.Obs
 module Events = Ccomp_obs.Events
 module P = Ccomp_progen
 
@@ -70,10 +69,6 @@ type divergence = {
 type input = { in_label : string; in_isa : Image.isa; in_code : string }
 
 type report = { checks : int; divergences : divergence list }
-
-let c_checks = Obs.Counter.make "verify.checks"
-
-let c_divergences = Obs.Counter.make "verify.divergences"
 
 (* --- outcomes ----------------------------------------------------------- *)
 
@@ -450,7 +445,6 @@ let default_options = { jobs = 4; block_size = 32; shrink_budget = 60 }
 
 let record_divergence ~log ~pair ~case ~block_size ~repro detail got want =
   let block, bit = diff_location ~block_size got want in
-  Obs.Counter.incr c_divergences;
   Events.error
     ~fields:
       ([ ("pair", pair_name pair); ("case", case); ("detail", detail) ]
@@ -489,8 +483,7 @@ let run ?(options = default_options) ?(log = fun _ -> ()) ~pairs inputs =
               match eval check in_code with
               | Pass n ->
                 passed := !passed + n;
-                checks_run := !checks_run + n;
-                Obs.Counter.add c_checks n
+                checks_run := !checks_run + n
               | Skip why ->
                 divergences :=
                   record_divergence ~log ~pair ~case ~block_size ~repro:None
@@ -670,7 +663,7 @@ let check_golden ?(log = fun _ -> ()) ~dir entries =
         ~block_size:e.ge_block_size ~repro:None detail got want
       :: !divergences
   in
-  let ok n = checks := !checks + n; Obs.Counter.add c_checks n in
+  let ok n = checks := !checks + n in
   List.iter
     (fun e ->
       match (read_file (input_file dir e.ge_name), read_file (artifact_file dir e.ge_name)) with

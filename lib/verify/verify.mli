@@ -40,8 +40,7 @@ val default_options : options
 val run :
   ?options:options -> ?log:(string -> unit) -> pairs:pair list -> input list -> report
 (** Run every check of every requested pair over every input. Each
-    divergence is counted in [verify.divergences], recorded as a
-    [verify.divergence] event, shrunk (word-aligned greedy removal,
+    divergence is recorded as a [verify.divergence] event, shrunk (word-aligned greedy removal,
     bounded by [shrink_budget] predicate calls) and reported with the
     first differing block and bit. [log] receives one human line per
     (input, pair) plus one per divergence. Never raises on a divergence

@@ -7,17 +7,11 @@
 
 module Loadgen = Ccomp_serve.Loadgen
 
-let sched ?(arrivals = Loadgen.Poisson) ?(rate = 100.0) ?(duration = 2.0) seed =
-  Loadgen.schedule ~arrivals ~rate_rps:rate ~duration_s:duration ~seed
+let sched ?(rate = 100.0) ?(duration = 2.0) seed =
+  Loadgen.schedule ~rate_rps:rate ~duration_s:duration ~seed
 
 let test_schedule_deterministic () =
-  List.iter
-    (fun arrivals ->
-      Alcotest.(check bool)
-        (Printf.sprintf "same seed, same %s schedule" (Loadgen.arrivals_to_string arrivals))
-        true
-        (sched ~arrivals 7 = sched ~arrivals 7))
-    [ Loadgen.Poisson; Loadgen.Uniform ];
+  Alcotest.(check bool) "same seed, same poisson schedule" true (sched 7 = sched 7);
   Alcotest.(check bool) "different seeds, different poisson schedules" false
     (sched 7 = sched 8)
 
@@ -33,10 +27,8 @@ let test_schedule_bounds () =
           if i > 0 && off < s.(i - 1) then Alcotest.failf "offsets not sorted at %d" i)
         s)
     [ 1; 2; 42 ];
-  Alcotest.(check int) "uniform count is rate * duration" 150
-    (Array.length (sched ~arrivals:Loadgen.Uniform ~duration:1.5 1));
   Alcotest.(check int) "degenerate rate yields empty schedule" 0
-    (Array.length (Loadgen.schedule ~arrivals:Loadgen.Poisson ~rate_rps:0.0 ~duration_s:5.0 ~seed:1))
+    (Array.length (Loadgen.schedule ~rate_rps:0.0 ~duration_s:5.0 ~seed:1))
 
 let test_poisson_rate () =
   (* over a long horizon the empirical rate approaches the offered one *)
@@ -94,10 +86,8 @@ let qcheck_corrected_ge_naive =
 
 let qcheck_schedule_deterministic =
   QCheck.Test.make ~count:100 ~name:"schedule is a pure function of its seed"
-    QCheck.(pair (int_range 0 10_000) bool)
-    (fun (seed, poisson) ->
-      let arrivals = if poisson then Loadgen.Poisson else Loadgen.Uniform in
-      sched ~arrivals seed = sched ~arrivals seed)
+    QCheck.(int_range 0 10_000)
+    (fun seed -> sched seed = sched seed)
 
 let mk_report () =
   {

@@ -26,6 +26,7 @@ let () =
       ("obs", Test_obs.suite);
       ("openmetrics", Test_openmetrics.suite);
       ("window", Test_window.suite);
+      ("top", Test_top.suite);
       ("events", Test_events.suite);
       ("runtime", Test_runtime.suite);
       ("serve", Test_serve.suite);

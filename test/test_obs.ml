@@ -248,6 +248,86 @@ let huffman_identity =
     QCheck.(string_of_size Gen.(int_range 1 512))
     (fun s -> Byte_huffman.serialize (Byte_huffman.compress ~block_size:16 s))
 
+(* Every statically registered metric, each with the one consumer that
+   reads it: a [tools/*.sh] gate, a test, [ccomp top], [ccomp loadgen]'s
+   report, perfbench, or an EXPERIMENTS.md entry. A metric that names
+   no consumer is deleted, so adding or removing one means editing this
+   list. *)
+let metric_inventory =
+  [
+    "loadgen.connect_us" (* loadgen *);
+    "loadgen.latency_us" (* loadgen *);
+    "loadgen.network_us" (* loadgen *);
+    "loadgen.queue_us" (* loadgen *);
+    "loadgen.service_us" (* loadgen *);
+    "memsys.decode_cache.hits" (* top *);
+    "memsys.decode_cache.misses" (* top *);
+    "par.epochs" (* test *);
+    "par.jobs" (* test *);
+    "par.queue_depth" (* test *);
+    "par.spawns" (* E19 *);
+    "par.tasks" (* test *);
+    "par.worker_busy_us" (* test *);
+    "runtime.alloc_rate_mbps" (* test *);
+    "runtime.domains" (* gate *);
+    "runtime.gc.compactions" (* test *);
+    "runtime.gc.heap_words" (* gate *);
+    "runtime.gc.major_collections" (* perfbench *);
+    "runtime.gc.major_cycles" (* gate *);
+    "runtime.gc.major_pause_us" (* gate *);
+    "runtime.gc.major_words" (* perfbench *);
+    "runtime.gc.minor_collections" (* gate *);
+    "runtime.gc.minor_words" (* gate *);
+    "runtime.gc.promoted_words" (* test *);
+    "runtime.gc.space_overhead" (* gate *);
+    "serve.bytes_out" (* loadgen *);
+    "serve.conn_recycles" (* gate *);
+    "serve.connections" (* gate *);
+    "serve.deadline_expired_total" (* gate *);
+    "serve.frames" (* gate *);
+    "serve.inflight" (* gate *);
+    "serve.jobs.compress" (* gate *);
+    "serve.jobs.decompress" (* gate *);
+    "serve.keepalive_idle_closes" (* gate *);
+    "serve.request_us" (* gate *);
+    "serve.shed_total" (* gate *);
+    "serve.slow.forced_total" (* test *);
+    "serve.slow.sampled_total" (* test *);
+    "serve.stage.queue_us" (* gate *);
+    "serve.stage.read_us" (* gate *);
+    "serve.stage.work_us" (* gate *);
+    "serve.stage.write_us" (* gate *);
+    "serve.uptime_seconds" (* gate *);
+    "serve.worker_restarts_total" (* gate *);
+  ]
+
+(* Names outside the inventory by construction: the per-codec block
+   families ([<codec>.compress.*], [<codec>.decompress.*]), the
+   per-stream SAMC costs ([samc.streamN.*]), the per-worker queue depth
+   gauges ([serve.queue.depth.N]), and the names the tests themselves
+   register. *)
+let dynamic_or_test name =
+  let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+  match String.split_on_char '.' name with
+  | ("test" | "hammer" | "om") :: _ -> true
+  | _ :: ("compress" | "decompress") :: _ -> true
+  | [ "samc"; stream; _ ] ->
+    String.starts_with ~prefix:"stream" stream && digits (String.sub stream 6 (String.length stream - 6))
+  | [ "serve"; "queue"; "depth"; n ] -> digits n
+  | _ -> false
+
+let test_metric_inventory () =
+  let registered =
+    List.filter_map
+      (fun (name, _) -> if dynamic_or_test name then None else Some name)
+      (Obs.registered_metrics ())
+  in
+  let missing l = List.filter (fun n -> not (List.mem n l)) in
+  Alcotest.(check (list string)) "registered but not in the inventory" []
+    (missing metric_inventory registered);
+  Alcotest.(check (list string)) "in the inventory but not registered" []
+    (missing registered metric_inventory)
+
 let suite =
   [
     Alcotest.test_case "counter monotonic + rejects negative" `Quick test_counter_monotonic;
@@ -260,6 +340,8 @@ let suite =
     Alcotest.test_case "parallel increments lose nothing" `Quick test_parallel_increments;
     Alcotest.test_case "registration hammered during snapshot/render" `Quick
       test_multidomain_registration_during_snapshot;
+    Alcotest.test_case "every registered metric names its consumer" `Quick
+      test_metric_inventory;
     QCheck_alcotest.to_alcotest samc_identity;
     QCheck_alcotest.to_alcotest huffman_identity;
   ]

@@ -1,6 +1,6 @@
 (* Rolling-window aggregation under a fake clock: rates, expiry,
-   counter-reset clamping, percentiles and hit ratios are all pure
-   functions of (timestamp, value) samples the test feeds in. *)
+   counter-reset clamping and hit ratios are all pure functions of
+   (timestamp, value) samples the test feeds in. *)
 
 module Obs = Ccomp_obs.Obs
 module Window = Ccomp_obs.Window
@@ -11,67 +11,42 @@ let feed w samples =
 let test_rate_fake_clock () =
   let w = Window.make ~window_s:60.0 () in
   feed w [ (0.0, 0.0); (1.0, 100.0); (2.0, 250.0); (3.0, 300.0) ];
-  Alcotest.(check (option (float 1e-9))) "delta across window" (Some 300.0)
-    (Window.delta w "s");
   Alcotest.(check (option (float 1e-9))) "rate = delta / span" (Some 100.0)
-    (Window.rate w "s");
-  Alcotest.(check (option (float 1e-9))) "last value" (Some 300.0) (Window.last w "s");
-  Alcotest.(check (float 1e-9)) "span" 3.0 (Window.span w "s")
+    (Window.rate w "s")
 
 let test_window_expiry () =
   let w = Window.make ~window_s:5.0 () in
-  (* 100/s for 10s; only the last 5s are in the window *)
-  feed w (List.init 11 (fun i -> (float_of_int i, float_of_int (i * 100))));
-  Alcotest.(check (option (float 1e-9))) "delta covers only the window" (Some 500.0)
-    (Window.delta w "s");
-  Alcotest.(check (float 1e-9)) "span capped at window" 5.0 (Window.span w "s");
+  (* flat for 5s, then 100/s for 5s; only the last 5s are in the window,
+     so the rate is 100/s, not the whole history's 50/s *)
+  feed w (List.init 11 (fun i -> (float_of_int i, float_of_int (max 0 (i - 5) * 100))));
   Alcotest.(check (option (float 1e-9))) "rate over trailing window" (Some 100.0)
     (Window.rate w "s")
 
 let test_counter_reset_clamp () =
   let w = Window.make ~window_s:60.0 () in
   feed w [ (0.0, 100.0); (1.0, 40.0) ];
-  Alcotest.(check (option (float 1e-9))) "reset clamps delta to 0" (Some 0.0)
-    (Window.delta w "s")
+  Alcotest.(check (option (float 1e-9))) "reset clamps the rate to 0" (Some 0.0)
+    (Window.rate w "s")
 
 let test_single_sample () =
   let w = Window.make ~window_s:60.0 () in
   feed w [ (0.0, 7.0) ];
-  Alcotest.(check (option (float 1e-9))) "one sample: no delta" None (Window.delta w "s");
   Alcotest.(check (option (float 1e-9))) "one sample: no rate" None (Window.rate w "s");
-  Alcotest.(check (option (float 1e-9))) "but last is known" (Some 7.0)
-    (Window.last w "s")
+  Alcotest.(check (option (float 1e-9))) "one sample: no ratio" None (Window.ratio w "s" "s")
 
 let test_non_advancing_ignored () =
   let w = Window.make ~window_s:60.0 () in
-  feed w [ (5.0, 1.0); (5.0, 999.0); (4.0, 999.0) ];
+  feed w [ (5.0, 1.0); (5.0, 999.0); (4.0, 999.0); (6.0, 2.0) ];
   Alcotest.(check (option (float 1e-9))) "stale timestamps ignored" (Some 1.0)
-    (Window.last w "s")
+    (Window.rate w "s")
 
 let test_capacity_bound () =
   let w = Window.make ~capacity:8 ~window_s:1e9 () in
-  feed w (List.init 100 (fun i -> (float_of_int i, float_of_int i)));
-  (* ring keeps the newest 8 samples: 92..99 *)
-  Alcotest.(check (option (float 1e-9))) "delta over retained ring" (Some 7.0)
-    (Window.delta w "s");
-  Alcotest.(check (option (float 1e-9))) "newest survives" (Some 99.0)
-    (Window.last w "s")
-
-let test_percentile () =
-  let w = Window.make ~window_s:1000.0 () in
-  List.iter
-    (fun i -> Window.observe w ~now:(float_of_int i) [ ("g", float_of_int (i + 1)) ])
-    (List.init 100 Fun.id);
-  let check name q expected =
-    match Window.percentile w "g" ~q with
-    | None -> Alcotest.failf "%s: no percentile" name
-    | Some p -> Alcotest.(check (float 1e-9)) name expected p
-  in
-  check "p50 nearest-rank" 50.0 50.0;
-  check "p95 nearest-rank" 95.0 95.0;
-  check "p99 nearest-rank" 99.0 99.0;
-  Alcotest.(check (option (float 1e-9))) "unknown series" None
-    (Window.percentile w "nope" ~q:50.0)
+  feed w (List.init 100 (fun i -> (float_of_int i, float_of_int (i * i))));
+  (* ring keeps the newest 8 samples: 92..99, so the rate is
+     (99^2 - 92^2) / 7 = 191, not the whole history's 99 *)
+  Alcotest.(check (option (float 1e-9))) "rate over retained ring" (Some 191.0)
+    (Window.rate w "s")
 
 let test_ratio () =
   let w = Window.make ~window_s:60.0 () in
@@ -126,7 +101,6 @@ let suite =
     Alcotest.test_case "single sample yields no rate" `Quick test_single_sample;
     Alcotest.test_case "non-advancing timestamps ignored" `Quick test_non_advancing_ignored;
     Alcotest.test_case "ring capacity bounds retention" `Quick test_capacity_bound;
-    Alcotest.test_case "moving nearest-rank percentiles" `Quick test_percentile;
     Alcotest.test_case "windowed hit ratio" `Quick test_ratio;
     Alcotest.test_case "snapshot flattening" `Quick test_of_snapshot;
   ]

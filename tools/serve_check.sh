@@ -12,7 +12,8 @@
 #      bound port.
 #   2. a served compress job (`ccomp submit`) is byte-identical to the
 #      offline `ccomp compress` output, and a served decompress job
-#      round-trips the image back to the original bytes.
+#      round-trips the image back to the original bytes; /metrics
+#      counts exactly one job of each kind.
 #   3. /metrics is OpenMetrics: # TYPE families, _total counters,
 #      cumulative histogram buckets ending at le="+Inf", a final # EOF,
 #      and the registry-wide schema (samc_/sadc_/memsys_/par_/serve_
@@ -30,7 +31,8 @@
 #      counter afterwards.
 #   6. `ccomp top --plain --frames 1` renders one frame from the live
 #      daemon with its title and its counter, gauge, histogram,
-#      stage-latency and recent-events panels, then exits 0.
+#      stage-latency and recent-events panels, then exits 0; the
+#      counter panel carries the serve layer's serve.frames row.
 #   7. SIGTERM stops the daemon promptly and gracefully (exit 0: the
 #      accept loop absorbs the break, closes the listener and flushes
 #      telemetry before returning).
@@ -110,6 +112,8 @@ for family in samc_ sadc_ memsys_ par_ serve_; do
 done
 grep -q '^serve_jobs_compress_total 1$' "$dir/metrics.txt" \
   || fail "/metrics: the served compress job was not counted"
+grep -q '^serve_jobs_decompress_total 1$' "$dir/metrics.txt" \
+  || fail "/metrics: the served decompress job was not counted"
 # info metric: build/config facts as labels on a constant-1 sample
 grep -q '^# TYPE serve info$' "$dir/metrics.txt" || fail "/metrics: no serve info family"
 grep -q '^serve_info{.*version=".*".*} 1$' "$dir/metrics.txt" \
@@ -185,10 +189,8 @@ conns=$(awk '/^serve_connections_total /{print $2}' "$dir/metrics2.txt")
 # -- 6: one `ccomp top` frame renders every panel ------------------------
 "$ccomp" top --port "$port" --plain --frames 1 > "$dir/top.txt" 2>&1 \
   || fail "ccomp top --plain --frames 1 failed: $(cat "$dir/top.txt")"
-# (the counter panel lists the first 16 names only, so it is checked by
-# the served compress job's counter, which sorts early)
 for panel in "ccomp top — 127.0.0.1:$port — frame 1" \
-             'counter  *rate/s  *total' 'samc.compress.blocks ' \
+             'counter  *rate/s  *total' 'samc.compress.blocks ' 'serve.frames ' \
              'gauge  *value' 'serve.uptime_seconds ' \
              'histogram  *obs/s  *p50  *p95  *p99  *max' 'serve.stage.work_us ' \
              'request latency by stage' 'recent events:' '"event":"serve\.' \

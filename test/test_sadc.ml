@@ -322,6 +322,140 @@ let test_compress_allocation () = check_allocation ~heap:"minor" fst [ 60.0; 168
 let test_compress_major_allocation () =
   check_allocation ~heap:"direct major" snd [ 110.0; 143.0 ]
 
+(* --- hostile tables ---------------------------------------------------- *)
+
+(* SADC's wire form as [serialize] lays it out: a 12-byte header, the
+   dictionary (a u16 count, then per entry its primitives, each a u16
+   symbol and its absorbed operands as (stream, position, u32 value)),
+   the token code's length table, a presence byte and a length table per
+   (stream, chunk width), then the blocks. *)
+let dict_end s =
+  let p = ref 14 in
+  for _ = 1 to String.get_uint16_be s 12 do
+    let prims = Char.code s.[!p] in
+    incr p;
+    for _ = 1 to prims do
+      p := !p + 3 + (6 * Char.code s.[!p + 2])
+    done
+  done;
+  !p
+
+(* Offset of each absorbed operand's stream byte in the dictionary. *)
+let absorbed_offsets s =
+  let p = ref 14 and acc = ref [] in
+  for _ = 1 to String.get_uint16_be s 12 do
+    let prims = Char.code s.[!p] in
+    incr p;
+    for _ = 1 to prims do
+      let n = Char.code s.[!p + 2] in
+      for k = 0 to n - 1 do
+        acc := (!p + 3 + (6 * k)) :: !acc
+      done;
+      p := !p + 3 + (6 * n)
+    done
+  done;
+  !acc
+
+(* The end of the length table at [p]. *)
+let table_end s p =
+  let n = String.get_uint16_be s p in
+  let rec go q filled = if filled >= n then q else go (q + 2) (filled + Char.code s.[q] + 1) in
+  go (p + 2) 0
+
+(* A length table of [n] symbols: [runs] of (count <= 256, length). *)
+let length_table n runs =
+  let b = Buffer.create 16 in
+  Buffer.add_uint16_be b n;
+  List.iter
+    (fun (count, len) ->
+      Buffer.add_uint8 b (count - 1);
+      Buffer.add_uint8 b len)
+    runs;
+  Buffer.contents b
+
+let splice s ~pos ~len repl = String.sub s 0 pos ^ repl ^ String.sub s (pos + len) (String.length s - pos - len)
+
+(* A hostile wire form must fail the image decode typed: read and
+   decompressed through [Image], never wrong bytes, never an exception
+   outside [Decode_error]. *)
+let check_refused what wire =
+  let module Image = Ccomp_image.Image in
+  let module Decode_error = Ccomp_util.Decode_error in
+  let z, _ = Sadc.Mips.deserialize wire ~pos:0 in
+  let image = Image.write (Image.of_sadc_mips z) in
+  match Image.read_checked image with
+  | Error _ -> Alcotest.failf "%s: the image must read" what
+  | Ok t -> (
+    match Decode_error.protect ~section:"image" (fun () -> Image.decompress t) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: decoded without complaint" what)
+
+(* Random operands leave registers to the register code; with them,
+   [jr $31] between fillers absorbs a register. *)
+let random_operands ?(jr31 = false) seed =
+  let g = Prng.create seed in
+  let fillers = [| "addu"; "subu"; "and"; "or"; "xor"; "slt"; "addiu"; "lw"; "sw" |] in
+  List.concat
+    (List.init 400 (fun i ->
+         let sp = Mips.spec_of_mnemonic fillers.(i mod Array.length fillers) in
+         let regs = List.init (Mips.reg_arity sp) (fun _ -> Prng.int g 32) in
+         let imm = if Mips.has_immediate sp then Some (Prng.int g 65536) else None in
+         Mips.reassemble sp ~regs ~imm ~limm:None
+         :: (if jr31 then [ Mips.make (Mips.spec_of_mnemonic "jr") ~rs:31 () ] else [])))
+
+let wire_of program = Sadc.Mips.serialize (Sadc.Mips.compress_image cfg (Mips.encode_program program))
+
+(* Every absorbed operand of [stream] set to [bad], just past its field:
+   the jr $31 program absorbs a register, and one idiom repeated its
+   immediates and its jump target. *)
+let test_hostile_absorbed_operands () =
+  let spec = Mips.spec_of_mnemonic in
+  let idiom =
+    [
+      Mips.make (spec "lw") ~rs:4 ~rt:2 ~imm:8 ();
+      Mips.make (spec "addiu") ~rs:2 ~rt:2 ~imm:1 ();
+      Mips.make (spec "j") ~imm:0x40 ();
+    ]
+  in
+  let repeated = wire_of (List.concat (List.init 200 (fun _ -> idiom))) in
+  List.iter
+    (fun (wire, stream, bad, what) ->
+      let at = List.filter (fun o -> Char.code wire.[o] = stream) (absorbed_offsets wire) in
+      Alcotest.(check bool) (what ^ ": the dictionary absorbs some") true (at <> []);
+      let b = Bytes.of_string wire in
+      List.iter (fun o -> Bytes.set_int32_be b (o + 2) (Int32.of_int bad)) at;
+      check_refused what (Bytes.to_string b))
+    [
+      (wire_of (random_operands ~jr31:true 8L), 0, 32, "register 32");
+      (repeated, 1, 1 lsl 16, "immediate 2^16");
+      (repeated, 2, 1 lsl 26, "jump target 2^26");
+    ]
+
+(* The 5-bit register code relabelled into 40 symbols: registers 0-7
+   move to symbols 32-39 with their code lengths, so every block still
+   decodes in step, but a register pulled there is out of range. *)
+let test_hostile_chunk_alphabet () =
+  let module Huffman = Ccomp_huffman.Huffman in
+  let wire = wire_of (random_operands 9L) in
+  let regs = table_end wire (dict_end wire) in
+  Alcotest.(check char) "the register code is present" '\001' wire.[regs];
+  let code, stop = Huffman.deserialize_lengths wire ~pos:(regs + 1) in
+  let lengths = Huffman.lengths code in
+  let wide = Array.init 40 (fun r -> if r < 8 then 0 else if r < 32 then lengths.(r) else lengths.(r - 32)) in
+  check_refused "40-symbol register code"
+    (splice wire ~pos:(regs + 1) ~len:(stop - regs - 1)
+       (Huffman.serialize_lengths (Huffman.of_lengths wide)))
+
+(* The token code swapped for one whose only codewords name the two
+   entries past the dictionary. *)
+let test_hostile_token () =
+  let wire = wire_of (random_operands 9L) in
+  let entries = String.get_uint16_be wire 12 and tokens = dict_end wire in
+  Alcotest.(check bool) "at most 256 entries" true (entries <= 256);
+  let past = length_table (entries + 2) [ (entries, 0); (2, 1) ] in
+  check_refused "token past the dictionary"
+    (splice wire ~pos:tokens ~len:(table_end wire tokens - tokens) past)
+
 let suite =
   [
     Alcotest.test_case "mips roundtrip" `Quick test_roundtrip_mips;
@@ -340,6 +474,9 @@ let suite =
     Alcotest.test_case "undecodable image rejected" `Quick test_undecodable_image_rejected;
     Alcotest.test_case "block sizes outside 1..65535 refused" `Quick test_block_size_range;
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
+    Alcotest.test_case "hostile absorbed operands refused" `Quick test_hostile_absorbed_operands;
+    Alcotest.test_case "hostile chunk alphabet refused" `Quick test_hostile_chunk_alphabet;
+    Alcotest.test_case "hostile token refused" `Quick test_hostile_token;
     Alcotest.test_case "ratio accounting" `Quick test_ratio_better_than_tokens_alone;
     Alcotest.test_case "incremental counts verified per round" `Quick
       test_incremental_counts_checked;

@@ -87,6 +87,10 @@ let timing_tests () =
   let samc_cfg = Samc.mips_config () in
   let samc = Samc.compress samc_cfg code in
   let sadc = Sadc.Mips.compress_image (Sadc.default_config ~max_rounds:64 ()) code in
+  (* the phases of a SADC boot (E31): the image read, whose Huffman
+     table rebuild is timed here, and whole-image decode on each ISA *)
+  let sadc_image = Ccomp_image.Image.(write (of_sadc_mips sadc)) in
+  let sadc_x86 = Sadc.X86.compress_image (Sadc.default_config ~max_rounds:64 ()) (Paper.x86_code w) in
   let huff = Byte_huffman.compress code in
   let samc_block = samc.Samc.blocks.(Array.length samc.Samc.blocks / 2) in
   let huff_block = 3 in
@@ -123,6 +127,8 @@ let timing_tests () =
           Staged.stage (fun () -> Samc.decompress ~jobs samc));
       Test.make_indexed ~name:"sadc-decompress" ~fmt:"%s-jobs%d" ~args:jobs (fun jobs ->
           Staged.stage (fun () -> Sadc.Mips.decompress ~jobs sadc));
+      Test.make ~name:"sadc-decompress-x86" (Staged.stage (fun () -> Sadc.X86.decompress sadc_x86));
+      Test.make ~name:"sadc-read" (Staged.stage (fun () -> Ccomp_image.Image.read sadc_image));
       Test.make_indexed ~name:"huffman-decompress" ~fmt:"%s-jobs%d" ~args:jobs (fun jobs ->
           Staged.stage (fun () -> Byte_huffman.decompress ~jobs huff));
     ]

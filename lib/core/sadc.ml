@@ -453,7 +453,7 @@ module Make (I : Sadc_isa.S) = struct
       least = max_int;
       live = Array.make 1024 0;
       nlive = 0;
-      fresh = Array.make 256 0;
+      fresh = Array.make (max 256 tokens) 0;
       nfresh = 0;
     }
 
@@ -525,18 +525,16 @@ module Make (I : Sadc_isa.S) = struct
       grow bld c
     done
 
-  (* [key]'s slot, inserted with count 0 if absent; listed in [fresh]
-     once the queue has a floor. *)
+  (* [key]'s slot, inserted with count 0 if absent and then listed in
+     [fresh]. *)
   let insert c key =
     let i = probe c key in
     if Ints.unsafe_get c.slots (i * 3) = 0 then begin
       c.size <- c.size + 1;
       Ints.unsafe_set c.slots (i * 3) key;
-      if c.floor < max_int then begin
-        if c.nfresh = Array.length c.fresh then c.fresh <- grow_ints c.fresh c.nfresh;
-        c.fresh.(c.nfresh) <- i;
-        c.nfresh <- c.nfresh + 1
-      end
+      if c.nfresh = Array.length c.fresh then c.fresh <- grow_ints c.fresh c.nfresh;
+      c.fresh.(c.nfresh) <- i;
+      c.nfresh <- c.nfresh + 1
     end;
     i
 
@@ -967,27 +965,21 @@ module Make (I : Sadc_isa.S) = struct
     end
 
   (* The queue is empty, so every key is below the floor: lower the
-     floor and queue every key that reaches it. The candidates are every
-     slot on the first pass; later, the slots [live] listed with a
-     positive gain at the last pass and those inserted since ([fresh]),
-     since a key's count only falls after the round that creates it.
-     [live] then lists each positive gain beside its slot. False when no
-     key has a positive gain. *)
+     floor and queue every key that reaches it. The candidates are the
+     slots [live] listed with a positive gain at the last pass and those
+     inserted since ([fresh]; on the first pass, every key of the
+     initial count), since a key's count only falls after the round that
+     creates it. [live] then lists each positive gain beside its slot.
+     False when no key has a positive gain. *)
   let q_rebuild bld c =
     let n = ref 0 in
-    if c.floor = max_int then
-      for i = 0 to c.cap - 1 do
-        consider bld c n i
-      done
-    else begin
-      (* Entry [x] is read before entry [!n <= x] is written. *)
-      for x = 0 to c.nlive - 1 do
-        consider bld c n (c.live.(x) land low32)
-      done;
-      for x = 0 to c.nfresh - 1 do
-        consider bld c n c.fresh.(x)
-      done
-    end;
+    (* Entry [x] is read before entry [!n <= x] is written. *)
+    for x = 0 to c.nlive - 1 do
+      consider bld c n (c.live.(x) land low32)
+    done;
+    for x = 0 to c.nfresh - 1 do
+      consider bld c n c.fresh.(x)
+    done;
     c.nlive <- !n;
     c.nfresh <- 0;
     !n > 0
@@ -1432,67 +1424,227 @@ module Make (I : Sadc_isa.S) = struct
 
   let decompress_block c b = decompress_block_with (Bit_reader.create "") c b
 
-  (* Zero-copy block decoder: same token walk as
-     [decompress_block_with], but every instruction's bytes land
-     straight in the output buffer via [I.read_into] — no instruction
-     list, no intermediate string and (for fixed-width ISAs) no
-     per-instruction allocation at all. The reader, pull scratch, chunk
-     tables and decode closures are built once per domain and reused for
-     every block it draws, so a block decode allocates nothing — domains
-     that do not touch the minor heap do not meet at GC synchronisation
-     barriers, which is what makes jobs=2 pay on few-core hosts. *)
-  let block_decoder c =
-    let r = Bit_reader.create "" in
-    (* Each stream's chunk widths and codes, most significant chunk
-       first, resolved here once instead of per decoded chunk. *)
-    let widths = Array.map Array.of_list stream_chunks in
-    let codes =
-      Array.mapi (fun s ws -> Array.map (fun w -> c.chunk_codes.(s).(width_index s w)) ws) widths
+  (* --- the block decoder ------------------------------------------- *)
+
+  (* The image's dictionary and codes compiled for {!block_decoder}: the
+     Fig. 6 decompressor as tables. Entry [t]'s primitives are the
+     groups (see {!Sadc_isa.ops}) from [ops.(entry.(t))] to
+     [ops.(entry.(t + 1) - 1)]. Chunk decoder [q] is one Huffman code's
+     first-level table: [lut.(q)] indexed by the next [lut_bits.(q)]
+     bits, [long.(q)] for the rarer codewords longer than that (at most
+     [max_len.(q)] bits), [width.(q)] the bits its symbols carry.
+     Decoder 0 reads tokens; stream [s]'s items are the decoders
+     [chunk.(s)] to [chunk.(s + 1) - 1], most significant chunk first. *)
+  type plan = {
+    ops : int array;
+    entry : int array;
+    lut : int array array;
+    lut_bits : int array;
+    max_len : int array;
+    width : int array;
+    long : Huffman.code option array;
+    chunk : int array;
+  }
+
+  let malformed msg = Ccomp_util.Decode_error.fail (Malformed ("Sadc.block_decoder: " ^ msg))
+
+  (* Each base symbol's primitive with nothing absorbed, compiled once
+     from the ISA alone; empty for a symbol the ISA does not have. *)
+  let templates =
+    Array.init I.base_symbols (fun symbol ->
+        let b = Sadc_isa.ops_create 32 in
+        match I.compile b ~symbol ~fixed:[] with
+        | () -> Array.sub b.ops 0 b.len
+        | exception Ccomp_util.Decode_error.Error _ -> [||])
+
+  (* Every range check an instruction could need happens here, once per
+     image: a token alphabet within the dictionary, each chunk alphabet
+     within its chunk's bits and each absorbed operand within its
+     stream's, so no decoded value can overflow its field. *)
+  let plan c =
+    let ndict = Array.length c.dict in
+    if Huffman.alphabet_size c.token_code > ndict then malformed "token alphabet beyond the dictionary";
+    let chunk = Array.make (I.stream_count + 1) 1 in
+    Array.iteri (fun s ws -> chunk.(s + 1) <- chunk.(s) + List.length ws) stream_chunks;
+    let nq = chunk.(I.stream_count) in
+    let code = Array.make nq (Some c.token_code) and width = Array.make nq 0 in
+    Array.iteri
+      (fun s ws ->
+        List.iteri
+          (fun k w ->
+            let q = chunk.(s) + k in
+            width.(q) <- w;
+            code.(q) <- c.chunk_codes.(s).(width_index s w);
+            match code.(q) with
+            | Some h when Huffman.alphabet_size h > 1 lsl w ->
+              malformed (Printf.sprintf "%s chunk alphabet wider than %d bits" I.stream_names.(s) w)
+            | Some _ | None -> ())
+          ws)
+      stream_chunks;
+    (* A stream without a code has a one-slot table that always misses,
+       so [long] reports it when an item of the stream is pulled. *)
+    let from h f absent = match h with Some h -> f h | None -> absent in
+    (* Absorbing operands never lengthens a primitive, so the templates
+       bound the plan and its array is allocated once. *)
+    let template sym = if sym >= 0 && sym < I.base_symbols then templates.(sym) else [||] in
+    let bound =
+      Array.fold_left
+        (fun a e -> Array.fold_left (fun a prim -> a + Array.length (template prim.sym)) a e.prims)
+        0 c.dict
     in
-    let chunks s =
-      let ws = widths.(s) and cs = codes.(s) in
-      let acc = ref 0 in
-      for k = 0 to Array.length ws - 1 do
-        match cs.(k) with
-        | Some code -> acc := (!acc lsl ws.(k)) lor Huffman.decode_symbol code r
-        | None -> failwith "Sadc.decompress_block: missing chunk code"
+    let b = Sadc_isa.ops_create bound in
+    let entry = Array.make (ndict + 1) 0 in
+    Array.iteri
+      (fun t e ->
+        entry.(t) <- b.len;
+        Array.iter
+          (fun prim ->
+            let t = template prim.sym in
+            if prim.fixed = [] && Array.length t > 0 then begin
+              copy_ints t 0 b.ops b.len (Array.length t);
+              b.len <- b.len + Array.length t
+            end
+            else begin
+              List.iter
+                (fun (s, _, v) ->
+                  if s >= I.stream_count || v lsr I.stream_bits.(s) <> 0 then
+                    malformed "absorbed operand outside its field")
+                prim.fixed;
+              I.compile b ~symbol:prim.sym ~fixed:prim.fixed
+            end)
+          e.prims)
+      c.dict;
+    entry.(ndict) <- b.len;
+    {
+      ops = b.ops;
+      entry;
+      lut = Array.map (fun h -> from h Huffman.lut [| 0 |]) code;
+      lut_bits = Array.map (fun h -> from h Huffman.lut_bits 0) code;
+      max_len = Array.map (fun h -> from h Huffman.max_length 0) code;
+      width;
+      long = code;
+      chunk;
+    }
+
+  let long p q window =
+    match p.long.(q) with
+    | Some h -> Huffman.decode_window h window
+    | None -> failwith "Sadc.decompress_block: missing chunk code"
+
+  (* Decoder [q]'s next codeword, as (symbol lsl 5) lor length, from a bit
+     buffer whose low [navail >= 30] bits of [acc] are the stream's next
+     bits. *)
+  let[@inline] next_code p q acc navail =
+    let lb = Array.unsafe_get p.lut_bits q in
+    let e = Array.unsafe_get (Array.unsafe_get p.lut q) ((acc lsr (navail - lb)) land ((1 lsl lb) - 1)) in
+    if e <> 0 then e
+    else
+      let ml = Array.unsafe_get p.max_len q in
+      long p q ((acc lsr (navail - ml)) land ((1 lsl ml) - 1))
+
+  external get64u : string -> int -> int64 = "%caml_string_get64u"
+  external bswap64 : int64 -> int64 = "%bswap_int64"
+  external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+  external bswap32 : int32 -> int32 = "%bswap_int32"
+
+  (* [k <= 7] bytes of [data] from [nb], big-endian, 0 past its end: the
+     stream reads as 0 bits there, as [Bit_reader] does. *)
+  let load data nb k =
+    if nb + 8 <= String.length data then
+      Int64.to_int (Int64.shift_right_logical (bswap64 (get64u data nb)) (64 - (8 * k)))
+    else begin
+      let v = ref 0 in
+      for i = nb to nb + k - 1 do
+        v := (!v lsl 8) lor (if i < String.length data then Char.code (String.unsafe_get data i) else 0)
       done;
-      !acc
-    in
-    (* Per-block scratch shared by every instruction: pull counters and
-       the current primitive's absorbed operands. Item values are
-       non-negative, so -1 can mark "not absorbed". *)
-    let counters = Array.make I.stream_count 0 in
-    let cur_fixed = ref [] in
-    let rec fixed_at s p = function
-      | [] -> -1
-      | (s', p', v) :: tl -> if s' = s && p' = p then v else fixed_at s p tl
-    in
-    let next s =
-      let p = counters.(s) in
-      counters.(s) <- p + 1;
-      let v = fixed_at s p !cur_fixed in
-      if v >= 0 then v else chunks s
-    in
+      !v
+    end
+
+  (* The production decoder: the plan is built once per call, then each
+     block decodes a token, walks that entry's groups and decodes each
+     free field's chunks straight from the tables, with the bit buffer in
+     local variables ([acc]'s low [navail] bits, [nb] the next byte to
+     load), topped up to at least 30 bits, the longest codeword, before
+     each codeword. Nothing is allocated per block, so domains that
+     decode do not meet at minor-GC barriers. *)
+  let block_decoder c =
+    let p = plan c in
+    let ops = p.ops in
     fun b out pos ->
-      let original = c.sizes.(b) in
-      Bit_reader.reset r c.blocks.(b);
-      let produced = ref 0 in
-      let steps = ref 0 in
+      let data = c.blocks.(b) and original = c.sizes.(b) in
+      let acc = ref 0 and navail = ref 0 and nb = ref 0 in
+      let produced = ref 0 and steps = ref 0 in
+      (* the primitive's resume point and displacement/immediate groups
+         to go, and its ModRM byte *)
+      let resume = ref 0 and left = ref 0 and modrm = ref 0 in
       while !produced < original do
+        (* Every well-formed token yields at least one byte of output, so
+           a stream needing more tokens than [original] bytes is corrupt;
+           without this a zero-output cycle would spin forever. *)
         incr steps;
         if !steps > original then
-          Ccomp_util.Decode_error.fail
-            (Step_budget_exhausted "Sadc.decompress_block");
-        let tok = Huffman.decode_symbol c.token_code r in
-        if tok >= Array.length c.dict then
-          Ccomp_util.Decode_error.invalid_code "Sadc.decompress_block: token beyond dictionary";
-        let prims = c.dict.(tok).prims in
-        for k = 0 to Array.length prims - 1 do
-          let prim = Array.unsafe_get prims k in
-          Array.fill counters 0 I.stream_count 0;
-          cur_fixed := prim.fixed;
-          produced := !produced + I.read_into ~symbol:prim.sym ~next out (pos + !produced)
+          Ccomp_util.Decode_error.fail (Step_budget_exhausted "Sadc.decompress_block");
+        if !navail < 30 then begin
+          let k = (62 - !navail) lsr 3 in
+          acc := (!acc lsl (8 * k)) lor load data !nb k;
+          navail := !navail + (8 * k);
+          nb := !nb + k
+        end;
+        let e = next_code p 0 !acc !navail in
+        navail := !navail - (e land 31);
+        let g = ref p.entry.(e lsr 5) and stop = p.entry.((e lsr 5) + 1) in
+        while !g < stop do
+          let o = !g in
+          let head = Array.unsafe_get ops o in
+          let ctl = head lsr 32 in
+          let slots = (ctl lsr 3) land 3 in
+          let v = ref (head land 0xffff_ffff) in
+          for j = o + 1 to o + slots do
+            let slot = Array.unsafe_get ops j in
+            let f = ref 0 in
+            for q = p.chunk.(slot lsr 8) to p.chunk.((slot lsr 8) + 1) - 1 do
+              if !navail < 30 then begin
+                let k = (62 - !navail) lsr 3 in
+                acc := (!acc lsl (8 * k)) lor load data !nb k;
+                navail := !navail + (8 * k);
+                nb := !nb + k
+              end;
+              let e = next_code p q !acc !navail in
+              navail := !navail - (e land 31);
+              f := (!f lsl Array.unsafe_get p.width q) lor (e lsr 5)
+            done;
+            v := !v lor (!f lsl (slot land 0xff))
+          done;
+          let v = !v and at = pos + !produced in
+          (match ctl land 7 with
+          | 4 -> set32 out at (bswap32 (Int32.of_int v))
+          | 1 -> Bytes.set out at (Char.unsafe_chr (v land 0xff))
+          | _ ->
+            Bytes.set out at (Char.unsafe_chr ((v lsr 8) land 0xff));
+            Bytes.set out (at + 1) (Char.unsafe_chr (v land 0xff)));
+          produced := !produced + (ctl land 7);
+          g := o + 1 + slots;
+          let role = (ctl lsr 5) land 3 in
+          if role = Sadc_isa.plain then begin
+            if !left > 0 then begin
+              decr left;
+              if !left = 0 then g := !resume
+            end
+          end
+          else if role = Sadc_isa.modrm then begin
+            resume := o + (ctl lsr 10);
+            if Ccomp_isa.X86.has_sib v then modrm := v
+            else begin
+              (* past the SIB group *)
+              g := !g + 1 + ((Array.unsafe_get ops !g lsr 35) land 3);
+              left := Ccomp_isa.X86.disp_size v ~sib:(-1) + ((ctl lsr 7) land 7);
+              if !left = 0 then g := !resume
+            end
+          end
+          else begin
+            left := Ccomp_isa.X86.disp_size !modrm ~sib:v + ((ctl lsr 7) land 7);
+            if !left = 0 then g := !resume
+          end
         done
       done;
       !produced
@@ -1648,12 +1800,6 @@ module Make (I : Sadc_isa.S) = struct
       let hi = u16 () in
       (hi lsl 16) lor u16 ()
     in
-    let take n =
-      if !p + n > String.length s then fail ();
-      let sub = String.sub s !p n in
-      p := !p + n;
-      sub
-    in
     let block_size = u16 () in
     let max_entries = u16 () in
     let max_rounds = u16 () in
@@ -1700,13 +1846,16 @@ module Make (I : Sadc_isa.S) = struct
     (* Each block costs at least its 4-byte prefix; a count the remaining
        bytes cannot hold must fail before sizing an array by it. *)
     if nblocks > (String.length s - !p) / 4 then fail ();
-    let sizes = Array.make nblocks 0 in
-    let blocks =
-      Array.init nblocks (fun i ->
-          let len = u16 () in
-          sizes.(i) <- u16 ();
-          take len)
-    in
+    let sizes = Array.make nblocks 0 and blocks = Array.make nblocks "" in
+    for b = 0 to nblocks - 1 do
+      let q = !p in
+      if q + 4 > String.length s then fail ();
+      let len = String.get_uint16_be s q in
+      sizes.(b) <- String.get_uint16_be s (q + 2);
+      if q + 4 + len > String.length s then fail ();
+      blocks.(b) <- String.sub s (q + 4) len;
+      p := q + 4 + len
+    done;
     (* [decompress] allocates the sum of the block sizes, so the header's
        size — the one the image's cap sees — must be that sum. *)
     if Array.fold_left ( + ) 0 sizes <> original_size then

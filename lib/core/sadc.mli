@@ -61,11 +61,19 @@ module Make (I : Sadc_isa.S) : sig
       tables are program-global, like the hardware's dictionary memory). *)
 
   val block_decoder : compressed -> int -> Bytes.t -> int -> int
-  (** [block_decoder t] builds one production block decoder with its own
-      bit reader and scratch: [decode b out pos] writes block [b]'s bytes
-      at [out.(pos)] through [I.read_into] and returns their count, which
-      can exceed the declared size only on a corrupt payload. Not safe to
-      share between domains; build one per domain. *)
+  (** [block_decoder t] compiles [t]'s dictionary and Huffman tables into
+      a decode plan (the Fig. 6 opcode extractor and instruction
+      generator as int arrays: per primitive its static bits with every
+      absorbed operand in place, then its free operand slots, through
+      [I.compile]) and returns the production block decoder over it:
+      [decode b out pos] writes block [b]'s bytes at [out.(pos)] and
+      returns their count, which can exceed the declared size only on a
+      corrupt payload. A block decode allocates nothing. Every range
+      check is made here, once: a token alphabet beyond the dictionary,
+      a chunk alphabet wider than its chunk or an absorbed operand
+      outside its field raises [Decode_error.Error] ([Malformed]). Each
+      call builds its own plan; the decoder is not safe to share between
+      domains, so build one per domain. *)
 
   val decompress : ?jobs:int -> compressed -> string
   (** Whole-image reconstruction; equals the original image.

@@ -16,6 +16,81 @@ let item_value it = it land ((1 lsl 30) - 1)
    [items] may be longer than the items it holds. *)
 type program = { syms : int array; boff : int array; items : int array; ioff : int array }
 
+(* --- the block decoder's plan ----------------------------------------- *)
+
+(* A dictionary primitive compiled for SADC's block decoder: a run of
+   groups in an int array, each a head and its slots. A group writes one
+   big-endian field of [ctl land 7] bytes, where [ctl] is [head lsr 32],
+   whose value is [head]'s low 32 bits, the static bits with every
+   absorbed operand already placed, or-ed with each of its
+   [(ctl lsr 3) land 3] free operands: the slot [(stream lsl 8) lor shift]
+   is the next item of [stream], decoded and shifted left by [shift].
+   [(ctl lsr 5) land 3] is the group's role:
+   - [plain]: the next group follows;
+   - [modrm]: the group is an IA-32 ModRM byte. The next group, its SIB
+     byte, runs only if [X86.has_sib]; else it is skipped;
+   - [sib]: the SIB byte.
+   After a [modrm] group (or its SIB), [X86.disp_size] plus
+   [(ctl lsr 7) land 7] immediate bytes of one-byte plain groups run,
+   and the primitive resumes [ctl lsr 10] ints past the ModRM group,
+   skipping the unused displacement and immediate groups. *)
+type ops = { mutable ops : int array; mutable len : int }
+
+let plain = 0
+
+let modrm = 1
+
+let sib = 2
+
+let ops_create n = { ops = Array.make (max 16 n) 0; len = 0 }
+
+let grow b = b.ops <- Array.append b.ops (Array.make b.len 0)
+
+let[@inline] push b v =
+  if b.len = Array.length b.ops then grow b;
+  b.ops.(b.len) <- v;
+  b.len <- b.len + 1
+
+(* Open a group with static bits [base]; returns its offset. *)
+let[@inline] open_group b base =
+  push b base;
+  b.len - 1
+
+(* The absorbed value of item [position] of [stream], or -1. *)
+let rec fixed_at stream position = function
+  | [] -> -1
+  | (s, p, v) :: rest -> if s = stream && p = position then v else fixed_at stream position rest
+
+(* A part of a field, as (stream lsl 16) lor (position lsl 8) lor shift:
+   item [position] of [stream] goes at bit [shift] of the group at [at],
+   in its static bits when absorbed, in a slot when free. *)
+let[@inline] add_part b ~fixed at part =
+  let v = fixed_at (part lsr 16) ((part lsr 8) land 0xff) fixed in
+  if v >= 0 then b.ops.(at) <- b.ops.(at) lor (v lsl (part land 0xff))
+  else push b (((part lsr 16) lsl 8) lor (part land 0xff))
+
+let add_parts b ~fixed at parts =
+  for k = 0 to Array.length parts - 1 do
+    add_part b ~fixed at parts.(k)
+  done
+
+(* The field's value when every part of it is absorbed, else -1. *)
+let absorbed_value ~fixed parts =
+  let acc = ref 0 in
+  for k = 0 to Array.length parts - 1 do
+    let part = parts.(k) in
+    let v = fixed_at (part lsr 16) ((part lsr 8) land 0xff) fixed in
+    acc := if !acc < 0 || v < 0 then -1 else !acc lor (v lsl (part land 0xff))
+  done;
+  !acc
+
+(* Close the group at [at], the last one opened. *)
+let[@inline] close_group b at ~bytes ~role ~imm =
+  let ctl = bytes lor ((b.len - at - 1) lsl 3) lor (role lsl 5) lor (imm lsl 7) in
+  b.ops.(at) <- b.ops.(at) lor (ctl lsl 32)
+
+let malformed msg = Ccomp_util.Decode_error.fail (Malformed msg)
+
 module type S = sig
   type instr
 
@@ -28,7 +103,13 @@ module type S = sig
   val iter_items : instr -> (int -> int -> unit) -> unit
   val byte_length : instr -> int
   val read : symbol:int -> next:(int -> int) -> instr
-  val read_into : symbol:int -> next:(int -> int) -> Bytes.t -> int -> int
+
+  val compile : ops -> symbol:int -> fixed:(int * int * int) list -> unit
+  (** Append the groups of the primitive [symbol] with the absorbed
+      operands [fixed] (stream, position, value), each of which fits its
+      stream. @raise Ccomp_util.Decode_error.Error ([Malformed]) on a
+      symbol outside the ISA. *)
+
   val encode_list : instr list -> string
   val parse : string -> program option
 end
@@ -114,6 +195,55 @@ let parse_x86 ~streams ~operand code =
   in
   if go 0 then Some (program f) else None
 
+(* Items 0 to [n - 1] of stream [tail], a one-byte group each. *)
+let tail_bytes b ~fixed ~tail n =
+  for position = 0 to n - 1 do
+    let at = open_group b 0 in
+    add_part b ~fixed at ((tail lsl 16) lor (position lsl 8));
+    close_group b at ~bytes:1 ~role:plain ~imm:0
+  done
+
+let byte_group b ~fixed parts ~role ~imm =
+  let at = open_group b 0 in
+  add_parts b ~fixed at parts;
+  close_group b at ~bytes:1 ~role ~imm
+
+(* The x86 adapters' primitive: the opcode bytes, then for an opcode
+   with a ModRM byte its ModRM and SIB groups from [modrm_parts] and
+   [sib_parts] (see {!add_parts}), then a group per displacement and
+   immediate byte, item [k] of stream [tail] for the [k]-th. A ModRM
+   absorbed whole, with its SIB when it has one, fixes the shape: its
+   groups are plain and only the bytes it implies follow. Otherwise the
+   ModRM and SIB groups steer, over groups for the longest tail; bit 42
+   of the head is bit 10 of its [ctl]. *)
+let compile_x86 ~modrm_parts ~sib_parts ~tail b ~symbol ~fixed =
+  let module X = Ccomp_isa.X86 in
+  let shape = if symbol < 0 || symbol >= 512 then None else X.symbol_shape symbol in
+  match shape with
+  | None -> malformed "Sadc: opcode symbol outside the ISA"
+  | Some (with_modrm, imm) ->
+    let opcode = if symbol < 256 then symbol else 0x0f00 lor (symbol - 256) in
+    close_group b (open_group b opcode) ~bytes:(if symbol < 256 then 1 else 2) ~role:plain ~imm:0;
+    let m = absorbed_value ~fixed modrm_parts and sb = absorbed_value ~fixed sib_parts in
+    if not with_modrm then tail_bytes b ~fixed ~tail imm
+    else if m >= 0 && not (X.has_sib m) then begin
+      byte_group b ~fixed modrm_parts ~role:plain ~imm;
+      tail_bytes b ~fixed ~tail (X.disp_size m ~sib:(-1) + imm)
+    end
+    else if m >= 0 && sb >= 0 then begin
+      byte_group b ~fixed modrm_parts ~role:plain ~imm;
+      byte_group b ~fixed sib_parts ~role:plain ~imm;
+      tail_bytes b ~fixed ~tail (X.disp_size m ~sib:sb + imm)
+    end
+    else begin
+      let at = b.len in
+      byte_group b ~fixed modrm_parts ~role:modrm ~imm;
+      byte_group b ~fixed sib_parts ~role:sib ~imm;
+      (* a displacement is at most four bytes *)
+      tail_bytes b ~fixed ~tail (4 + imm);
+      b.ops.(at) <- b.ops.(at) lor ((b.len - at) lsl 42)
+    end
+
 module Mips_streams = struct
   module M = Ccomp_isa.Mips
 
@@ -126,43 +256,49 @@ module Mips_streams = struct
   let stream_bits = [| 5; 16; 26 |]
   let stream_names = [| "register"; "immediate"; "long-immediate" |]
 
-  (* The items of an instruction of [spec] encoded as [word]:
-     registers in {!read}'s pull order, then the immediate or the jump
-     target. *)
-  let iter_word_items spec word f =
-    let rs = (word lsr 21) land 0x1f and rt = (word lsr 16) land 0x1f in
-    let rd = (word lsr 11) land 0x1f and shamt = (word lsr 6) land 0x1f in
-    match spec.M.operands with
-    | M.Op_none -> ()
-    | M.Op_rd_rs_rt | M.Op_rd_rt_rs ->
-      f 0 rs;
-      f 0 rt;
-      f 0 rd
-    | M.Op_rd_rt_shamt ->
-      f 0 rt;
-      f 0 rd;
-      f 0 shamt
-    | M.Op_rs_rt ->
-      f 0 rs;
-      f 0 rt
-    | M.Op_rd -> f 0 rd
-    | M.Op_rs -> f 0 rs
-    | M.Op_rd_rs ->
-      f 0 rs;
-      f 0 rd
-    | M.Op_rt_rs_imm | M.Op_rt_base_offset | M.Op_rs_rt_branch ->
-      f 0 rs;
-      f 0 rt;
-      f 1 (word land 0xffff)
-    | M.Op_rt_imm ->
-      f 0 rt;
-      f 1 (word land 0xffff)
-    | M.Op_rs_branch ->
-      f 0 rs;
-      f 1 (word land 0xffff)
-    | M.Op_target -> f 2 (word land 0x3ffffff)
+  (* Each operand kind's fields in {!read}'s pull order, registers then
+     the immediate or the jump target, as (stream, bit shift). *)
+  let fields = function
+    | M.Op_none -> []
+    | M.Op_rd_rs_rt | M.Op_rd_rt_rs -> [ (0, 21); (0, 16); (0, 11) ]
+    | M.Op_rd_rt_shamt -> [ (0, 16); (0, 11); (0, 6) ]
+    | M.Op_rs_rt -> [ (0, 21); (0, 16) ]
+    | M.Op_rd -> [ (0, 11) ]
+    | M.Op_rs -> [ (0, 21) ]
+    | M.Op_rd_rs -> [ (0, 21); (0, 11) ]
+    | M.Op_rt_rs_imm | M.Op_rt_base_offset | M.Op_rs_rt_branch -> [ (0, 21); (0, 16); (1, 0) ]
+    | M.Op_rt_imm -> [ (0, 16); (1, 0) ]
+    | M.Op_rs_branch -> [ (0, 21); (1, 0) ]
+    | M.Op_target -> [ (2, 0) ]
 
-  let iter_items i f = iter_word_items i.M.spec (M.encode i) f
+  (* Per opcode, its fields in pull order as (stream lsl 16) lor
+     (position lsl 8) lor shift, the position counted within the
+     stream: what both {!parse} and {!compile} walk. *)
+  let parts =
+    Array.map
+      (fun spec ->
+        let seen = Array.make stream_count 0 in
+        let fs = Array.of_list (fields spec.M.operands) in
+        Array.map
+          (fun (s, shift) ->
+            let p = seen.(s) in
+            seen.(s) <- p + 1;
+            (s lsl 16) lor (p lsl 8) lor shift)
+          fs)
+      M.specs
+
+  let masks = Array.map (fun b -> (1 lsl b) - 1) stream_bits
+
+  (* The items of the instruction of opcode [id] encoded as [word]. *)
+  let iter_word_items id word f =
+    let ps = parts.(id) in
+    for k = 0 to Array.length ps - 1 do
+      let part = ps.(k) in
+      let s = part lsr 16 in
+      f s ((word lsr (part land 0xff)) land masks.(s))
+    done
+
+  let iter_items i f = iter_word_items (M.opcode_id i) (M.encode i) f
 
   let byte_length _ = 4
 
@@ -174,67 +310,15 @@ module Mips_streams = struct
     let limm = if M.has_long_immediate spec then Some (next 2) else None in
     M.reassemble spec ~regs ~imm ~limm
 
-  (* Range guards for pulled items: stream chunk widths bound every
-     Huffman-decoded value, but a hostile dictionary can absorb an
-     out-of-range fixed operand — reject it like [M.make] would. *)
-  let r5 v = if v lsr 5 = 0 then v else invalid_arg "Mips_streams.read_into: register out of range"
+  let skeletons = Array.map M.skeleton M.specs
 
-  let i16 v =
-    if v lsr 16 = 0 then v else invalid_arg "Mips_streams.read_into: immediate out of range"
-
-  let t26 v = if v lsr 26 = 0 then v else invalid_arg "Mips_streams.read_into: target out of range"
-
-  (* Fused generator + encoder: pulls operands in exactly {!read}'s order
-     but packs the 32-bit word directly — no [M.t], no operand lists, no
-     options. This is what makes the SADC block decoder allocation-free
-     per instruction. *)
-  let read_into ~symbol ~next buf pos =
-    if symbol < 0 || symbol >= base_symbols then invalid_arg "Mips_streams.read: bad symbol";
-    let spec = M.specs.(symbol) in
-    let fields =
-      match spec.M.operands with
-      | M.Op_none -> 0
-      | M.Op_rd_rs_rt | M.Op_rd_rt_rs ->
-        let rs = r5 (next 0) in
-        let rt = r5 (next 0) in
-        let rd = r5 (next 0) in
-        (rs lsl 21) lor (rt lsl 16) lor (rd lsl 11)
-      | M.Op_rd_rt_shamt ->
-        let rt = r5 (next 0) in
-        let rd = r5 (next 0) in
-        let shamt = r5 (next 0) in
-        (rt lsl 16) lor (rd lsl 11) lor (shamt lsl 6)
-      | M.Op_rs_rt ->
-        let rs = r5 (next 0) in
-        let rt = r5 (next 0) in
-        (rs lsl 21) lor (rt lsl 16)
-      | M.Op_rd -> r5 (next 0) lsl 11
-      | M.Op_rs -> r5 (next 0) lsl 21
-      | M.Op_rd_rs ->
-        let rs = r5 (next 0) in
-        let rd = r5 (next 0) in
-        (rs lsl 21) lor (rd lsl 11)
-      | M.Op_rt_rs_imm | M.Op_rt_base_offset | M.Op_rs_rt_branch ->
-        let rs = r5 (next 0) in
-        let rt = r5 (next 0) in
-        let imm = i16 (next 1) in
-        (rs lsl 21) lor (rt lsl 16) lor imm
-      | M.Op_rt_imm ->
-        let rt = r5 (next 0) in
-        let imm = i16 (next 1) in
-        (rt lsl 16) lor imm
-      | M.Op_rs_branch ->
-        let rs = r5 (next 0) in
-        let imm = i16 (next 1) in
-        (rs lsl 21) lor imm
-      | M.Op_target -> t26 (next 2)
-    in
-    let w = M.skeleton spec lor fields in
-    Bytes.set buf pos (Char.unsafe_chr ((w lsr 24) land 0xff));
-    Bytes.set buf (pos + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
-    Bytes.set buf (pos + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
-    Bytes.set buf (pos + 3) (Char.unsafe_chr (w land 0xff));
-    4
+  (* One four-byte group: the opcode's skeleton with the absorbed fields
+     in place, and a slot per free field. *)
+  let compile b ~symbol ~fixed =
+    if symbol < 0 || symbol >= base_symbols then malformed "Sadc: opcode symbol outside the ISA";
+    let at = open_group b skeletons.(symbol) in
+    add_parts b ~fixed at parts.(symbol);
+    close_group b at ~bytes:4 ~role:plain ~imm:0
 
   let encode_list = M.encode_program
 
@@ -254,7 +338,7 @@ module Mips_streams = struct
         let id = M.decode_id word in
         id >= 0
         && begin
-             iter_word_items M.specs.(id) word add;
+             iter_word_items id word add;
              finish f ~symbol:id ~bytes:4;
              go (k + 1)
            end
@@ -304,12 +388,12 @@ module X86_streams = struct
     | Some i -> i
     | None -> invalid_arg "X86_streams.read: unknown opcode"
 
-  let read_into ~symbol ~next buf pos =
-    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_streams.read: bad symbol";
-    (* the streams are numbered as [X.read_streams_into] pulls them *)
-    match X.read_streams_into ~symbol ~pull:next buf pos with
-    | -1 -> invalid_arg "X86_streams.read: unknown opcode"
-    | n -> n
+  (* ModRM is item 0 of stream 0 and SIB item 1. *)
+  let modrm_parts = [| 0 |]
+
+  let sib_parts = [| 1 lsl 8 |]
+
+  let compile b ~symbol ~fixed = compile_x86 ~modrm_parts ~sib_parts ~tail:1 b ~symbol ~fixed
 
   let encode_list = X.encode_program
 
@@ -374,13 +458,15 @@ module X86_field_streams = struct
     | Some i -> i
     | None -> invalid_arg "X86_field_streams.read: unknown opcode"
 
-  let read_into ~symbol ~next buf pos =
-    if symbol < 0 || symbol >= base_symbols then invalid_arg "X86_field_streams.read: bad symbol";
-    let next_modrm_sib = next_modrm_sib ~next in
-    let pull k = if k = 0 then next_modrm_sib () else next 6 in
-    match X.read_streams_into ~symbol ~pull buf pos with
-    | -1 -> invalid_arg "X86_field_streams.read: unknown opcode"
-    | n -> n
+  (* ModRM's fields are item 0 of streams 0-2 and SIB's of streams 3-5,
+     at bits 6, 3 and 0. *)
+  let fields s = [| (s lsl 16) lor 6; ((s + 1) lsl 16) lor 3; (s + 2) lsl 16 |]
+
+  let modrm_parts = fields 0
+
+  let sib_parts = fields 3
+
+  let compile b ~symbol ~fixed = compile_x86 ~modrm_parts ~sib_parts ~tail:6 b ~symbol ~fixed
 
   let encode_list = X.encode_program
 

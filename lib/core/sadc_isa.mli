@@ -3,8 +3,9 @@
     SADC is generic over how an instruction set splits into an opcode
     symbol plus operand streams. An adapter names the operand streams,
     gives each one an item bit-width, extracts items from instructions,
-    and can reconstruct an instruction by pulling items back on demand
-    (the operand-length unit + instruction generator of Fig. 6). *)
+    can reconstruct an instruction by pulling items back on demand (the
+    operand-length unit + instruction generator of Fig. 6), and compiles
+    a dictionary primitive into the block decoder's plan. *)
 
 val item : stream:int -> position:int -> int -> int
 (** [item ~stream ~position v] packs an operand item: value [v] (below
@@ -30,6 +31,35 @@ type program = {
           [items.(ioff.(i + 1) - 1)] *)
 }
 (** A program as SADC's compressor reads it, in flat arrays. *)
+
+type ops = { mutable ops : int array; mutable len : int }
+(** Compiled primitives for SADC's block decoder: [ops.(0)] to
+    [ops.(len - 1)] hold a run of groups, each a head and its slots. A
+    group writes one big-endian field of [ctl land 7] bytes, where [ctl]
+    is [head lsr 32]: [head]'s low 32 bits, the static bits with every
+    absorbed operand in place, or-ed with each of its [(ctl lsr 3) land 3]
+    free operands, where the slot [(stream lsl 8) lor shift] that follows
+    the head is the next item of [stream] shifted left by [shift].
+    [(ctl lsr 5) land 3] is the group's role, one of {!plain}, {!modrm}
+    and {!sib}. *)
+
+val ops_create : int -> ops
+(** An empty run with room for about [n] ints. *)
+
+val plain : int
+(** The next group follows. *)
+
+val modrm : int
+(** An IA-32 ModRM byte. The group after it, its SIB byte, runs only if
+    [X86.has_sib] holds of it. After the ModRM, or its SIB when there is
+    one, [X86.disp_size] plus [(ctl lsr 7) land 7] immediate bytes of
+    one-byte {!plain} groups run; the primitive then resumes
+    [ctl lsr 10] ints past the ModRM group, past the displacement and
+    immediate groups it did not need. A ModRM absorbed whole, with its
+    SIB when it has one, is {!plain}: its shape is static. *)
+
+val sib : int
+(** The SIB byte of the preceding {!modrm} group. *)
 
 module type S = sig
   type instr
@@ -61,15 +91,15 @@ module type S = sig
       {!items} lists for the result.
       @raise Invalid_argument on an unknown symbol or malformed pulls. *)
 
-  val read_into : symbol:int -> next:(int -> int) -> Bytes.t -> int -> int
-  (** [read_into ~symbol ~next buf pos] decodes one instruction with the
-      same pulls as {!read} but writes its encoded bytes directly at
-      [buf.(pos)], returning the byte length — the zero-copy decode
-      path. Fixed-width ISAs implement it without constructing an
-      [instr] at all, so a block decode allocates nothing per
-      instruction.
-      @raise Invalid_argument on an unknown symbol, out-of-range pulled
-      items, or an out-of-bounds write. *)
+  val compile : ops -> symbol:int -> fixed:(int * int * int) list -> unit
+  (** [compile b ~symbol ~fixed] appends to [b] the groups that write the
+      instruction of [symbol] whose items [fixed] lists as
+      (stream, position, value) are absorbed, each pulling its free items
+      in {!read}'s order. Every absorbed value must fit its stream's
+      {!stream_bits}; absorbed items the instruction does not have are
+      ignored.
+      @raise Ccomp_util.Decode_error.Error ([Malformed]) on a symbol
+      outside the ISA. *)
 
   val encode_list : instr list -> string
 

@@ -86,31 +86,41 @@ let tree_lengths counts =
 
 let max_array a = Array.fold_left max 0 a
 
-(* Canonical code and decode tables from a length table. *)
+(* 2^max_len times the Kraft sum of a code with [count_len.(l)]
+   codewords of each length [l]. *)
+let kraft_sum count_len max_len =
+  let kraft = ref 0 in
+  for l = 1 to max_len do
+    kraft := !kraft + (count_len.(l) lsl (max_len - l))
+  done;
+  !kraft
+
+(* Canonical code and decode tables from a length table, which the code
+   keeps: callers pass a table nobody else holds. *)
 let canonicalize lengths =
   let n = Array.length lengths in
   let max_len = max_array lengths in
   if max_len = 0 then invalid_arg "Huffman.of_lengths: empty alphabet";
   if max_len > 30 then invalid_arg "Huffman.of_lengths: codeword too long";
   let count_len = Array.make (max_len + 1) 0 in
-  Array.iter (fun l -> if l > 0 then count_len.(l) <- count_len.(l) + 1) lengths;
-  (* Kraft inequality check: sum 2^(max_len - l) must not exceed 2^max_len. *)
-  let kraft = ref 0 in
-  for l = 1 to max_len do
-    kraft := !kraft + (count_len.(l) lsl (max_len - l))
+  for sym = 0 to n - 1 do
+    let l = lengths.(sym) in
+    if l > 0 then count_len.(l) <- count_len.(l) + 1
   done;
-  if !kraft > 1 lsl max_len then invalid_arg "Huffman.of_lengths: not a prefix code";
+  if kraft_sum count_len max_len > 1 lsl max_len then
+    invalid_arg "Huffman.of_lengths: not a prefix code";
   let first_code = Array.make (max_len + 1) 0 in
   let first_index = Array.make (max_len + 1) 0 in
+  let next_index = Array.make (max_len + 1) 0 in
   let code = ref 0 and index = ref 0 in
   for l = 1 to max_len do
     first_code.(l) <- !code;
     first_index.(l) <- !index;
+    next_index.(l) <- !index;
     code := (!code + count_len.(l)) lsl 1;
     index := !index + count_len.(l)
   done;
-  let ordered = Array.make (Array.fold_left (fun a l -> if l > 0 then a + 1 else a) 0 lengths) 0 in
-  let next_index = Array.copy first_index in
+  let ordered = Array.make !index 0 in
   for sym = 0 to n - 1 do
     let l = lengths.(sym) in
     if l > 0 then begin
@@ -118,39 +128,30 @@ let canonicalize lengths =
       next_index.(l) <- next_index.(l) + 1
     end
   done;
+  (* In (length, symbol) order the codewords count up from zero within
+     a length, so the codewords of length l <= lut_bits own consecutive
+     runs of 2^(lut_bits - l) table slots from slot 0 (the Kraft check
+     keeps them inside the table), and the slots past the last run
+     stay 0. *)
   let codewords = Array.make n 0 in
-  let next_code = Array.copy first_code in
+  let lut_bits = min max_len lut_bits_limit in
+  let lut = Array.make (1 lsl lut_bits) 0 in
+  let slot = ref 0 in
   for i = 0 to Array.length ordered - 1 do
     let sym = ordered.(i) in
     let l = lengths.(sym) in
-    codewords.(sym) <- next_code.(l);
-    next_code.(l) <- next_code.(l) + 1
-  done;
-  (* Every codeword of length l <= lut_bits owns the 2^(lut_bits - l)
-     table slots its bits prefix. *)
-  let lut_bits = min max_len lut_bits_limit in
-  let lut = Array.make (1 lsl lut_bits) 0 in
-  for sym = 0 to n - 1 do
-    let l = lengths.(sym) in
-    if l > 0 && l <= lut_bits then begin
-      let first = codewords.(sym) lsl (lut_bits - l) in
+    codewords.(sym) <- first_code.(l) + i - first_index.(l);
+    if l <= lut_bits then begin
       let packed = (sym lsl 5) lor l in
-      Array.fill lut first (1 lsl (lut_bits - l)) packed
+      for k = !slot to !slot + (1 lsl (lut_bits - l)) - 1 do
+        Array.unsafe_set lut k packed
+      done;
+      slot := !slot + (1 lsl (lut_bits - l))
     end
   done;
-  {
-    lengths = Array.copy lengths;
-    codewords;
-    max_len;
-    first_code;
-    first_index;
-    count_len;
-    ordered;
-    lut_bits;
-    lut;
-  }
+  { lengths; codewords; max_len; first_code; first_index; count_len; ordered; lut_bits; lut }
 
-let of_lengths lengths = canonicalize lengths
+let of_lengths lengths = canonicalize (Array.copy lengths)
 
 let build ?(max_length = 15) freq =
   let counts = ref (Freq.counts freq) in
@@ -191,6 +192,20 @@ let rec decode_tree_from c r code len =
 
 let decode_symbol_tree c r = decode_tree_from c r 0 0
 
+(* The canonical walk over a window that holds the bits it needs: the
+   prefix of each length in turn, as [decode_tree_from] reads them. Top
+   level, so it allocates nothing. *)
+let rec decode_window_from c window len =
+  if len > c.max_len then
+    Ccomp_util.Decode_error.invalid_code "Huffman.decode_symbol: invalid bit stream"
+  else
+    let offset = (window lsr (c.max_len - len)) - c.first_code.(len) in
+    if offset >= 0 && offset < c.count_len.(len) then
+      (c.ordered.(c.first_index.(len) + offset) lsl 5) lor len
+    else decode_window_from c window (len + 1)
+
+let decode_window c window = decode_window_from c window 1
+
 let decode_symbol c r =
   let e = c.lut.(Bit_reader.peek_bits r c.lut_bits) in
   if e <> 0 then begin
@@ -198,6 +213,12 @@ let decode_symbol c r =
     e lsr 5
   end
   else decode_symbol_tree c r
+
+let lut_bits c = c.lut_bits
+
+let lut c = c.lut
+
+let max_length c = c.max_len
 
 let encoded_bits c freq =
   let bits = ref 0 in
@@ -245,7 +266,9 @@ let deserialize_lengths s ~pos =
     let len = Char.code s.[!p + 1] in
     p := !p + 2;
     if !filled + count > n then invalid_arg "Huffman.deserialize_lengths: run overflows alphabet";
-    Array.fill lengths !filled count len;
+    for k = !filled to !filled + count - 1 do
+      lengths.(k) <- len
+    done;
     filled := !filled + count
   done;
   let code = canonicalize lengths in
@@ -255,11 +278,8 @@ let deserialize_lengths s ~pos =
      [Invalid_code]. The only legitimate deficient table is the degenerate
      single-symbol code of length 1, which [build] emits for one-symbol
      alphabets. *)
-  let nonzero = Array.fold_left (fun a l -> if l > 0 then a + 1 else a) 0 lengths in
-  if not (nonzero = 1 && code.max_len = 1) then begin
-    let kraft = ref 0 in
-    Array.iter (fun l -> if l > 0 then kraft := !kraft + (1 lsl (code.max_len - l))) lengths;
-    if !kraft < 1 lsl code.max_len then
-      invalid_arg "Huffman.deserialize_lengths: incomplete code"
-  end;
+  if
+    (not (Array.length code.ordered = 1 && code.max_len = 1))
+    && kraft_sum code.count_len code.max_len < 1 lsl code.max_len
+  then invalid_arg "Huffman.deserialize_lengths: incomplete code";
   (code, !p)

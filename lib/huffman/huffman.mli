@@ -52,6 +52,31 @@ val decode_symbol_tree : code -> Ccomp_bitio.Bit_reader.t -> int
     kept as the reference kernel for equivalence tests and the
     pre-LUT baseline in the benchmark harness. *)
 
+(** {2 Table-driven decoding in the caller's own bit buffer}
+
+    A decoder that keeps its bits in local variables (the SADC block
+    kernel) resolves a symbol without a {!Ccomp_bitio.Bit_reader.t}:
+    the next [lut_bits c] bits index [lut c]; a nonzero entry is
+    [(symbol lsl 5) lor length], and 0 means a longer codeword, which
+    {!decode_window} resolves. Past the end of the data the stream
+    reads as 0 bits, as for {!decode_symbol}. *)
+
+val lut_bits : code -> int
+(** At most 11, and at most {!max_length}. *)
+
+val lut : code -> int array
+(** [2^(lut_bits c)] entries. Do not mutate. *)
+
+val max_length : code -> int
+(** Length of the longest codeword, at most 30. *)
+
+val decode_window : code -> int -> int
+(** [decode_window c w]: [w] holds the next [max_length c] bits of the
+    stream, most significant first; returns [(symbol lsl 5) lor length]
+    of the codeword they open, the symbol {!decode_symbol} reads there.
+    @raise Ccomp_util.Decode_error.Error ([Invalid_code]) when no
+    codeword opens them. *)
+
 val encoded_bits : code -> Ccomp_entropy.Freq.t -> int
 (** Total bits needed to code a message with the given symbol counts. *)
 

@@ -375,54 +375,15 @@ let rebuild ~opcode ~modrm_sib ~imm_disp =
               disp = String.sub imm_disp 0 disp_n;
               imm = String.sub imm_disp disp_n (imm_len ik) }
 
-(* [read_streams] for the opcode of SADC symbol [symbol] (a byte below
-   256, [256 + b] for [0x0f b]), writing the instruction's bytes straight
-   into [buf] at [pos] instead of building a [t]: same pulls, same bytes
-   as [encode]. [pull 0] is the next ModRM/SIB byte and [pull 1] the next
-   displacement/immediate byte, so a caller whose streams are numbered
-   that way passes its pull function itself. Returns the length, or -1
-   for an unknown opcode. *)
-let pull_into pull buf n p =
-  for i = 0 to n - 1 do
-    Bytes.set buf (p + i) (Char.chr (pull 1))
-  done;
-  p + n
-
-let read_streams_into ~symbol ~pull buf pos =
+let symbol_shape symbol =
   let shape =
     if symbol < 256 then if symbol = 0x0f then None else shape_of_first symbol
     else shape_of_second (symbol - 256)
   in
   match shape with
-  | None -> -1
-  | Some shape -> (
-    let p =
-      if symbol < 256 then begin
-        Bytes.set buf pos (Char.chr symbol);
-        pos + 1
-      end
-      else begin
-        Bytes.set buf pos '\x0f';
-        Bytes.set buf (pos + 1) (Char.chr (symbol - 256));
-        pos + 2
-      end
-    in
-    match shape with
-    | Plain ik -> pull_into pull buf (imm_len ik) p - pos
-    | With_modrm ik ->
-      let modrm = pull 0 in
-      Bytes.set buf p (Char.chr modrm);
-      let has = has_sib modrm in
-      let sib = if has then pull 0 else -1 in
-      let p =
-        if has then begin
-          Bytes.set buf (p + 1) (Char.chr sib);
-          p + 2
-        end
-        else p + 1
-      in
-      let p = pull_into pull buf (disp_size modrm ~sib) p in
-      pull_into pull buf (imm_len ik) p - pos)
+  | None -> None
+  | Some (Plain ik) -> Some (false, imm_len ik)
+  | Some (With_modrm ik) -> Some (true, imm_len ik)
 
 (* Pull [n] bytes in order; explicit loop so the pull order is defined. *)
 let pull n next =

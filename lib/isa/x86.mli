@@ -116,16 +116,18 @@ val read_streams :
     the already-pulled bytes dictate, exactly like a hardware sequencer fed
     by per-stream decoders (Fig. 6). [None] for an unknown opcode. *)
 
-val read_streams_into : symbol:int -> pull:(int -> int) -> Bytes.t -> int -> int
-(** [read_streams_into ~symbol ~pull buf pos] is {!read_streams} for the
-    opcode of SADC symbol [symbol] (a first byte below 256, [256 + b] for
-    the two-byte opcode [0x0f b]) that writes the instruction's
-    {!encode}d bytes straight into [buf] at [pos], with the same pulls and
-    no instruction built: [pull 0] supplies the next ModRM/SIB byte and
-    [pull 1] the next displacement/immediate byte. Returns the byte
-    length, or -1 for an unknown opcode.
-    @raise Invalid_argument if a write falls outside [buf] or a pulled
-    byte is outside \[0, 255\]. *)
+val symbol_shape : int -> (bool * int) option
+(** The shape of SADC symbol [symbol]'s opcode (a first byte below 256,
+    [256 + b] for the two-byte opcode [0x0f b]): whether a ModRM byte
+    follows it and how many immediate bytes end the instruction. [None]
+    for an unknown opcode. *)
+
+val has_sib : int -> bool
+(** Whether a ModRM byte is followed by a SIB byte. *)
+
+val disp_size : int -> sib:int -> int
+(** Displacement bytes that a ModRM byte and its SIB byte ([-1] when
+    there is none) imply. *)
 
 val opcode_symbol : t -> int
 (** The first opcode byte — the dictionary symbol used by SADC's x86 mode.

@@ -314,9 +314,9 @@ let minor_bytes_per_output_byte (blocks, decoder) code =
   words *. float_of_int (Sys.word_size / 8) /. float_of_int n
 
 (* On gcc at scale 0.25, every production block decoder allocates nothing
-   once built; SADC x86's writes each instruction's bytes straight into
-   the output ([X86.read_streams_into]), so an [X86.t] or a string built
-   per instruction fails it. *)
+   once built; SADC's writes each instruction's bytes straight into the
+   output from its compiled plan, so an instruction, a closure or a
+   string built per instruction fails it. *)
 let test_block_decoder_allocation () =
   let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
   let mips = Ccomp_paper.Paper.mips_code gcc and x86 = Ccomp_paper.Paper.x86_code gcc in

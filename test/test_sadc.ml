@@ -249,6 +249,47 @@ let prop_x86_incremental_matches_naive =
     ~naive:Sadc.X86.For_tests.build_naive
     ~incremental:(fun c i -> Sadc.X86.For_tests.build_incremental c i)
 
+(* --- the block kernel against the list walk --------------------------- *)
+
+(* Whole-image [decompress], the compiled plan's kernel, writes what the
+   per-block walk through [I.read] rebuilds, and both give back the
+   program. Dictionaries of 64-112 entries on programs of about 300
+   operations take specialisations in every MIPS and x86 stream (and
+   in the SIB fields from about 96), so absorbed operands of every
+   stream go through the plan's templates. *)
+let prop_decompress_matches_list_walk name lower ~compress_image ~block_count ~decompress_block
+    ~decompress encode_list =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sadc %s: decompress equals the per-block list walk" name)
+    ~count:25
+    QCheck.(triple (int_bound 100_000) (int_range 64 112) (int_bound 2))
+    (fun (seed, max_entries, prof) ->
+      let base = [| "xlisp"; "go"; "gcc" |].(prof) in
+      let code =
+        (snd (lower (P.Generator.generate ~seed:(Int64.of_int seed) (small base 300)))).P.Layout.code
+      in
+      let z = compress_image (Sadc.default_config ~max_entries ()) code in
+      let walk =
+        String.concat "" (List.init (block_count z) (fun b -> encode_list (decompress_block z b)))
+      in
+      decompress z = walk && walk = code)
+
+let prop_mips_decompress_matches_list_walk =
+  let open Sadc.Mips in
+  prop_decompress_matches_list_walk "mips" P.Mips_backend.lower ~compress_image:(compress_image ?jobs:None)
+    ~block_count ~decompress_block ~decompress:(decompress ?jobs:None) Mips.encode_program
+
+let prop_x86_decompress_matches_list_walk =
+  let open Sadc.X86 in
+  prop_decompress_matches_list_walk "x86" P.X86_backend.lower ~compress_image:(compress_image ?jobs:None)
+    ~block_count ~decompress_block ~decompress:(decompress ?jobs:None) X86.encode_program
+
+let prop_x86_fields_decompress_matches_list_walk =
+  let open Sadc.X86_fields in
+  prop_decompress_matches_list_walk "x86-fields" P.X86_backend.lower
+    ~compress_image:(compress_image ?jobs:None) ~block_count ~decompress_block
+    ~decompress:(decompress ?jobs:None) X86.encode_program
+
 (* ~check:true re-derives every candidate count by full rescan at the
    start of each round and raises on any disagreement with the
    incrementally maintained counts — this exercises the per-round
@@ -487,6 +528,9 @@ let suite =
       test_compress_major_allocation;
     QCheck_alcotest.to_alcotest prop_mips_incremental_matches_naive;
     QCheck_alcotest.to_alcotest prop_x86_incremental_matches_naive;
+    QCheck_alcotest.to_alcotest prop_mips_decompress_matches_list_walk;
+    QCheck_alcotest.to_alcotest prop_x86_decompress_matches_list_walk;
+    QCheck_alcotest.to_alcotest prop_x86_fields_decompress_matches_list_walk;
   ]
 
 let test_x86_field_streams_roundtrip () =

@@ -1,12 +1,51 @@
 (* Property shared by every SADC ISA adapter: [read] pulls back exactly
    the items [iter_items] produced, in order, and reconstructs the same
-   instruction — the operand-length-unit contract of Fig. 6 — and
-   [read_into], fed the same items, writes that instruction's bytes. *)
+   instruction — the operand-length-unit contract of Fig. 6 — and the
+   groups [compile] emits, run with any of those items absorbed and the
+   rest fed in order, write that instruction's bytes. *)
 
 module Sadc_isa = Ccomp_core.Sadc_isa
 module Mips = Ccomp_isa.Mips
 module P = Ccomp_progen
 module Prng = Ccomp_util.Prng
+
+(* The group format {!Sadc_isa.ops} documents, run with [next s]
+   supplying each free item of stream [s]: the specification that SADC's
+   block decoder implements over Huffman-coded streams. *)
+let run_groups (b : Sadc_isa.ops) ~next buf pos =
+  let at = ref pos and g = ref 0 in
+  let left = ref 0 and resume = ref 0 and modrm = ref 0 in
+  while !g < b.len do
+    let o = !g in
+    let ctl = b.ops.(o) lsr 32 in
+    let slots = (ctl lsr 3) land 3 in
+    let v = ref (b.ops.(o) land 0xffff_ffff) in
+    for j = o + 1 to o + slots do
+      let slot = b.ops.(j) in
+      v := !v lor (next (slot lsr 8) lsl (slot land 0xff))
+    done;
+    for k = (ctl land 7) - 1 downto 0 do
+      Bytes.set buf !at (Char.chr ((!v lsr (8 * k)) land 0xff));
+      incr at
+    done;
+    g := o + 1 + slots;
+    let role = (ctl lsr 5) land 3 and imm = (ctl lsr 7) land 7 in
+    let tail n =
+      left := n;
+      if n = 0 then g := !resume
+    in
+    if role = Sadc_isa.modrm then begin
+      resume := o + (ctl lsr 10);
+      if Ccomp_isa.X86.has_sib !v then modrm := !v
+      else begin
+        g := !g + 1 + ((b.ops.(!g) lsr 35) land 3);
+        tail (Ccomp_isa.X86.disp_size !v ~sib:(-1) + imm)
+      end
+    end
+    else if role = Sadc_isa.sib then tail (Ccomp_isa.X86.disp_size !modrm ~sib:!v + imm)
+    else if !left > 0 then tail (!left - 1)
+  done;
+  !at - pos
 
 module Check (I : Sadc_isa.S) = struct
   let items instr =
@@ -42,11 +81,28 @@ module Check (I : Sadc_isa.S) = struct
     let back = replay items (fun next -> I.read ~symbol ~next) in
     let encoded = I.encode_list [ instr ] in
     Alcotest.(check string) (I.name ^ ": same instruction") encoded (I.encode_list [ back ]);
-    (* [read_into] writes at an offset into a larger buffer *)
-    let buf = Bytes.make (String.length encoded + 6) '\xAA' in
-    let n = replay items (fun next -> I.read_into ~symbol ~next buf 3) in
-    Alcotest.(check int) (I.name ^ ": read_into length") (I.byte_length instr) n;
-    Alcotest.(check string) (I.name ^ ": read_into bytes") encoded (Bytes.sub_string buf 3 n);
+    (* [compile]'s groups write at an offset into a larger buffer, with
+       no item absorbed, every item absorbed, and every other one *)
+    List.iter
+      (fun (what, absorbed) ->
+        let fixed = ref [] and free = Array.make I.stream_count [] in
+        Array.iteri
+          (fun s l ->
+            List.iteri
+              (fun p v ->
+                if absorbed (s + p) then fixed := (s, p, v) :: !fixed
+                else free.(s) <- v :: free.(s))
+              l)
+          items;
+        let b = Sadc_isa.ops_create 0 in
+        I.compile b ~symbol ~fixed:!fixed;
+        let buf = Bytes.make (String.length encoded + 6) '\xAA' in
+        let n = replay (Array.map List.rev free) (fun next -> run_groups b ~next buf 3) in
+        Alcotest.(check int) (Printf.sprintf "%s: compiled length, %s" I.name what) (I.byte_length instr) n;
+        Alcotest.(check string)
+          (Printf.sprintf "%s: compiled bytes, %s" I.name what)
+          encoded (Bytes.sub_string buf 3 n))
+      [ ("none absorbed", fun _ -> false); ("all absorbed", fun _ -> true); ("some absorbed", fun k -> k mod 2 = 0) ];
     (* item values respect their declared widths *)
     Array.iteri
       (fun s l ->
@@ -134,7 +190,17 @@ let test_bad_symbol_rejected () =
       match Sadc_isa.Mips_streams.read ~symbol ~next:(fun _ -> 0) with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "symbol %d must be rejected" symbol)
-    [ -1; Mips.opcode_count; 5000 ]
+    [ -1; Mips.opcode_count; 5000 ];
+  let compile_rejects (module I : Sadc_isa.S) symbol =
+    match I.compile (Sadc_isa.ops_create 0) ~symbol ~fixed:[] with
+    | exception Ccomp_util.Decode_error.Error (Malformed _) -> ()
+    | () -> Alcotest.failf "%s: compiling symbol %d must be refused" I.name symbol
+  in
+  List.iter (compile_rejects (module Sadc_isa.Mips_streams)) [ -1; Mips.opcode_count; 5000 ];
+  (* 0x06 and 0x0f are no opcodes of the subset; 512 is past the 0x0f map *)
+  List.iter
+    (fun m -> List.iter (compile_rejects m) [ -1; 0x06; 0x0f; 256 + 0x06; 512 ])
+    [ (module Sadc_isa.X86_streams : Sadc_isa.S); (module Sadc_isa.X86_field_streams) ]
 
 let suite =
   [

@@ -166,7 +166,7 @@ module Decoder = struct
     mutable range : int;
   }
 
-  let next_byte d =
+  let[@inline] next_byte d =
     let b = if d.pos < String.length d.data then Char.code d.data.[d.pos] else 0 in
     d.pos <- d.pos + 1;
     b
@@ -212,10 +212,13 @@ module Decoder = struct
      heap from 1. Keeping the interval registers in locals for the whole
      descent (instead of a field round-trip per bit, which a non-flambda
      build will not optimise away) is what makes the SAMC word loop
-     decode-bound rather than call-bound. The bit is a comparison result,
-     not a branch: the interval updates through a mask on it, and the
-     next prediction is selected the same way from both children, so a
-     hard-to-predict bit costs no mispredicted branch. *)
+     decode-bound rather than call-bound. The bit is the sign of
+     [code - bound], not a comparison: [m0] is all ones when the bit is
+     0 and all zeros when it is 1, and the interval, the next prediction
+     (selected from both children) and the node all update through it,
+     so the serial chain per bit has no compare, no flag-to-int and no
+     branch on the bit. [code] and [bound] are below 2^24, so the
+     difference's sign is bit 62 of a native int. *)
   let decode_tree d probs ~tree ~width =
     let data = d.data in
     let len = String.length data in
@@ -227,14 +230,15 @@ module Decoder = struct
     for k = 1 to width do
       let child = tree + (2 * !node) in
       let bound = (!range lsr scale_bits) * !p0 in
-      let bit = Bool.to_int (!code >= bound) in
-      let mask = -bit in
-      code := !code - (bound land mask);
-      range := bound + ((!range - bound - bound) land mask);
+      let diff = !code - bound in
+      let m0 = diff asr 62 in
+      code := diff + (bound land m0);
+      let rest = !range - bound in
+      range := rest + ((bound - rest) land m0);
       if k < width then begin
         let left = Array.unsafe_get probs child in
         let right = Array.unsafe_get probs (child + 1) in
-        p0 := left + ((right - left) land mask)
+        p0 := right + ((left - right) land m0)
       end;
       while !range < renorm_limit do
         let b = if !pos < len then Char.code (String.unsafe_get data !pos) else 0 in
@@ -242,12 +246,91 @@ module Decoder = struct
         code := ((!code lsl 8) lor b) land 0xffffff;
         range := !range lsl 8
       done;
-      node := (2 * !node) + bit
+      node := (2 * !node) + 1 + m0
     done;
     d.code <- !code;
     d.range <- !range;
     d.pos <- !pos;
     !node
+
+  (* SAMC's word loop on two blocks at once: every descent of block
+     [a] runs in the same loop iteration as the matching descent of
+     block [b], with each lane's interval, context, node and prediction
+     in locals, so the two serial chains of {!decode_tree} overlap in the
+     pipeline. Each lane's step is [decode_tree]'s. The input position
+     stays in the record: a lane renormalises about once per byte it
+     decodes, and holding it in a local measured no faster. *)
+  let decode_words2 a b probs ~bases ~widths ~shifts ~ctx_mask ~word_bytes out ~pos_a ~pos_b
+      ~n_words =
+    let code_a = ref a.code and code_b = ref b.code in
+    let range_a = ref a.range and range_b = ref b.range in
+    let ctx_a = ref 0 and ctx_b = ref 0 in
+    for wi = 0 to n_words - 1 do
+      let word_a = ref 0 and word_b = ref 0 in
+      for s = 0 to Array.length widths - 1 do
+        let w = Array.unsafe_get widths s in
+        let base = Array.unsafe_get bases s in
+        let tree_a = base + (!ctx_a lsl w) and tree_b = base + (!ctx_b lsl w) in
+        let node_a = ref 1 and node_b = ref 1 in
+        let p0_a = ref (Array.unsafe_get probs (tree_a + 1)) in
+        let p0_b = ref (Array.unsafe_get probs (tree_b + 1)) in
+        let leaves = 1 lsl w in
+        while !node_a < leaves do
+          let last = 2 * !node_a >= leaves in
+          let child_a = tree_a + (2 * !node_a) in
+          let bound_a = (!range_a lsr scale_bits) * !p0_a in
+          let diff_a = !code_a - bound_a in
+          let m0_a = diff_a asr 62 in
+          code_a := diff_a + (bound_a land m0_a);
+          let rest_a = !range_a - bound_a in
+          range_a := rest_a + ((bound_a - rest_a) land m0_a);
+          node_a := (2 * !node_a) + 1 + m0_a;
+          if not last then begin
+            let left = Array.unsafe_get probs child_a in
+            let right = Array.unsafe_get probs (child_a + 1) in
+            p0_a := right + ((left - right) land m0_a)
+          end;
+          let child_b = tree_b + (2 * !node_b) in
+          let bound_b = (!range_b lsr scale_bits) * !p0_b in
+          let diff_b = !code_b - bound_b in
+          let m0_b = diff_b asr 62 in
+          code_b := diff_b + (bound_b land m0_b);
+          let rest_b = !range_b - bound_b in
+          range_b := rest_b + ((bound_b - rest_b) land m0_b);
+          node_b := (2 * !node_b) + 1 + m0_b;
+          if not last then begin
+            let left = Array.unsafe_get probs child_b in
+            let right = Array.unsafe_get probs (child_b + 1) in
+            p0_b := right + ((left - right) land m0_b)
+          end;
+          while !range_a < renorm_limit do
+            code_a := ((!code_a lsl 8) lor next_byte a) land 0xffffff;
+            range_a := !range_a lsl 8
+          done;
+          while !range_b < renorm_limit do
+            code_b := ((!code_b lsl 8) lor next_byte b) land 0xffffff;
+            range_b := !range_b lsl 8
+          done
+        done;
+        let value_a = !node_a - leaves and value_b = !node_b - leaves in
+        let shift = Array.unsafe_get shifts s in
+        word_a := !word_a lor (value_a lsl shift);
+        word_b := !word_b lor (value_b lsl shift);
+        ctx_a := value_a land ctx_mask;
+        ctx_b := value_b land ctx_mask
+      done;
+      let word_a = !word_a and word_b = !word_b in
+      let at_a = pos_a + (wi * word_bytes) and at_b = pos_b + (wi * word_bytes) in
+      for j = 0 to word_bytes - 1 do
+        let shift = 8 * (word_bytes - 1 - j) in
+        Bytes.set out (at_a + j) (Char.unsafe_chr ((word_a lsr shift) land 0xff));
+        Bytes.set out (at_b + j) (Char.unsafe_chr ((word_b lsr shift) land 0xff))
+      done
+    done;
+    a.code <- !code_a;
+    a.range <- !range_a;
+    b.code <- !code_b;
+    b.range <- !range_b
 
   let consumed_bytes d = min d.pos (String.length d.data)
 end

@@ -85,6 +85,24 @@ module Decoder : sig
       [probs.(tree + node)] must be a valid prediction for every visited
       node (indices are not bounds-checked). *)
 
+  val decode_words2 :
+    t -> t -> int array -> bases:int array -> widths:int array -> shifts:int array ->
+    ctx_mask:int -> word_bytes:int -> Bytes.t -> pos_a:int -> pos_b:int -> n_words:int -> unit
+  (** [decode_words2 a b probs ~bases ~widths ~shifts ~ctx_mask ~word_bytes
+      out ~pos_a ~pos_b ~n_words] decodes [n_words] SAMC words from each
+      of [a] and [b], the two in lock step: the hot kernel of SAMC's
+      two-block decoder. For each lane and word, stream [s] is one
+      {!decode_tree} descent of width [widths.(s)] (at least 1) from
+      [bases.(s) + (ctx lsl widths.(s))], where [ctx] is the previous
+      stream's value [land ctx_mask] (0 for the lane's first stream);
+      the value lands at bit [shifts.(s)] of the word, and the word is
+      written most significant byte first as [word_bytes] bytes at
+      [out.(pos_a + i * word_bytes)] (lane [a]) or
+      [out.(pos_b + i * word_bytes)] (lane [b]). Each lane's bits are
+      exactly those of its own {!decode_tree} calls, and each decoder
+      ends where they would leave it. [a] and [b] must be distinct.
+      @raise Invalid_argument if a write falls outside [out]. *)
+
   val consumed_bytes : t -> int
   (** Bytes of input consumed so far (including the 3-byte priming read,
       capped at the end of data). *)

@@ -413,6 +413,28 @@ let block_decoder t =
     decompress_block_planned_into p decoder out ~pos ~n_words;
     n_words * p.p_wb
 
+(* The two-lane kernel places each stream with one shift, so it takes
+   configs whose every stream is a non-empty run of consecutive bits:
+   every default config. *)
+let contiguous pl = Array.for_all (fun lo -> lo >= 0) pl.low_shift
+
+let pair_decoder t =
+  let c = t.config in
+  let p = plan c t.model in
+  if not (contiguous p.p_pl) then invalid_arg "Samc.pair_decoder: scattered streams";
+  let da = Coder.Decoder.create "" and db = Coder.Decoder.create "" in
+  let words = t.original_size / p.p_wb in
+  fun b out pos_a pos_b ->
+    let n_words = block_words c ~words b in
+    if block_words c ~words (b + 1) <> n_words then
+      invalid_arg "Samc.pair_decoder: the blocks hold different numbers of words";
+    Coder.Decoder.reset da t.blocks.(b);
+    Coder.Decoder.reset db t.blocks.(b + 1);
+    Coder.Decoder.decode_words2 da db p.p_flat ~bases:p.p_base ~widths:p.p_pl.widths
+      ~shifts:p.p_pl.low_shift ~ctx_mask:p.p_ctx_mask ~word_bytes:p.p_wb out ~pos_a ~pos_b
+      ~n_words;
+    n_words * p.p_wb
+
 let decompress ?jobs t =
   Obs.with_span ~cat:"samc" "samc.decompress" @@ fun () ->
   let wb = word_bytes t.config in
@@ -420,7 +442,8 @@ let decompress ?jobs t =
     invalid_arg "Samc.decompress: size not a multiple of the word size";
   let words = t.original_size / wb in
   let sizes = Array.init (Array.length t.blocks) (fun b -> block_words t.config ~words b * wb) in
-  Ccomp_par.Blocks.decode ?jobs m_decompress ~sizes
+  let pair = if contiguous (placement t.config) then Some (fun () -> pair_decoder t) else None in
+  Ccomp_par.Blocks.decode ?jobs ?pair m_decompress ~sizes
     ~payload_bytes:(fun b -> String.length t.blocks.(b))
     (fun () -> block_decoder t)
 

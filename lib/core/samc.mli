@@ -63,14 +63,31 @@ val decompress_block_ref : config -> Markov_model.t -> original_bytes:int -> str
 val block_decoder : compressed -> int -> Bytes.t -> int -> int
 (** [block_decoder t] hoists the image's decode plan (flat probabilities,
     tree offsets, stream placement) and one arithmetic decoder, and
-    returns the production block decoder: [decode b out pos] writes block
+    returns the single-lane block decoder: [decode b out pos] writes block
     [b]'s bytes at [out.(pos)] and returns their count. Not safe to share
     between domains; build one per domain. Output is byte-identical to
     {!decompress_block}. *)
 
+val pair_decoder : compressed -> int -> Bytes.t -> int -> int -> int
+(** [pair_decoder t] is {!block_decoder}'s two-lane form:
+    [decode b out pos pos'] decodes blocks [b] and [b + 1] in lock step
+    ({!Ccomp_arith.Binary_coder.Decoder.decode_words2}), writes them at
+    [out.(pos)] and [out.(pos')] and returns the byte count of each.
+    Every block restarts the coder and the context, so the two lanes are
+    independent dependency chains that overlap in the pipeline; the
+    output is byte-identical to two {!block_decoder} calls. Not safe to
+    share between domains.
+    @raise Invalid_argument when a stream of [t]'s config is empty or
+    not a run of consecutive bits, or unless blocks [b] and [b + 1]
+    exist and hold the same number of words. *)
+
 val decompress : ?jobs:int -> compressed -> string
-(** Full image reconstruction: {!block_decoder} run over every block by
-    {!Ccomp_par.Blocks.decode}, optionally fanned over [jobs] domains. *)
+(** Full image reconstruction through {!Ccomp_par.Blocks.decode},
+    optionally fanned over [jobs] domains: {!pair_decoder} on blocks
+    [2k] and [2k + 1] when they hold the same number of words, and
+    {!block_decoder} on an odd last block, on a short final block and on
+    every block of a config with scattered streams. Byte-identical for
+    every [jobs] value. *)
 
 val decompress_block_parallel :
   config -> Markov_model.t -> original_bytes:int -> string -> string * int

@@ -291,56 +291,89 @@ let test_pool_runs_on_a_real_image () =
 
 (* --- the block decoders' allocation contract ------------------------------ *)
 
-let decode_all decoder ~blocks out =
+let decode_all (blocks, decoder) out =
   let pos = ref 0 in
   for b = 0 to blocks - 1 do
     pos := !pos + decoder b out !pos
   done;
   !pos
 
-(* Minor-heap bytes per output byte that decoding every block of [code]'s
-   image through one [decoder] allocates, after a warm-up pass, with
-   metrics off. The output buffer is allocated outside the measurement. *)
-let minor_bytes_per_output_byte (blocks, decoder) code =
+(* SAMC's pairing in [Blocks.decode]: blocks 2k and 2k+1 of equal size
+   through the two-lane decoder, an odd last or short final block
+   through the single-lane one. Every block holds [block_size] bytes but
+   the last. *)
+let decode_all_paired ~block_size ~bytes (blocks, decoder, pair) out =
+  let b = ref 0 in
+  while !b < blocks do
+    let pos = !b * block_size in
+    if !b + 2 < blocks || (!b + 1 < blocks && bytes - pos = 2 * block_size) then begin
+      ignore (pair !b out pos (pos + block_size));
+      b := !b + 2
+    end
+    else begin
+      ignore (decoder !b out pos);
+      incr b
+    end
+  done;
+  bytes
+
+(* Minor-heap bytes per output byte that [decode_all out], decoding every
+   block of [code]'s image, allocates after a warm-up pass, with metrics
+   off. The output buffer is allocated outside the measurement. *)
+let minor_bytes_per_output_byte decode_all code =
   let metrics = Obs.metrics_enabled () in
   Obs.set_metrics false;
   Fun.protect ~finally:(fun () -> Obs.set_metrics metrics) @@ fun () ->
   let out = Bytes.create (String.length code) in
-  ignore (decode_all decoder ~blocks out);
+  ignore (decode_all out);
   let before = Gc.minor_words () in
-  let n = decode_all decoder ~blocks out in
+  let n = decode_all out in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "the block decoders rebuild the image" true (Bytes.to_string out = code);
   words *. float_of_int (Sys.word_size / 8) /. float_of_int n
 
 (* On gcc at scale 0.25, every production block decoder allocates nothing
-   once built; SADC's writes each instruction's bytes straight into the
-   output from its compiled plan, so an instruction, a closure or a
-   string built per instruction fails it. *)
+   once built: SAMC's single- and two-lane decoders among them. SADC's
+   writes each instruction's bytes straight into the output from its
+   compiled plan, so an instruction, a closure or a string built per
+   instruction fails it. *)
 let test_block_decoder_allocation () =
   let gcc = Ccomp_paper.Paper.prepare ~scale:0.25 (P.Profile.find "gcc") in
   let mips = Ccomp_paper.Paper.mips_code gcc and x86 = Ccomp_paper.Paper.x86_code gcc in
   let samc cfg code =
     let z = Samc.compress cfg code in
-    (Array.length z.Samc.blocks, Samc.block_decoder z)
+    decode_all (Array.length z.Samc.blocks, Samc.block_decoder z)
+  in
+  let samc_paired cfg code =
+    let z = Samc.compress cfg code in
+    decode_all_paired ~block_size:cfg.Samc.block_size ~bytes:(String.length code)
+      (Array.length z.Samc.blocks, Samc.block_decoder z, Samc.pair_decoder z)
   in
   let cfg = Sadc.default_config () in
   let sadc_mips = Sadc.Mips.compress_image cfg mips and sadc_x86 = Sadc.X86.compress_image cfg x86 in
   let huffman code =
     let z = Byte_huffman.compress code in
-    (Array.length z.Byte_huffman.blocks, Byte_huffman.block_decoder z)
+    decode_all (Array.length z.Byte_huffman.blocks, Byte_huffman.block_decoder z)
   in
   List.iter
-    (fun (name, decoder, code, bound) ->
-      let per_byte = minor_bytes_per_output_byte decoder code in
+    (fun (name, decode_all, code, bound) ->
+      let per_byte = minor_bytes_per_output_byte decode_all code in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.2f minor bytes per output byte <= %g" name per_byte bound)
         true (per_byte <= bound))
     [
       ("samc mips", samc (Samc.mips_config ()) mips, mips, 0.0);
       ("samc byte mode", samc (Samc.byte_config ()) x86, x86, 0.0);
-      ("sadc mips", (Sadc.Mips.block_count sadc_mips, Sadc.Mips.block_decoder sadc_mips), mips, 0.0);
-      ("sadc x86", (Sadc.X86.block_count sadc_x86, Sadc.X86.block_decoder sadc_x86), x86, 0.0);
+      ("samc mips, two lanes", samc_paired (Samc.mips_config ()) mips, mips, 0.0);
+      ("samc byte mode, two lanes", samc_paired (Samc.byte_config ()) x86, x86, 0.0);
+      ( "sadc mips",
+        decode_all (Sadc.Mips.block_count sadc_mips, Sadc.Mips.block_decoder sadc_mips),
+        mips,
+        0.0 );
+      ( "sadc x86",
+        decode_all (Sadc.X86.block_count sadc_x86, Sadc.X86.block_decoder sadc_x86),
+        x86,
+        0.0 );
       ("byte huffman mips", huffman mips, mips, 0.0);
       ("byte huffman x86", huffman x86, x86, 0.0);
     ]

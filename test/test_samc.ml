@@ -292,6 +292,115 @@ let prop_roundtrip_random_words =
       let z = Samc.compress (Samc.mips_config ()) data in
       String.equal (Samc.decompress z) data)
 
+(* Whole-image decode pairs blocks 2k and 2k+1 through the two-lane
+   kernel; it must rebuild exactly the blocks the reference kernel
+   decodes one at a time, at every [jobs], for every image shape: odd
+   and even block counts, a short last block, byte mode, scattered
+   streams (which stay single-lane), quantised and pruned models. *)
+let prop_decompress_equals_ref =
+  let mips = lazy (mips_code 21L) in
+  let scattered = Array.init 4 (fun s -> Array.init 8 (fun k -> s + (4 * k))) in
+  let configs =
+    [|
+      ("mips", Samc.mips_config ());
+      ("byte mode", Samc.byte_config ());
+      ("scattered", Samc.mips_config ~streams:scattered ());
+      ("quantised", Samc.mips_config ~quantize:true ());
+      ("pruned", Samc.mips_config ~prune_below:4 ~context_bits:3 ());
+      ("pruned quantised byte mode", Samc.byte_config ~prune_below:2 ~quantize:true ());
+      ( "16-byte blocks, 2 streams",
+        Samc.mips_config ~block_size:16
+          ~streams:(Stream_split.consecutive ~word_bits:32 ~streams:2)
+          () );
+    |]
+  in
+  QCheck.Test.make ~name:"decompress equals the reference kernel's blocks" ~count:60
+    QCheck.(triple (int_bound (Array.length configs - 1)) (int_range 1 400) small_int)
+    (fun (ci, n_words, seed) ->
+      let name, cfg = configs.(ci) in
+      let code =
+        if cfg.Samc.word_bits = 32 then begin
+          let m = Lazy.force mips in
+          let len = min (String.length m) (4 * n_words) in
+          let start = 4 * (seed mod (((String.length m - len) / 4) + 1)) in
+          String.sub m start len
+        end
+        else begin
+          let g = Prng.create (Int64.of_int seed) in
+          String.init n_words (fun _ -> Char.chr (min 255 (Prng.geometric g 0.15 * 8)))
+        end
+      in
+      let z = Samc.compress cfg code in
+      let expected =
+        String.concat ""
+          (Array.to_list
+             (Array.mapi
+                (fun b payload ->
+                  let original_bytes =
+                    min cfg.Samc.block_size (String.length code - (b * cfg.Samc.block_size))
+                  in
+                  Samc.decompress_block_ref cfg z.Samc.model ~original_bytes payload)
+                z.Samc.blocks))
+      in
+      List.for_all
+        (fun jobs ->
+          let got = Samc.decompress ~jobs z in
+          String.equal got expected
+          || QCheck.Test.fail_reportf
+               "%s, %d blocks, jobs %d: decompress differs from the reference" name
+               (Array.length z.Samc.blocks) jobs)
+        [ 1; 2 ])
+
+(* Pairing must not halve the per-block metric family: an image with an
+   odd number of blocks and a short last block still counts and
+   observes every block once, at every [jobs]. *)
+let test_decompress_metrics_per_block () =
+  let code = mips_code 22L in
+  let blocks = (((String.length code / 32) - 1) / 2 * 2) + 1 in
+  let code = String.sub code 0 (((blocks - 1) * 32) + 12) in
+  let z = Samc.compress (Samc.mips_config ()) code in
+  Alcotest.(check int) "odd block count" blocks (Array.length z.Samc.blocks);
+  let metrics = Obs.metrics_enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_metrics metrics) @@ fun () ->
+  Obs.set_metrics true;
+  List.iter
+    (fun jobs ->
+      Obs.reset ();
+      Alcotest.(check string) "roundtrip" code (Samc.decompress ~jobs z);
+      let counter name = Obs.Counter.value (Obs.Counter.make ("samc.decompress." ^ name)) in
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      Alcotest.(check int) (label "blocks counted") blocks (counter "blocks");
+      Alcotest.(check int)
+        (label "block_us observations")
+        blocks
+        (Obs.Histogram.count (Obs.Histogram.make "samc.decompress.block_us"));
+      Alcotest.(check int) (label "bytes_in") (Samc.code_bytes z) (counter "bytes_in");
+      Alcotest.(check int) (label "bytes_out") (String.length code) (counter "bytes_out"))
+    [ 1; 2 ]
+
+(* The two-lane decoder takes only what its kernel can place: equal
+   blocks of a config whose streams are runs of consecutive bits. *)
+let test_pair_decoder_refusals () =
+  let code = mips_code 23L in
+  let code = String.sub code 0 (String.length code - (String.length code mod 32) - 20) in
+  let z = Samc.compress (Samc.mips_config ()) code in
+  let last = Array.length z.Samc.blocks - 1 in
+  let decode = Samc.pair_decoder z in
+  let out = Bytes.create (String.length code) in
+  Alcotest.(check int) "an equal pair" 32 (decode 0 out 0 32);
+  Alcotest.(check string) "the pair rebuilds its blocks" (String.sub code 0 64)
+    (Bytes.sub_string out 0 64);
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s was accepted" name
+  in
+  refused "a pair with a short block" (fun () -> decode (last - 1) out 0 32);
+  refused "a pair past the last block" (fun () -> decode last out 0 32);
+  let scattered = Array.init 4 (fun s -> Array.init 8 (fun k -> s + (4 * k))) in
+  refused "scattered streams" (fun () ->
+      Samc.pair_decoder (Samc.compress (Samc.mips_config ~streams:scattered ()) code))
+
 let suite =
   [
     Alcotest.test_case "mips roundtrip" `Quick test_roundtrip_mips;
@@ -312,5 +421,8 @@ let suite =
     Alcotest.test_case "ratio accounting" `Quick test_ratio_accounting;
     Alcotest.test_case "stream costs equal a per-bit replay" `Quick test_stream_costs_closed_form;
     Alcotest.test_case "compress allocation per input byte" `Quick test_compress_allocation;
+    Alcotest.test_case "decompress metrics per block" `Quick test_decompress_metrics_per_block;
+    Alcotest.test_case "pair decoder refusals" `Quick test_pair_decoder_refusals;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_words;
+    QCheck_alcotest.to_alcotest prop_decompress_equals_ref;
   ]
